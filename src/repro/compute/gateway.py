@@ -7,10 +7,13 @@ are real.  One asyncio gateway process
 
 * serves the actual :class:`~repro.storageplane.StoragePlane` over a
   unix socket (operations from all workers serialize in the event
-  loop, exactly where a real storage service would serialize them),
+  loop, exactly where a real storage service would serialize them);
+  ``data_received`` decodes, serves and answers every frame of a read
+  in that loop turn, against an op table closed at start-up,
 * dispatches invocations to a pool of ``spawn``-ed worker processes,
   each running the full :class:`~repro.runtime.local.LocalRuntime`
-  stack against an RPC proxy plane,
+  stack against an RPC proxy plane, the moment a (worker, invocation)
+  pair exists,
 * drives the shared clock-agnostic lease machinery
   (:class:`~repro.recovery.lease.LeaseTable`) with wall-clock
   heartbeats, so failure detection latency is measured wall time,
@@ -52,12 +55,15 @@ import signal
 import sys
 import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import multiprocessing as mp
 
 from ..config import SystemConfig
+from ..errors import UnknownOpError
 from ..faults import CircuitBreaker, RetryPolicy
 from ..observe import (
     CAT_ATTEMPT,
@@ -108,6 +114,30 @@ _OP_KIND = {
 }
 
 
+def _build_op_table(
+    backend: ServiceBackend,
+) -> Dict[Tuple[str, str], Callable[..., Any]]:
+    """The closed RPC surface: the public names of the four substrate
+    surfaces (properties and plain attributes behind a getter, read per
+    call) plus the private names :data:`_OP_KIND` declares."""
+    table: Dict[Tuple[str, str], Callable[..., Any]] = {}
+    for target in ("log", "kv", "mv", "plane"):
+        obj = getattr(backend, target)
+        names = [n for n in dir(obj) if not n.startswith("_")]
+        names += [m for t, m in _OP_KIND if t == target]
+        for name in names:
+            if (isinstance(getattr(type(obj), name, None), property)
+                    or not callable(getattr(obj, name))):
+                table[target, name] = partial(getattr, obj, name)
+            else:
+                table[target, name] = getattr(obj, name)
+    plane = backend.plane
+    table["plane", "describe"] = lambda: dict(
+        plane.describe(), labelled=plane.labelled
+    )
+    return table
+
+
 @dataclass
 class _WorkerSlot:
     """Gateway-side state for one worker process."""
@@ -115,7 +145,7 @@ class _WorkerSlot:
     worker_id: int
     process: Any
     breaker: CircuitBreaker
-    writer: Optional[asyncio.StreamWriter] = None
+    writer: Optional[asyncio.Transport] = None
     busy_with: Optional[str] = None
     alive: bool = True
     #: Latched once the failure detector declares this worker dead —
@@ -221,9 +251,71 @@ class _Inflight:
     #: Exact-sum stage vector (wall ms); remainder lands in "compute".
     stages: Dict[str, float] = field(default_factory=dict)
     ops_wall_ms: float = 0.0
+    #: OP frames served on this invocation's behalf, over all attempts.
+    rpc_ops: int = 0
     root_span: Optional[Span] = None
     queue_span: Optional[Span] = None
     attempt_span: Optional[Span] = None
+
+
+class _GatewayConnection(asyncio.Protocol):
+    """One accepted connection (a worker, or a ``repro top`` observer):
+    every frame a read completes is decoded, served and answered inside
+    ``data_received`` — one loop turn per read, no reader task to wake."""
+
+    def __init__(self, plane: "LocalhostComputePlane"):
+        self.plane = plane
+        self.decoder = rpc.FrameDecoder()
+        self.transport: Optional[asyncio.Transport] = None
+        self.slot: Optional[_WorkerSlot] = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.slot is not None:
+            self.slot.writer = None
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for frame in self.decoder.feed(data):
+                if not self._serve(frame):
+                    self.transport.close()
+                    return
+        except rpc.RpcFrameError as exc:
+            self.plane._note_frame_error(self.slot, exc)
+            self.transport.close()
+
+    def _serve(self, frame: Any) -> bool:
+        """Handle one frame; False closes the connection."""
+        plane, slot, kind = self.plane, self.slot, frame[0]
+        if kind == rpc.STATUS:
+            plane.status_queries += 1  # observer (``repro top``) polling
+            rpc.write_frame_async(
+                self.transport, (rpc.STATUS, plane._status_payload())
+            )
+        elif kind == rpc.HELLO:
+            slot = self.slot = plane._slots.get(frame[1])
+            if slot is None or slot.declared:
+                return False
+            slot.writer = self.transport
+            plane.lease.add_node(slot.worker_id, plane._now())
+        elif slot is None:
+            return False
+        elif kind == rpc.OP:
+            return plane._handle_op(slot, frame)  # False: SIGKILLed here
+        elif kind == rpc.DONE:
+            plane._handle_done(slot, frame)
+        elif kind == rpc.HEARTBEAT:
+            plane._renew(slot)
+        elif kind == rpc.TELEMETRY:
+            plane._renew(slot)
+            if frame[2]:
+                plane.telemetry_sink.apply(slot.worker_id, frame[2])
+        elif kind == rpc.READY:
+            slot.ready = True
+            plane._pump()
+        return True
 
 
 class LocalhostComputePlane(ComputePlane):
@@ -288,6 +380,7 @@ class LocalhostComputePlane(ComputePlane):
             self.config, protocol=protocol, backend=self.backend
         )
         self.backend.tracer = tracer
+        self._ops = _build_op_table(self.backend)
         self._t0 = time.monotonic()
         self._runtime.now_fn = self._now
         workload.register(self._runtime)
@@ -372,8 +465,8 @@ class LocalhostComputePlane(ComputePlane):
         self.node_crashes = 0
         self.orphaned_invocations = 0
         self._workers_ever = 0
-        self._queue: "asyncio.Queue[str]" = None  # created inside the loop
-        self._idle_event: Optional[asyncio.Event] = None
+        self._queue: Deque[str] = deque()
+        self._rpc_ops = 0
         self._done_event: Optional[asyncio.Event] = None
         self._draining = False
         self.aborted_reason: Optional[str] = None
@@ -400,6 +493,12 @@ class LocalhostComputePlane(ComputePlane):
 
     def _now(self) -> float:
         return (time.monotonic() - self._t0) * 1000.0
+
+    @property
+    def rpc_ops_per_req(self) -> float:
+        """The round-trip budget: OP frames served per completed
+        invocation (a killed attempt's ops count towards its request)."""
+        return self._rpc_ops / max(1, len(self._completed))
 
     # -- entry point -----------------------------------------------------
 
@@ -434,8 +533,6 @@ class LocalhostComputePlane(ComputePlane):
 
     async def _run_async(self, rate_per_s: float, total: int) -> None:
         loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
-        self._idle_event = asyncio.Event()
         self._done_event = asyncio.Event()
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
@@ -446,8 +543,8 @@ class LocalhostComputePlane(ComputePlane):
 
         self._sockdir = tempfile.TemporaryDirectory(prefix="repro-live-")
         self._socket_path = os.path.join(self._sockdir.name, "gateway.sock")
-        server = await asyncio.start_unix_server(
-            self._handle_connection, path=self._socket_path
+        server = await loop.create_unix_server(
+            lambda: _GatewayConnection(self), path=self._socket_path
         )
         self._write_discovery_file()
         _ensure_child_pythonpath()
@@ -595,6 +692,7 @@ class LocalhostComputePlane(ComputePlane):
             "rpc_frame_errors": sum(
                 self.rpc_frame_errors.as_dict().values()
             ),
+            "rpc_ops_per_req": self.rpc_ops_per_req,
             "workers": workers,
             "aborted": self.aborted_reason,
         }
@@ -655,11 +753,9 @@ class LocalhostComputePlane(ComputePlane):
             self._coalescer.flush()
         for slot in self._slots.values():
             if slot.connected:
-                try:
-                    rpc.write_frame_async(slot.writer, (rpc.SHUTDOWN,))
-                    await slot.writer.drain()
-                except (ConnectionError, OSError):
-                    pass
+                # A small frame on an idle transport is sent by write()
+                # itself, so it is out before join() blocks the loop.
+                rpc.write_frame_async(slot.writer, (rpc.SHUTDOWN,))
         deadline = time.monotonic() + 5.0
         for slot in self._slots.values():
             slot.process.join(max(0.1, deadline - time.monotonic()))
@@ -673,20 +769,24 @@ class LocalhostComputePlane(ComputePlane):
         request_rng = self.backend.rng.stream("requests")
         arrival_rng = self.backend.rng.stream("arrivals")
         mean_gap_s = 1.0 / rate_per_s if rate_per_s > 0 else 0.0
+        # Open loop on an absolute schedule: due times come from the
+        # seeded gaps alone and latency is timed from them, so a stalled
+        # gateway shows as latency, not as a lower offered rate.
+        due_ms = self._now()
         for _ in range(total):
             if self._draining:
                 break
             request = self.workload.next_request(request_rng)
-            self._admit(request)
+            self._admit(request, due_ms if mean_gap_s else self._now())
             if mean_gap_s:
-                await asyncio.sleep(
-                    float(arrival_rng.exponential(mean_gap_s))
-                )
+                due_ms += 1000.0 * float(arrival_rng.exponential(mean_gap_s))
+                late_ms = self._now() - due_ms
+                if late_ms < 0.0:
+                    await asyncio.sleep(-late_ms / 1000.0)
         self._arrivals_done = True
         self._check_done()
 
-    def _admit(self, request: Request) -> None:
-        now = self._now()
+    def _admit(self, request: Request, now: float) -> None:
         if (self.max_inflight is not None
                 and len(self._inflight) >= self.max_inflight):
             # Deterministic shed: the decision depends only on the
@@ -716,32 +816,41 @@ class LocalhostComputePlane(ComputePlane):
             )
         self._inflight[instance_id] = inv
         self._issued += 1
-        self._queue.put_nowait(instance_id)
+        self._queue.append(instance_id)
+        self._pump()
+
+    def _pump(self) -> None:
+        """Dispatch queued invocations while a worker can take one.
+
+        Runs synchronously wherever a (worker, invocation) pair can
+        appear — admit, READY, DONE, takeover; a failed INVOKE write
+        requeues inside this loop and goes to the next worker.
+        """
+        queue = self._queue
+        while queue:
+            slot = self._pick_worker()
+            if slot is None:
+                return
+            inv = self._inflight.get(queue.popleft())
+            if inv is not None:
+                self._dispatch(inv, slot)
 
     async def _dispatch_task(self) -> None:
+        """Backoff poller for the one case no event covers:
+        ``CircuitBreaker.consult()`` only cools down when consulted, so
+        a backlog facing only idle workers behind open breakers needs
+        something to keep asking.  Holds no invocation while it sleeps.
+        """
+        fruitless = 0
         while True:
-            instance_id = await self._queue.get()
-            inv = self._inflight.get(instance_id)
-            if inv is None:
-                continue
-            attempt = 0
-            while True:
-                slot = self._pick_worker()
-                if slot is not None:
-                    self._dispatch(inv, slot)
-                    break
-                attempt += 1
-                backoff_ms = self.retry_policy.backoff_ms(
-                    min(attempt, self.retry_policy.max_attempts),
-                    self._dispatch_jitter,
-                )
-                self._idle_event.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._idle_event.wait(), backoff_ms / 1000.0
-                    )
-                except asyncio.TimeoutError:
-                    pass
+            backoff_ms = self.retry_policy.backoff_ms(
+                min(fruitless + 1, self.retry_policy.max_attempts),
+                self._dispatch_jitter,
+            )
+            await asyncio.sleep(backoff_ms / 1000.0)
+            backlog = len(self._queue)
+            self._pump()
+            fruitless = fruitless + 1 if len(self._queue) == backlog else 0
 
     def _pick_worker(self) -> Optional[_WorkerSlot]:
         best = None
@@ -783,8 +892,10 @@ class LocalhostComputePlane(ComputePlane):
         ctx = None
         if self.telemetry and inv.attempt_span is not None:
             ctx = (inv.instance_id, inv.attempt_span.span_id)
+        # The log frontier rides the frame: read now it is <= the one
+        # the worker would ask for, so only a more conservative watermark.
         invoke = (rpc.INVOKE, inv.instance_id, inv.request.func_name,
-                  inv.request.input)
+                  inv.request.input, self.backend.log.next_seqnum)
         try:
             rpc.write_frame_async(
                 slot.writer, invoke if ctx is None else invoke + (ctx,)
@@ -799,7 +910,7 @@ class LocalhostComputePlane(ComputePlane):
             if inv.attempt_span is not None:
                 inv.attempt_span.finish(now)
                 inv.attempt_span = None
-            self._queue.put_nowait(inv.instance_id)
+            self._queue.append(inv.instance_id)  # _pump's loop retries
 
     async def _detector_task(self) -> None:
         poll_s = self.config.recovery.detector_poll_ms / 1000.0
@@ -818,75 +929,11 @@ class LocalhostComputePlane(ComputePlane):
 
     # -- connection handling ----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            await self._serve_worker(reader, writer)
-        except asyncio.CancelledError:
-            # Loop shutdown cancels open connection handlers; that is
-            # the normal end of a drain, not an error to propagate.
-            pass
-
-    async def _serve_worker(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        slot: Optional[_WorkerSlot] = None
-        while True:
-            try:
-                frame = await rpc.read_frame_async(reader)
-            except rpc.RpcFrameError as exc:
-                self._note_frame_error(slot, exc)
-                break
-            if frame is None:
-                break
-            kind = frame[0]
-            if kind == rpc.STATUS:
-                # Observer connection (``repro top``): serve a snapshot
-                # and keep the stream open for polling.
-                self.status_queries += 1
-                try:
-                    rpc.write_frame_async(
-                        writer, (rpc.STATUS, self._status_payload())
-                    )
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    break
-                continue
-            if kind == rpc.HELLO:
-                slot = self._slots.get(frame[1])
-                if slot is None or slot.declared:
-                    break
-                slot.writer = writer
-                self.lease.add_node(slot.worker_id, self._now())
-            elif slot is None:
-                break
-            elif kind == rpc.READY:
-                slot.ready = True
-                self._idle_event.set()
-            elif kind == rpc.HEARTBEAT:
-                self._renew(slot)
-            elif kind == rpc.TELEMETRY:
-                self._renew(slot)
-                batch = frame[2]
-                if batch:
-                    self.telemetry_sink.apply(slot.worker_id, batch)
-            elif kind == rpc.OP:
-                if not self._handle_op(slot, frame):
-                    break  # worker was SIGKILLed at this op
-            elif kind == rpc.DONE:
-                self._handle_done(slot, frame)
-        if slot is not None:
-            slot.writer = None
-        try:
-            writer.close()
-        except (ConnectionError, OSError):
-            pass
-
     def _note_frame_error(self, slot: Optional[_WorkerSlot],
-                          exc: rpc.RpcFrameError) -> None:
+                          exc: rpc.RpcFrameError,
+                          direction: str = "recv") -> None:
         """Protocol-level corruption: count it, remember it, dump."""
-        self.rpc_frame_errors.add("recv")
+        self.rpc_frame_errors.add(direction)
         worker = slot.worker_id if slot is not None else None
         self.flightrec.record(
             "rpc-frame-error", worker=worker, error=str(exc),
@@ -936,10 +983,9 @@ class LocalhostComputePlane(ComputePlane):
                         if parent_span_id is not None else None),
                 node=slot.worker_id,
             )
-        obj = {
-            "log": self.backend.log, "kv": self.backend.kv,
-            "mv": self.backend.mv, "plane": self.backend.plane,
-        }[target]
+        inv = self._inflight.get(slot.busy_with or "")
+        if inv is not None:
+            inv.rpc_ops += 1
         kill = (
             self.chaos is not None
             and slot.busy_with is not None
@@ -948,15 +994,17 @@ class LocalhostComputePlane(ComputePlane):
         )
         started = time.monotonic()
         try:
-            if target == "plane" and method == "describe":
-                result: Any = dict(self.backend.plane.describe(),
-                                   labelled=self.backend.plane.labelled)
-            else:
-                attr = getattr(obj, method)
-                result = (attr(*rpc.decode_value(args),
-                               **rpc.decode_value(kwargs))
-                          if callable(attr) else attr)
-            ok, payload = True, rpc.encode_value(result)
+            op = self._ops.get((target, method))
+            if op is None:
+                self.flightrec.record("unknown-op", worker=slot.worker_id,
+                                      op=f"{target}.{method}")
+                raise UnknownOpError(
+                    f"{target}.{method} is not a storage op",
+                    service=target, op=method,
+                )
+            ok, payload = True, rpc.encode_value(
+                op(*rpc.decode_value(args), **rpc.decode_value(kwargs))
+            )
         except BaseException as exc:  # noqa: BLE001 - forwarded to worker
             ok, payload = False, rpc.encode_error(exc)
         wall_ms = (time.monotonic() - started) * 1000.0
@@ -967,7 +1015,6 @@ class LocalhostComputePlane(ComputePlane):
         op_kind = _OP_KIND.get((target, method))
         if op_kind is not None:
             self._note_op(op_kind, wall_ms)
-            inv = self._inflight.get(slot.busy_with or "")
             if inv is not None:
                 inv.stages[op_kind] = inv.stages.get(op_kind, 0.0) + wall_ms
                 inv.ops_wall_ms += wall_ms
@@ -984,14 +1031,7 @@ class LocalhostComputePlane(ComputePlane):
             # The reply itself violates the cap: the worker can never
             # be answered on this stream, so treat the connection as
             # corrupt and let the lease machinery reclaim the slot.
-            self.rpc_frame_errors.add("send")
-            self.flightrec.record(
-                "rpc-frame-error", worker=slot.worker_id,
-                error=str(exc), frame_bytes=exc.frame_bytes,
-            )
-            self.dump_flightrecorder("rpc-frame-error", meta={
-                "worker": slot.worker_id, "error": str(exc),
-            })
+            self._note_frame_error(slot, exc, "send")
             return False
         slot.last_acked_op = f"{target}.{method}#{seq}"
         return True
@@ -1048,7 +1088,7 @@ class LocalhostComputePlane(ComputePlane):
         self._renew(slot)
         if slot.busy_with == instance_id:
             slot.busy_with = None
-            self._idle_event.set()
+            self._pump()  # the successor goes out before the bookkeeping
         inv = self._inflight.get(instance_id)
         if inv is None or instance_id in self._completed:
             self.duplicate_completions += 1
@@ -1074,6 +1114,7 @@ class LocalhostComputePlane(ComputePlane):
                 self._time_by_kind.get(kind, 0.0) + ms
             )
         self._completed.add(instance_id)
+        self._rpc_ops += inv.rpc_ops
         latency = now - inv.arrival_ms
         exec_wall = now - inv.dispatched_at_ms
         inv.stages["compute"] = (
@@ -1205,7 +1246,8 @@ class LocalhostComputePlane(ComputePlane):
             inv.root_span.annotate(
                 "redispatched", now, category=CAT_RECOVERY,
             )
-        self._queue.put_nowait(orphan.instance_id)
+        self._queue.append(orphan.instance_id)
+        self._pump()
 
     # -- results -----------------------------------------------------------
 
@@ -1286,6 +1328,7 @@ class LocalhostComputePlane(ComputePlane):
                 ),
                 "rpc_p50_ms": (rpc_rt.median() if rpc_rt.count else None),
                 "rpc_p99_ms": (rpc_rt.p99() if rpc_rt.count else None),
+                "rpc_ops_per_req": self.rpc_ops_per_req,
                 "per_worker": per_worker,
                 "status_queries": self.status_queries,
             },

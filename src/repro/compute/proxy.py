@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ServiceUnavailableError
 from ..observe.tracing import CAT_SERVICE
+from ..storageplane.routing import base_key, stable_hash
 from . import rpc
 
 
@@ -181,22 +182,14 @@ class ProxyLog(_ProxySubstrate):
         return self._conn.call("log", "next_seqnum", (), {})
 
 
-class ProxyKV(_ProxySubstrate):
-    def __init__(self, conn: GatewayConnection):
-        super().__init__(conn, "kv")
-
-
-class ProxyMV(_ProxySubstrate):
-    def __init__(self, conn: GatewayConnection):
-        super().__init__(conn, "mv")
-
-
 class ProxyPlane:
     """`StoragePlane` duck type backed by the gateway's real plane.
 
-    Topology (shard/partition counts, labelling) is fetched once at
-    connect time; per-key placement queries are memoized so a tag costs
-    one routing RPC ever — placement is stable for a plane's lifetime.
+    Topology (counts, labelling, placement policy) is fetched once at
+    connect time.  ``hash`` placement is a CRC-32 any component can
+    compute, so routes are computed here: no RPC, and no memo for the
+    per-instance step-log tags to grow.  ``first_seen`` is stateful, so
+    each new key costs one routing RPC ever — placement never changes.
     """
 
     name = "proxy"
@@ -204,29 +197,33 @@ class ProxyPlane:
     def __init__(self, conn: GatewayConnection):
         self._conn = conn
         self.log = ProxyLog(conn)
-        self.kv = ProxyKV(conn)
-        self.mv = ProxyMV(conn)
+        self.kv = _ProxySubstrate(conn, "kv")
+        self.mv = _ProxySubstrate(conn, "mv")
         topo = conn.call("plane", "describe", (), {})
         self._describe = dict(topo)
         self.num_log_shards = int(topo.get("log_shards", 1))
         self.num_kv_partitions = int(topo.get("kv_partitions", 1))
         self.labelled = bool(topo.get("labelled", False))
-        self._log_routes: Dict[str, int] = {}
-        self._kv_routes: Dict[str, int] = {}
+        self._hashed = topo.get("placement") == "hash"
+        self._asked: Dict[Tuple[str, str], int] = {}
+
+    def _ask(self, method: str, key: str) -> int:
+        route = self._asked.get((method, key))
+        if route is None:
+            route = self._asked[method, key] = self._conn.call(
+                "plane", method, (key,), {}
+            )
+        return route
 
     def log_shard_of(self, tag: str) -> int:
-        shard = self._log_routes.get(tag)
-        if shard is None:
-            shard = self._conn.call("plane", "log_shard_of", (tag,), {})
-            self._log_routes[tag] = shard
-        return shard
+        if self._hashed:
+            return stable_hash(tag) % self.num_log_shards
+        return self._ask("log_shard_of", tag)
 
     def kv_partition_of(self, key: str) -> int:
-        part = self._kv_routes.get(key)
-        if part is None:
-            part = self._conn.call("plane", "kv_partition_of", (key,), {})
-            self._kv_routes[key] = part
-        return part
+        if self._hashed:
+            return stable_hash(base_key(key)) % self.num_kv_partitions
+        return self._ask("kv_partition_of", key)
 
     def describe(self) -> Dict[str, Any]:
         return dict(self._describe)

@@ -29,6 +29,11 @@ a corrupted or hostile prefix surfaces as the typed
 ``rpc_frame_errors`` metric and treats as a connection-fatal protocol
 error — instead of a multi-gigabyte read or a raw ``struct`` overflow.
 
+``INVOKE`` is ``(kind, instance_id, func, input, frontier)``: the
+frontier is the log's next seqnum as the gateway read it at dispatch,
+which the worker hands to ``LocalRuntime.invoke(start_seqnum=)`` instead
+of spending a round trip asking for it.
+
 Trace-context propagation (:mod:`repro.observe.distributed`) rides in
 an optional trailing header field on ``INVOKE`` (the gateway's dispatch
 context) and ``OP`` (the worker's RPC-span context); ``RESULT`` carries
@@ -43,7 +48,7 @@ import importlib
 import pickle
 import socket
 import struct
-from typing import Any, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 _LEN = struct.Struct("<I")
 
@@ -198,24 +203,44 @@ def recv_frame(sock: socket.socket,
     return _decode_body(body)
 
 
-# -- asyncio framing (gateway side) --------------------------------------
+# -- event-loop framing (gateway side) ------------------------------------
 
 def write_frame_async(writer: Any, frame: Any,
                       max_bytes: Optional[int] = None) -> None:
-    """Queue a frame on an ``asyncio.StreamWriter`` (no await: small
-    frames ride the transport buffer; the gateway drains on close)."""
+    """Queue a frame on an asyncio transport (anything with ``write``;
+    no await: small frames ride the transport buffer)."""
     writer.write(_encode_checked(frame, max_bytes))
 
 
-async def read_frame_async(reader: Any,
-                           max_bytes: Optional[int] = None
-                           ) -> Optional[Any]:
-    import asyncio
+class FrameDecoder:
+    """Pure incremental frame parser: bytes in, whole frames out, no
+    I/O and no event loop, however the stream was cut."""
 
-    try:
-        header = await reader.readexactly(_LEN.size)
-        length = _check_length(_LEN.unpack(header)[0], max_bytes)
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
-        return None
-    return _decode_body(body)
+    __slots__ = ("_buf", "_max_bytes")
+
+    def __init__(self, max_bytes: Optional[int] = None):
+        self._buf = bytearray()
+        self._max_bytes = max_bytes
+
+    def feed(self, data: bytes) -> Iterator[Any]:
+        """Buffer ``data`` and iterate the frames it completed.  The cap
+        is checked on the prefix alone, before any body is awaited or
+        allocated; a violation (or an undecodable body) raises
+        :class:`RpcFrameError` after the frames ahead of it."""
+        self._buf += data
+        return self._drain()
+
+    def _drain(self) -> Iterator[Any]:
+        buf, pos = self._buf, 0
+        try:
+            while len(buf) - pos >= _LEN.size:
+                body = pos + _LEN.size
+                end = body + _check_length(
+                    _LEN.unpack_from(buf, pos)[0], self._max_bytes
+                )
+                if end > len(buf):
+                    break
+                pos = end
+                yield _decode_body(buf[body:end])
+        finally:
+            del buf[:pos]

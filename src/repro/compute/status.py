@@ -106,6 +106,9 @@ def format_status(payload: Dict[str, Any]) -> str:
             batches=payload.get("telemetry_batches", 0),
             frame_errors=payload.get("rpc_frame_errors", 0),
         ),
+        "  rpc: {ops:.2f} storage ops per completed request".format(
+            ops=payload.get("rpc_ops_per_req", 0.0),
+        ),
     ]
     workers = payload.get("workers", ())
     if workers:

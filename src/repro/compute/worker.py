@@ -185,8 +185,8 @@ def worker_main(
                 return
             if frame[0] != rpc.INVOKE:
                 continue
-            _, instance_id, func_name, input_value = frame[:4]
-            ctx = frame[4] if len(frame) > 4 else None
+            _, instance_id, func_name, input_value, frontier = frame[:5]
+            ctx = frame[5] if len(frame) > 5 else None
             root = None
             if tracer is not None and ctx is not None:
                 trace_id, parent_id = ctx
@@ -205,7 +205,8 @@ def worker_main(
             started = time.monotonic()
             try:
                 result = runtime.invoke(
-                    func_name, input_value, instance_id=instance_id
+                    func_name, input_value, instance_id=instance_id,
+                    start_seqnum=frontier,
                 )
                 wall_ms = (time.monotonic() - started) * 1000.0
                 payload: Tuple[Any, ...] = (
@@ -262,15 +263,3 @@ def worker_main(
 def _raise_system_exit(signum: int, frame: Any) -> None:
     """SIGTERM → graceful drain (the ``finally`` ships final telemetry)."""
     raise SystemExit(0)
-
-
-def heartbeat_only_main(
-    socket_path: str, worker_id: int, heartbeat_interval_ms: float
-) -> None:
-    """Minimal worker used by tests: heartbeats but serves nothing."""
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.connect(socket_path)
-    conn = GatewayConnection(sock)
-    conn.send((rpc.HELLO, worker_id))
-    stop = threading.Event()
-    _heartbeat_loop(conn, worker_id, heartbeat_interval_ms / 1000.0, stop)

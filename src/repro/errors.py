@@ -167,6 +167,15 @@ class PermanentServiceError(ServiceFaultError):
     """A fault that retries cannot fix (misconfiguration, data loss)."""
 
 
+class UnknownOpError(PermanentServiceError):
+    """A live worker named a storage op outside the gateway's op table.
+
+    The table is closed at start-up over the public names of the log,
+    store, multi-version and plane surfaces; anything else (a typo, a
+    private ``_name``, a stale worker build) is refused, not looked up.
+    """
+
+
 class RuntimeStateError(ReproError):
     """The serverless runtime was driven through an invalid transition."""
 

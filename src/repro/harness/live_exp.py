@@ -193,7 +193,7 @@ def run_live(
         ["system", "recovery", "completed", "kills", "orphans",
          "recovered", "detect p50 (ms)", "takeover p50 (ms)",
          "median (ms)", "p99 (ms)", "rpc p50 (ms)", "rpc p99 (ms)",
-         "violations", "anomalies"],
+         "rpc ops/req", "violations", "anomalies"],
     )
     for system in systems:
         point = run_live_point(
@@ -223,6 +223,7 @@ def run_live(
             result.p99_ms,
             result.extras.get("rpc_p50_ms") or 0.0,
             result.extras.get("rpc_p99_ms") or 0.0,
+            result.extras.get("rpc_ops_per_req") or 0.0,
             point.violations,
             len(point.consistency_anomalies),
         )

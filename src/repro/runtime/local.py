@@ -291,14 +291,26 @@ class LocalRuntime:
         func_name: str,
         input: Any = None,
         instance_id: Optional[str] = None,
+        start_seqnum: Optional[int] = None,
     ) -> InvocationResult:
-        """Run ``func_name`` to completion with crash/retry semantics."""
+        """Run ``func_name`` to completion with crash/retry semantics.
+
+        ``start_seqnum`` is a log frontier the caller already read on
+        this invocation's behalf (the live gateway stamps one on the
+        INVOKE frame); any frontier read no later than now is a valid,
+        merely more conservative, GC/switching watermark, and passing
+        it saves the log round trip of reading a fresh one.
+        """
         instance_id = (instance_id if instance_id is not None
                        else self.new_instance_id())
         total_latency = 0.0
         cost_by_kind: Dict[str, float] = {}
         max_attempts = self.config.failures.max_retries + 1
-        self.tracker.start(instance_id, self.backend.log.next_seqnum)
+        self.tracker.start(
+            instance_id,
+            start_seqnum if start_seqnum is not None
+            else self.backend.log.next_seqnum,
+        )
         tracer = self.backend.tracer
         root: Optional[Span] = None
         base = 0.0

@@ -165,25 +165,72 @@ def test_fuzzed_length_prefixes():
             b.close()
 
 
-def test_async_reader_raises_on_oversized_and_corrupt_frames():
-    import asyncio
+def test_frame_decoder_raises_on_oversized_and_corrupt_frames():
     import struct
 
-    async def scenario():
-        # Oversized announced length.
-        reader = asyncio.StreamReader()
-        reader.feed_data(struct.pack("<I", 1 << 30) + b"x")
-        reader.feed_eof()
-        with pytest.raises(rpc.RpcFrameError):
-            await rpc.read_frame_async(reader, max_bytes=1024)
-        # Well-sized but undecodable body.
-        reader = asyncio.StreamReader()
-        reader.feed_data(struct.pack("<I", 3) + b"abc")
-        reader.feed_eof()
-        with pytest.raises(rpc.RpcFrameError):
-            await rpc.read_frame_async(reader)
+    # Oversized announced length: refused on the prefix alone, before
+    # the body is awaited or a single byte of it is buffered.
+    decoder = rpc.FrameDecoder(max_bytes=1024)
+    with pytest.raises(rpc.RpcFrameError) as info:
+        list(decoder.feed(struct.pack("<I", 1 << 30)))
+    assert info.value.frame_bytes == 1 << 30
+    # Well-sized but undecodable body.
+    decoder = rpc.FrameDecoder()
+    with pytest.raises(rpc.RpcFrameError):
+        list(decoder.feed(struct.pack("<I", 3) + b"abc"))
+    # Frames ahead of the bad one are still delivered, in order.
+    decoder = rpc.FrameDecoder(max_bytes=1024)
+    stream = rpc._encode_checked(("ok", 1), None) + struct.pack("<I", 4096)
+    frames = decoder.feed(stream)
+    assert next(frames) == ("ok", 1)
+    with pytest.raises(rpc.RpcFrameError):
+        next(frames)
 
-    asyncio.run(scenario())
+
+def _frame_stream(rng, count):
+    """``count`` random frames and their concatenated wire bytes."""
+    frames = []
+    for i in range(count):
+        size = int(rng.integers(0, 400))
+        frames.append((
+            rpc.OP, i, "log", "append",
+            (bytes(rng.integers(0, 256, size=size, dtype="uint8")),),
+            {"tags": [f"t{int(rng.integers(0, 9))}"]},
+        ))
+    wire = b"".join(rpc._encode_checked(f, None) for f in frames)
+    return frames, wire
+
+
+def test_frame_decoder_is_cut_invariant():
+    """Property: however the byte stream is cut — at every single
+    boundary, byte by byte, in random chunks, or not at all — the
+    decoder yields exactly the frames that were sent, in order."""
+    import numpy as np
+
+    rng = np.random.default_rng(1106)
+    frames, wire = _frame_stream(rng, 6)
+    # Coalesced: one feed carries every frame.
+    assert list(rpc.FrameDecoder().feed(wire)) == frames
+    # One cut, at every byte boundary of the stream.
+    for cut in range(len(wire) + 1):
+        decoder = rpc.FrameDecoder()
+        got = list(decoder.feed(wire[:cut])) + list(decoder.feed(wire[cut:]))
+        assert got == frames, cut
+    # Byte by byte.
+    decoder = rpc.FrameDecoder()
+    got = []
+    for i in range(len(wire)):
+        got.extend(decoder.feed(wire[i:i + 1]))
+    assert got == frames
+    # Seeded random chunkings of longer streams.
+    for _ in range(50):
+        frames, wire = _frame_stream(rng, int(rng.integers(1, 20)))
+        decoder, got, pos = rpc.FrameDecoder(), [], 0
+        while pos < len(wire):
+            step = int(rng.integers(1, 700))
+            got.extend(decoder.feed(wire[pos:pos + step]))
+            pos += step
+        assert got == frames
 
 
 def test_undecodable_body_raises_typed_error():
