@@ -49,6 +49,7 @@ invocations, and still produces a (partial) result.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import signal
@@ -1346,6 +1347,17 @@ class LocalhostComputePlane(ComputePlane):
             if slot.process.is_alive():
                 slot.process.kill()
         self._slots.clear()
+        # A plane is tens of thousands of objects held in reference
+        # cycles, so a caller that builds planes back to back (a sweep,
+        # a benchmark) leaves each one to the cyclic collector, whose
+        # full pass (~40 ms on this heap) then falls wherever the
+        # allocation counters happen to reach it: mid-burst in the next
+        # plane's gateway, or in whatever the caller runs in between.
+        # Teardown serves nothing, so pay for the pass here; it also
+        # restarts the collector's schedule, which puts the next full
+        # pass ~120 young passes away (a 1 000-request burst with its
+        # construction and audit makes ~60).
+        gc.collect()
 
 
 def _ensure_child_pythonpath() -> None:

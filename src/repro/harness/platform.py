@@ -14,6 +14,9 @@ Fidelity notes (documented substitutions):
   parent's current simulation instant; its latency then advances the
   parent's clock.  Parent-blocking time is modelled exactly; the child's
   *internal* interleaving with other invocations is not.
+* a ``ctx.trigger`` callee arrives as an invocation of its own at the
+  parent's completion instant; it is platform work, so it is left out of
+  ``RunResult.completed`` and the latency statistics.
 * queueing happens at the worker pool; log/store latencies are sampled
   i.i.d. from their calibrated distributions (an open-service model).
 
@@ -33,13 +36,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..config import SystemConfig
-from ..errors import (
-    CrashError,
-    RetriesExhaustedError,
-    ServiceFaultError,
-)
+from ..errors import CrashError
 from ..observe import (
-    CAT_ATTEMPT,
     CAT_INVOCATION,
     CAT_QUEUE,
     LatencyBreakdown,
@@ -47,9 +45,7 @@ from ..observe import (
     Tracer,
 )
 from ..recovery import LeaseManager, Orphan, RecoveryCoordinator
-from ..runtime.env import Env
-from ..runtime.local import Context, LocalRuntime
-from ..runtime.registry import FunctionRegistry
+from ..runtime.local import LocalRuntime, LostAttempt
 from ..runtime.services import Cost, InstanceServices
 from ..simulation import select as _kernel_select
 from ..simulation.kernel import Interrupt
@@ -168,6 +164,10 @@ class SimPlatform:
         self.breakdown = LatencyBreakdown(protocol)
         self.crashed_attempts = 0
         self.faulted_attempts = 0
+        #: Instance ids of unfinished trigger-edge callees (Section 4.4):
+        #: platform work rather than client requests, also after an
+        #: orphan takeover re-dispatches them.
+        self._triggered: set = set()
         self._warmup_ms = 0.0
 
         # -- node-failure machinery ------------------------------------
@@ -319,13 +319,19 @@ class SimPlatform:
         arrival_ms: float,
         instance_id: Optional[str] = None,
         first_attempt: int = 1,
+        redispatched: bool = False,
     ):
+        """Start an invocation process.  ``instance_id`` pre-assigns the
+        id (a trigger edge's logged callee id); ``redispatched`` marks
+        an orphan takeover, which resumes an invocation that is already
+        tracked at ``first_attempt``."""
         # The generator needs a handle on its own Process so it can file
         # itself in the dispatch table; the box is filled before the
         # body's first step runs (processes start on the next tick).
         box: Dict[str, Any] = {}
         gen = self._invocation_process(
-            request, arrival_ms, box, instance_id, first_attempt
+            request, arrival_ms, box, instance_id, first_attempt,
+            redispatched,
         )
         box["process"] = self.sim.process(
             gen, name=f"inv-{request.func_name}"
@@ -339,16 +345,20 @@ class SimPlatform:
         box: Dict[str, Any],
         instance_id: Optional[str] = None,
         first_attempt: int = 1,
+        redispatched: bool = False,
     ):
+        """The DES driver of :meth:`LocalRuntime.run_instance`: arrival
+        tracking, the worker queue, simulated time for every pause of
+        the lifecycle, node-crash orphaning and completion recording."""
         runtime = self.runtime
-        redispatched = instance_id is not None
         if instance_id is None:
+            instance_id = runtime.new_instance_id()
+        if not redispatched:
             # The invocation exists (and is tracked) from arrival: the
             # switch manager and the GC must conservatively wait for
             # requests that were dispatched before a BEGIN record even
             # if they are still queued for a worker — this is what makes
             # switching away from a backlogged phase slower (Figure 14).
-            instance_id = runtime.new_instance_id()
             runtime.tracker.start(
                 instance_id, runtime.backend.log.next_seqnum
             )
@@ -386,113 +396,71 @@ class SimPlatform:
             root.annotate("worker-granted", self.sim.now,
                           node=grant.node_id)
         self._inflight[grant.node_id][instance_id] = box["process"]
-        attempt_span: Optional[Span] = None
+        sim = self.sim
+        drain = self._drain
+        lost_attempts = 0
+        pause: Any = None
+        resume = runtime.run_instance(
+            request.func_name, request.input, instance_id,
+            lambda: sim.now, True, root, first_attempt, node=grant.node_id,
+        ).send
         try:
-            max_attempts = self.config.failures.max_retries + 1
-            fn = runtime.functions.get(request.func_name)
-            done = False
-            attempt = first_attempt
-            while attempt <= max_attempts:
-                hook = runtime.crash_policy.hook_for(instance_id, attempt)
-                svc = InstanceServices(runtime.backend, fault_hook=hook)
-                if root is not None:
-                    attempt_span = root.child(
-                        f"attempt-{attempt}", CAT_ATTEMPT, self.sim.now,
-                        attempt=attempt, node=grant.node_id,
-                    )
-                    svc.attach_span(attempt_span, self.sim.now)
-                env = Env(
-                    instance_id=instance_id,
-                    input=request.input,
-                    func_name=request.func_name,
-                    attempt=attempt,
-                )
-                ctx = Context(runtime, svc, env)
-                try:
-                    protocol = runtime.router.control_protocol()
-                    protocol.init(svc, env)
-                    runtime.tracker.set_init_ts(
-                        instance_id, env.init_cursor_ts
-                    )
-                    yield self._drain(svc, stages)
-                    svc.span_base_ms = self.sim.now
-                    svc.charge_compute()
-                    if FunctionRegistry.is_generator_style(fn):
-                        gen = fn(request.input)
-                        # The op loop runs once per protocol-level op;
-                        # bind the per-step callees once per attempt.
-                        sim = self.sim
-                        drain = self._drain
-                        apply_op = ctx.apply
-                        try:
-                            op = next(gen)
-                            send = gen.send
-                            while True:
-                                result = apply_op(op)
-                                yield drain(svc, stages)
-                                svc.span_base_ms = sim.now
-                                op = send(result)
-                        except StopIteration:
-                            pass
-                    else:
-                        fn(ctx, request.input)
-                    yield self._drain(svc, stages)
-                    svc.span_base_ms = self.sim.now
-                    done = True
-                except CrashError:
-                    self.crashed_attempts += 1
-                    attempt += 1
-                    detection = self.config.failures.detection_delay_ms
-                    stages["failure_detection"] = (
-                        stages.get("failure_detection", 0.0) + detection
-                    )
-                    yield self._drain(svc, stages) + detection
-                    if attempt_span is not None:
-                        attempt_span.annotate("crash", self.sim.now)
-                        attempt_span.finish(self.sim.now)
-                        attempt_span = None
-                    continue
-                except ServiceFaultError as fault:
-                    if not fault.retryable:
-                        raise
-                    self.faulted_attempts += 1
-                    attempt += 1
-                    detection = self.config.failures.detection_delay_ms
-                    stages["failure_detection"] = (
-                        stages.get("failure_detection", 0.0) + detection
-                    )
-                    yield self._drain(svc, stages) + detection
-                    if attempt_span is not None:
-                        attempt_span.annotate(
-                            "service-fault", self.sim.now
+            try:
+                pause = resume(None)
+                while True:
+                    if pause.__class__ is LostAttempt:
+                        lost_attempts += 1
+                        if isinstance(pause.cause, CrashError):
+                            self.crashed_attempts += 1
+                        else:
+                            self.faulted_attempts += 1
+                        stages["failure_detection"] = (
+                            stages.get("failure_detection", 0.0)
+                            + pause.detection_ms
                         )
-                        attempt_span.finish(self.sim.now)
-                        attempt_span = None
-                    continue
-                break
-            if not done:
-                raise RetriesExhaustedError(
-                    f"{request.func_name!r} exhausted {max_attempts} "
-                    "attempts in simulation"
-                )
-            runtime.tracker.finish(instance_id)
+                        elapsed = drain(pause.svc, stages)
+                        lost_at = sim.now + elapsed
+                        yield elapsed + pause.detection_ms
+                        pause = resume(lost_at)
+                    else:
+                        yield drain(pause, stages)
+                        # The trace was drained into simulated time:
+                        # re-anchor the attempt's virtual clock.
+                        pause.span_base_ms = sim.now
+                        pause = resume(None)
+            except StopIteration as stop:
+                pending_triggers = stop.value[2]
             latency = self.sim.now - arrival_ms
-            if attempt_span is not None:
-                attempt_span.finish(self.sim.now)
-            if root is not None:
-                root.finish(self.sim.now)
-            if arrival_ms >= self._warmup_ms:
-                self.latencies.record(latency)
-                self.throughput.record(self.sim.now)
-                self.breakdown.record(stages)
-            self.latency_series.record(self.sim.now, latency)
+            # A triggered callee occupies a worker and is tracked like
+            # any invocation, but latency statistics and ``completed``
+            # describe what the open-loop client sees, so only the
+            # completion callback (the audits' ground truth) sees it.
+            if instance_id in self._triggered:
+                self._triggered.discard(instance_id)
+            else:
+                if arrival_ms >= self._warmup_ms:
+                    self.latencies.record(latency)
+                    self.throughput.record(self.sim.now)
+                    self.breakdown.record(stages)
+                self.latency_series.record(self.sim.now, latency)
             if self.on_request_complete is not None:
                 self.on_request_complete(request, latency)
+            # Trigger edges (Section 4.4): each callee arrives now,
+            # strictly after every effect of this invocation, under the
+            # id the parent logged for it.
+            for callee_id, func_name, callee_input in pending_triggers:
+                self._triggered.add(callee_id)
+                self._spawn_invocation(
+                    Request(func_name, callee_input), self.sim.now,
+                    instance_id=callee_id,
+                )
         except Interrupt:
             # Node crash while executing: the invocation is stranded on
             # the dead node.  The interrupted attempt counts as lost
             # (like an instance crash); takeover resumes at the next.
             self.orphaned_invocations += 1
+            svc = pause.svc if pause.__class__ is LostAttempt else pause
+            attempt_span = svc.span if svc is not None else None
             if attempt_span is not None and not attempt_span.finished:
                 attempt_span.annotate("node-crash", self.sim.now,
                                       node=grant.node_id)
@@ -505,7 +473,7 @@ class SimPlatform:
                 instance_id=instance_id,
                 request=request,
                 arrival_ms=arrival_ms,
-                next_attempt=attempt + 1,
+                next_attempt=first_attempt + lost_attempts + 1,
                 node_id=grant.node_id,
                 orphaned_at_ms=self.sim.now,
             )
@@ -527,6 +495,7 @@ class SimPlatform:
             orphan.arrival_ms,
             instance_id=orphan.instance_id,
             first_attempt=orphan.next_attempt,
+            redispatched=True,
         )
 
     # ------------------------------------------------------------------
@@ -608,7 +577,7 @@ class SimPlatform:
             self.coordinator.node_failed(node_id, detected_at_ms)
 
     def _drain(self, svc: InstanceServices,
-               stages: Optional[Dict[str, float]] = None) -> float:
+               stages: Dict[str, float]) -> float:
         """Account the trace per cost kind, then drain it.
 
         With ``model_log_contention`` enabled, every append also queues
@@ -650,8 +619,7 @@ class SimPlatform:
                 time_by_kind[kind] += ms
             except KeyError:
                 time_by_kind[kind] = ms
-            if stages is not None:
-                stages[kind] = stages.get(kind, 0.0) + ms
+            stages[kind] = stages.get(kind, 0.0) + ms
             if model_log and kind in logging_kinds:
                 if seq_station is None:
                     wait = seq_next_free - now
@@ -699,7 +667,7 @@ class SimPlatform:
         self._shard_cursor = shard_cursor
         self.log_wait_ms_total = log_wait_ms_total
         self.store_wait_ms_total = store_wait_ms_total
-        if stages is not None and extra_wait > 0:
+        if extra_wait > 0:
             log_wait = extra_wait - store_wait_total
             if log_wait > 0:
                 stages["log_queue_wait"] = (

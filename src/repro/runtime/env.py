@@ -70,17 +70,3 @@ class Env:
         # The cursor is monotone: replayed records never move it backwards.
         if seqnum > self.cursor_ts:
             self.cursor_ts = seqnum
-
-    def reset_for_replay(self) -> None:
-        """Reset per-attempt execution state (identity is preserved)."""
-        self.step = 0
-        self.cursor_ts = 0
-        self.init_cursor_ts = 0
-        self.consecutive_writes = 0
-        self.step_logs = {}
-        self.object_protocols = {}
-        self.last_write_key = ""
-        self.read_index = 0
-        self.read_checkpoints = {}
-        self.pending_triggers = []
-        self.attempt += 1

@@ -6,10 +6,13 @@ accumulates calibrated latency samples even though wall-clock execution is
 instant).  This is the mode used by unit/property tests, the examples, and
 any experiment that does not need closed-loop queueing effects.
 
-Three entry points:
+Entry points:
 
-* :meth:`LocalRuntime.invoke` — run a registered SSF to completion,
-  retrying on injected crashes, and return an :class:`InvocationResult`;
+* :meth:`LocalRuntime.run_instance` — the invocation lifecycle (attempt
+  loop) every mode shares, as a generator its driver paces;
+* :meth:`LocalRuntime.invoke` — its direct-mode driver: run a registered
+  SSF to completion, retrying on injected crashes, and return an
+  :class:`InvocationResult`;
 * :meth:`LocalRuntime.open_session` — a *manually driven* invocation for
   tests that interleave operations of concurrent SSFs or peer instances
   step by step;
@@ -19,9 +22,8 @@ Three entry points:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from ..config import SystemConfig
 from ..errors import (
@@ -56,6 +58,24 @@ class InvocationResult:
     cost_by_kind: Dict[str, float] = field(default_factory=dict)
 
 
+def _absorb(cost_by_kind: Dict[str, float], svc: InstanceServices) -> None:
+    """Add a finished attempt's charges to the per-kind totals."""
+    for kind, ms, _placement in svc.trace.entries:
+        cost_by_kind[kind] = cost_by_kind.get(kind, 0.0) + ms
+
+
+class LostAttempt(NamedTuple):
+    """A pause of :meth:`LocalRuntime.run_instance`: an attempt was lost
+    to ``cause`` (a :class:`CrashError` or a retryable
+    :class:`ServiceFaultError`).  The driver lets ``svc.trace`` and then
+    ``detection_ms`` (the platform noticing the loss) elapse, and sends
+    the instant between the two back into the generator."""
+
+    svc: InstanceServices
+    detection_ms: float
+    cause: BaseException
+
+
 class Context:
     """The handle SSF bodies use to touch external state (ctx style)."""
 
@@ -64,6 +84,22 @@ class Context:
         self._runtime = runtime
         self.svc = svc
         self.env = env
+
+    @classmethod
+    def open(cls, runtime: "LocalRuntime", instance_id: str,
+             input: Any = None, func_name: str = "", attempt: int = 1,
+             fault_hook=None, span: Optional[Span] = None,
+             now_ms: float = 0.0):
+        """Fresh execution state for one attempt — the package's only
+        constructor of :class:`InstanceServices` and :class:`Env`, shared
+        by the attempt loop and the manual sessions.  ``span`` (started
+        at ``now_ms``) parents the attempt's service-call spans."""
+        svc = InstanceServices(runtime.backend, fault_hook=fault_hook)
+        if span is not None:
+            svc.attach_span(span, now_ms)
+        env = Env(instance_id=instance_id, input=input,
+                  func_name=func_name, attempt=attempt)
+        return cls(runtime, svc, env)
 
     def read(self, key: str) -> Any:
         if key in self._runtime.read_only_keys:
@@ -286,6 +322,125 @@ class LocalRuntime:
     def new_instance_id(self) -> str:
         return f"{int(self._id_rng.integers(0, 1 << 63)):016x}"
 
+    def run_instance(self, func_name: str, input: Any, instance_id: str,
+                     now: Callable[[], float], paced: bool,
+                     root: Optional[Span] = None, first_attempt: int = 1,
+                     **span_attrs: Any):
+        """The one invocation lifecycle, a generator every plane drives.
+
+        The failure model (§3) is one rule: an instance may die anywhere,
+        the platform re-executes it until it finishes, and the logging
+        protocol makes the replay idempotent.  Drivers differ only in
+        how time passes, which is all the generator leaves to them: it
+        yields the attempt's :class:`InstanceServices` at the end of the
+        attempt — and, for a ``paced`` driver, whose clock only moves
+        between pauses, also after init and after every op of a
+        generator-style body — for the driver to let ``svc.trace``
+        elapse, and one :class:`LostAttempt` per lost attempt.  ``now``
+        is the driver's clock, read only when ``root`` (the invocation
+        span the driver opened) is given; ``span_attrs`` label the
+        attempt spans.  Returns ``(output, attempts, pending_triggers)``
+        — the triggers are the driver's to fire.
+
+        A terminal failure (retries exhausted, a permanent service
+        fault, a raising SSF body) releases the tracker entry before it
+        propagates: no replay is owed, so nothing will read the step log
+        again.  A driver that abandons the generator (node crash) keeps
+        the entry for the takeover.
+        """
+        tracker = self.tracker
+        failures = self.config.failures
+        detection_ms = failures.detection_delay_ms
+        max_attempts = failures.max_retries + 1
+        try:
+            fn, generator_style = self.functions.resolve(func_name)
+            for attempt in range(first_attempt, max_attempts + 1):
+                span: Optional[Span] = None
+                started = 0.0
+                if root is not None:
+                    started = now()
+                    span = root.child(
+                        f"attempt-{attempt}", CAT_ATTEMPT, started,
+                        attempt=attempt, **span_attrs,
+                    )
+                ctx = Context.open(
+                    self, instance_id, input, func_name, attempt,
+                    self.crash_policy.hook_for(instance_id, attempt),
+                    span, started,
+                )
+                svc = ctx.svc
+                env = ctx.env
+                output: Any = None
+                try:
+                    self.router.control_protocol().init(svc, env)
+                    tracker.set_init_ts(instance_id, env.init_cursor_ts)
+                    if paced:
+                        yield svc
+                    svc.charge_compute()
+                    if generator_style:
+                        body = fn(input)
+                        apply_op = ctx.apply
+                        try:
+                            op = next(body)
+                            send = body.send
+                            while True:
+                                result = apply_op(op)
+                                if paced:
+                                    yield svc
+                                op = send(result)
+                        except StopIteration as stop:
+                            output = stop.value
+                    else:
+                        output = fn(ctx, input)
+                    yield svc
+                except (CrashError, ServiceFaultError) as cause:
+                    # Fault dimension 1: the instance itself died.
+                    # Dimension 2: a substrate kept failing past the
+                    # per-operation retry budget; retryable faults
+                    # abandon the attempt exactly like a crash — replay
+                    # is safe for the same reason — while permanent
+                    # ones escalate.
+                    crashed = isinstance(cause, CrashError)
+                    retry = crashed or cause.retryable
+                    if retry:
+                        # The loss is stamped at its own instant; the
+                        # detection delay stays outside the span.
+                        lost_at = yield LostAttempt(
+                            svc, detection_ms, cause
+                        )
+                    else:
+                        yield svc
+                        lost_at = now()
+                    if span is not None:
+                        if crashed:
+                            span.annotate("crash", lost_at)
+                        else:
+                            span.annotate("service-fault", lost_at,
+                                          retryable=cause.retryable)
+                        span.finish(lost_at)
+                    if not retry:
+                        if root is not None:
+                            root.finish(lost_at)
+                        raise
+                    continue
+                if root is not None:
+                    done = now()
+                    span.finish(done)
+                    root.finish(done)
+                tracker.finish(instance_id)
+                return output, attempt, env.pending_triggers
+            if root is not None:
+                done = now()
+                root.annotate("retries-exhausted", done)
+                root.finish(done)
+            raise RetriesExhaustedError(
+                f"{func_name!r} ({instance_id}) lost every one of "
+                f"{max_attempts} attempts to crashes or service faults"
+            )
+        except Exception:
+            tracker.finish(instance_id)
+            raise
+
     def invoke(
         self,
         func_name: str,
@@ -295,6 +450,10 @@ class LocalRuntime:
     ) -> InvocationResult:
         """Run ``func_name`` to completion with crash/retry semantics.
 
+        The direct-mode (and live-worker) driver of :meth:`run_instance`:
+        nothing waits, so time passes as the cost traces accumulate and
+        one pause per attempt is enough.
+
         ``start_seqnum`` is a log frontier the caller already read on
         this invocation's behalf (the live gateway stamps one on the
         INVOKE frame); any frontier read no later than now is a valid,
@@ -303,9 +462,6 @@ class LocalRuntime:
         """
         instance_id = (instance_id if instance_id is not None
                        else self.new_instance_id())
-        total_latency = 0.0
-        cost_by_kind: Dict[str, float] = {}
-        max_attempts = self.config.failures.max_retries + 1
         self.tracker.start(
             instance_id,
             start_seqnum if start_seqnum is not None
@@ -320,119 +476,55 @@ class LocalRuntime:
                 f"invoke:{func_name}", CAT_INVOCATION, base,
                 trace_id=instance_id, func=func_name,
             )
+        cost_by_kind: Dict[str, float] = {}
+        # Milliseconds of the lost attempts and their detection delays;
+        # the attempt in progress (``svc``) still holds its own.
+        spent = 0.0
+        svc: Optional[InstanceServices] = None
 
-        def absorb(svc: InstanceServices) -> None:
-            for kind, ms, _placement in svc.trace.entries:
-                cost_by_kind[kind] = cost_by_kind.get(kind, 0.0) + ms
+        def now() -> float:
+            running = svc.trace.total_ms() if svc is not None else 0.0
+            return base + (spent + running)
 
-        for attempt in range(1, max_attempts + 1):
-            hook = self.crash_policy.hook_for(instance_id, attempt)
-            svc = InstanceServices(self.backend, fault_hook=hook)
-            attempt_span: Optional[Span] = None
-            if root is not None:
-                attempt_span = root.child(
-                    f"attempt-{attempt}", CAT_ATTEMPT,
-                    base + total_latency, attempt=attempt,
-                )
-                svc.attach_span(attempt_span, base + total_latency)
-            env = Env(
-                instance_id=instance_id,
-                input=input,
-                func_name=func_name,
-                attempt=attempt,
-            )
-            detection_ms = self.config.failures.detection_delay_ms
-            try:
-                output = self._execute(svc, env, func_name, input)
-            except CrashError:
-                # Fault dimension 1: the instance itself died.  Charge
-                # what the attempt spent plus failure detection, then
-                # re-execute (the protocols make the replay idempotent).
-                total_latency += svc.trace.total_ms()
-                absorb(svc)
-                if attempt_span is not None:
-                    attempt_span.annotate("crash", base + total_latency)
-                    attempt_span.finish(base + total_latency)
-                total_latency += detection_ms
-                cost_by_kind["failure_detection"] = (
-                    cost_by_kind.get("failure_detection", 0.0)
-                    + detection_ms
-                )
-                continue
-            except ServiceFaultError as fault:
-                # Fault dimension 2: a substrate kept failing past the
-                # per-operation retry budget.  Retryable faults abandon
-                # the attempt exactly like a crash — replay is safe for
-                # the same reason — while permanent ones escalate.
-                total_latency += svc.trace.total_ms()
-                absorb(svc)
-                if attempt_span is not None:
-                    attempt_span.annotate(
-                        "service-fault", base + total_latency,
-                        retryable=fault.retryable,
-                    )
-                    attempt_span.finish(base + total_latency)
-                if not fault.retryable:
-                    if root is not None:
-                        root.finish(base + total_latency)
-                    raise
-                total_latency += detection_ms
-                cost_by_kind["failure_detection"] = (
-                    cost_by_kind.get("failure_detection", 0.0)
-                    + detection_ms
-                )
-                self.backend.counters.add("attempts_lost_to_service_faults")
-                continue
-            total_latency += svc.trace.total_ms()
-            absorb(svc)
-            if attempt_span is not None:
-                attempt_span.finish(base + total_latency)
-            if root is not None:
-                root.finish(base + total_latency)
-            # Fire trigger edges: downstream SSFs start strictly after
-            # this invocation's effects, so the paper's real-time
-            # boundary property orders them after everything above.
-            for callee_id, trig_fn, trig_input in env.pending_triggers:
-                self.invoke(trig_fn, trig_input, instance_id=callee_id)
-            self.tracker.finish(instance_id)
-            return InvocationResult(
-                instance_id=instance_id,
-                output=output,
-                latency_ms=total_latency,
-                attempts=attempt,
-                cost_by_kind=cost_by_kind,
-            )
-        if root is not None:
-            root.annotate("retries-exhausted", base + total_latency)
-            root.finish(base + total_latency)
-        raise RetriesExhaustedError(
-            f"{func_name!r} ({instance_id}) lost every one of "
-            f"{max_attempts} attempts to crashes or service faults"
-        )
-
-    def _execute(self, svc: InstanceServices, env: Env,
-                 func_name: str, input: Any) -> Any:
-        protocol = self.router.control_protocol()
-        protocol.init(svc, env)
-        self.tracker.set_init_ts(env.instance_id, env.init_cursor_ts)
-        ctx = Context(self, svc, env)
-        fn = self.functions.get(func_name)
-        svc.charge_compute()
-        if FunctionRegistry.is_generator_style(fn):
-            return self._drive_generator(ctx, fn, input)
-        return fn(ctx, input)
-
-    @staticmethod
-    def _drive_generator(ctx: Context, fn: Callable, input: Any) -> Any:
-        gen = fn(input)
-        result: Any = None
+        resume = self.run_instance(
+            func_name, input, instance_id, now, False, root
+        ).send
         try:
-            op = next(gen)
+            pause = resume(None)
             while True:
-                op = gen.send(ctx.apply(op))
+                if pause.__class__ is not LostAttempt:
+                    svc = pause
+                    pause = resume(None)
+                    continue
+                spent += pause.svc.trace.total_ms()
+                _absorb(cost_by_kind, pause.svc)
+                svc = None
+                lost_at = base + spent
+                spent += pause.detection_ms
+                cost_by_kind["failure_detection"] = (
+                    cost_by_kind.get("failure_detection", 0.0)
+                    + pause.detection_ms
+                )
+                if isinstance(pause.cause, ServiceFaultError):
+                    self.backend.counters.add(
+                        "attempts_lost_to_service_faults"
+                    )
+                pause = resume(lost_at)
         except StopIteration as stop:
-            result = stop.value
-        return result
+            output, attempts, pending_triggers = stop.value
+        _absorb(cost_by_kind, svc)
+        # Fire trigger edges: downstream SSFs start strictly after
+        # this invocation's effects, so the paper's real-time
+        # boundary property orders them after everything above.
+        for callee_id, trig_fn, trig_input in pending_triggers:
+            self.invoke(trig_fn, trig_input, instance_id=callee_id)
+        return InvocationResult(
+            instance_id=instance_id,
+            output=output,
+            latency_ms=spent + svc.trace.total_ms(),
+            attempts=attempts,
+            cost_by_kind=cost_by_kind,
+        )
 
     # ------------------------------------------------------------------
     # Manual sessions (for interleaving tests)
@@ -446,17 +538,19 @@ class LocalRuntime:
     ) -> "Session":
         instance_id = (instance_id if instance_id is not None
                        else self.new_instance_id())
-        svc = InstanceServices(self.backend, fault_hook=fault_hook)
-        env = Env(instance_id=instance_id, input=input)
         self.tracker.start(instance_id, self.backend.log.next_seqnum)
         tracer = self.backend.tracer
+        span: Optional[Span] = None
+        base = 0.0
         if tracer is not None:
             base = self.now_fn()
             span = tracer.start_span(
                 "session", CAT_INVOCATION, base, trace_id=instance_id,
             )
-            svc.attach_span(span, base)
-        return Session(self, svc, env)
+        return Session.open(
+            self, instance_id, input, fault_hook=fault_hook,
+            span=span, now_ms=base,
+        )
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -513,23 +607,19 @@ class Session(Context):
     def replay(self, fault_hook=None) -> "Session":
         """Open a *new attempt* of the same invocation (post-crash or peer
         instance): same instance id, fresh execution state."""
-        svc = InstanceServices(self._runtime.backend, fault_hook=fault_hook)
-        env = Env(
-            instance_id=self.env.instance_id,
-            input=self.env.input,
-            attempt=self.env.attempt + 1,
-        )
+        attempt = self.env.attempt + 1
         parent = self.svc.span
+        span: Optional[Span] = None
+        now = 0.0
         if parent is not None:
             now = self.svc.now_ms()
-            svc.attach_span(
-                parent.child(
-                    f"attempt-{env.attempt}", CAT_ATTEMPT, now,
-                    attempt=env.attempt,
-                ),
-                now,
+            span = parent.child(
+                f"attempt-{attempt}", CAT_ATTEMPT, now, attempt=attempt,
             )
-        return Session(self._runtime, svc, env)
+        return Session.open(
+            self._runtime, self.env.instance_id, self.env.input,
+            attempt=attempt, fault_hook=fault_hook, span=span, now_ms=now,
+        )
 
     def finish(self) -> None:
         if not self._finished:

@@ -11,7 +11,7 @@ BEGIN record) consume this view.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import InvocationError, RuntimeStateError
 
@@ -22,17 +22,25 @@ class FunctionRegistry:
 
     def __init__(self):
         self._functions: Dict[str, Callable] = {}
+        #: Body style per name, decided once at registration (the
+        #: lifecycle asks on every invocation).
+        self._generator_style: Dict[str, bool] = {}
 
     def register(self, name: str, fn: Callable) -> None:
         if name in self._functions:
             raise RuntimeStateError(f"function {name!r} already registered")
         self._functions[name] = fn
+        self._generator_style[name] = self.is_generator_style(fn)
 
     def get(self, name: str) -> Callable:
         fn = self._functions.get(name)
         if fn is None:
             raise InvocationError(f"unknown function {name!r}")
         return fn
+
+    def resolve(self, name: str) -> Tuple[Callable, bool]:
+        """The body registered as ``name`` and whether it is op-style."""
+        return self.get(name), self._generator_style[name]
 
     def names(self) -> List[str]:
         return sorted(self._functions)

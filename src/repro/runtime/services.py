@@ -22,6 +22,7 @@ through :class:`InstanceServices`, which
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -54,6 +55,7 @@ from ..simulation.latency import (
 from ..simulation.metrics import LatencyRecorder
 from ..simulation.rng import RngRegistry
 from ..storageplane import StoragePlane, build_storage_plane
+
 
 
 class Cost:
@@ -315,6 +317,9 @@ class ServiceBackend:
         self.faults = FaultInjector(
             config.faults, self.rng.stream("infra-faults")
         )
+        #: The injector's rates are frozen config: decided once here,
+        #: read per attempt by ``InstanceServices``.
+        self.faults_enabled = self.faults.enabled
         self.retry_policy = RetryPolicy.from_config(config.resilience)
         self.breakers: Dict[str, CircuitBreaker] = {
             service: CircuitBreaker(
@@ -341,12 +346,12 @@ class ServiceBackend:
         else:
             rng = self._latency_rng
             self._samplers = {
-                kind: (lambda f=f: f(rng))
+                kind: partial(f, rng)
                 for kind, f in self.latency.samplers().items()
             }
             hit, miss = self.latency.log_read_samplers()
-            self._lr_hit = lambda: hit(rng)
-            self._lr_miss = lambda: miss(rng)
+            self._lr_hit = partial(hit, rng)
+            self._lr_miss = partial(miss, rng)
         #: Placement labels are pure functions of the routing key (the
         #: router memoizes routes; placement tuples memoize the tuple
         #: allocation too, one per key instead of one per op).
@@ -378,15 +383,7 @@ class ServiceBackend:
                 lambda b=breaker: {"state": b.state, "trips": b.trips},
                 service=service,
             )
-        self.metrics.probe(
-            "record_cache",
-            lambda: {
-                "records": len(self.cache),
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "hit_ratio": self.cache.hit_ratio,
-            },
-        )
+        self.metrics.probe("record_cache", self._record_cache_stats)
         self.metrics.probe(
             "shared_log",
             lambda: {
@@ -421,15 +418,25 @@ class ServiceBackend:
         )
         if self.storage_faults is not None:
             self.metrics.probe(
-                "storage_fault_injector",
-                lambda: {
-                    "enabled": self.storage_faults.enabled,
-                    "injected": dict(self.storage_faults.injected),
-                    "link_windows": len(self.storage_faults.schedule),
-                    "epoch": (self.epoch_view.epoch
-                              if self.epoch_view is not None else None),
-                },
+                "storage_fault_injector", self._storage_fault_stats
             )
+
+    def _record_cache_stats(self) -> Dict[str, Any]:
+        return {
+            "records": len(self.cache),
+            "hits": self.cache.hits,
+            "misses": self.cache.misses,
+            "hit_ratio": self.cache.hit_ratio,
+        }
+
+    def _storage_fault_stats(self) -> Dict[str, Any]:
+        return {
+            "enabled": self.storage_faults.enabled,
+            "injected": dict(self.storage_faults.injected),
+            "link_windows": len(self.storage_faults.schedule),
+            "epoch": (self.epoch_view.epoch
+                      if self.epoch_view is not None else None),
+        }
 
     # -- helpers used by InstanceServices -------------------------------
 
@@ -579,12 +586,17 @@ class ServiceBackend:
         return self.config.storage.value_bytes
 
 
+_LOG_READ = Cost.LOG_READ
+
+
 class InstanceServices:
     """Per-attempt facade over the backend, with crash checkpoints.
 
     One is created for every execution attempt of an SSF instance; the
     cost trace and fault hook are attempt-local, while all state lives in
-    the shared backend.
+    the shared backend.  Every operation names its substrate call once,
+    as ``(bound method, args)``, and hands it to :meth:`_call` — the
+    only place a substrate is invoked, charged and traced.
     """
 
     def __init__(
@@ -599,19 +611,17 @@ class InstanceServices:
         #: Tracing context: the attempt span service-call spans nest
         #: under, and the virtual-time base the cost trace offsets.
         #: ``None`` span ⇒ tracing disabled for this attempt (the
-        #: default): every instrumentation site below is a single
-        #: ``is None`` check and allocates nothing.
+        #: default): no op span is ever allocated.
         self._span: Optional[Span] = None
         self.span_base_ms = 0.0
-        #: Ultra-fast call sites: with faults disabled all breakers stay
-        #: CLOSED for the backend's whole lifetime (transitions only
-        #: happen inside ``_service_call``'s resilience branch, which is
-        #: unreachable then), so ops can skip the closure allocation and
-        #: dispatch of ``_service_call`` entirely.  Attaching a span
-        #: clears the flag — traced attempts take the instrumented path.
         breakers = backend.breakers
-        self._fast = (
-            not backend.faults.enabled
+        #: ``_call``'s failure-free condition, decided once when it
+        #: holds for both services at the start of the attempt.  It
+        #: cannot stop holding under the attempt's feet: breakers only
+        #: move inside ``_call_resilient``, which nothing enters while
+        #: it holds, and a storage injector is only ever disarmed.
+        self._failure_free = (
+            not backend.faults_enabled
             and backend.storage_faults is None
             and breakers["log"].state == BreakerState.CLOSED
             and breakers["store"].state == BreakerState.CLOSED
@@ -624,7 +634,6 @@ class InstanceServices:
         ``base_ms`` anchors the cost-trace virtual clock."""
         self._span = span
         self.span_base_ms = base_ms
-        self._fast = False
 
     @property
     def span(self) -> Optional[Span]:
@@ -634,20 +643,24 @@ class InstanceServices:
         """Attempt-virtual time: base plus charged latency so far."""
         return self.span_base_ms + self.trace.total_ms()
 
+    def _mark(self, op_span: Optional[Span], label: str,
+              close: bool = False, **attrs: Any) -> None:
+        """Annotate a traced op's span at now; ``close`` also ends it
+        (an outcome that paid no round trip)."""
+        if op_span is not None:
+            now = self.now_ms()
+            op_span.annotate(label, now, **attrs)
+            if close:
+                op_span.finish(now)
+
     def _breaker_outcome(self, breaker: CircuitBreaker, failed: bool,
                          op_span: Optional[Span]) -> None:
         """Record a breaker outcome, annotating state transitions."""
-        if op_span is None:
-            (breaker.record_failure if failed
-             else breaker.record_success)()
-            return
         before = breaker.state
         (breaker.record_failure if failed else breaker.record_success)()
         if breaker.state != before:
-            op_span.annotate(
-                f"breaker:{breaker.state}", self.now_ms(),
-                service=breaker.name, trips=breaker.trips,
-            )
+            self._mark(op_span, f"breaker:{breaker.state}",
+                       service=breaker.name, trips=breaker.trips)
 
     # -- crash checkpoints ----------------------------------------------
 
@@ -655,35 +668,31 @@ class InstanceServices:
         if self._fault_hook is not None:
             self._fault_hook(label)
 
-    # -- resilient substrate calls ----------------------------------------
+    # -- the one substrate call -------------------------------------------
 
-    def _service_call(
-        self,
-        service: str,
-        kind: str,
-        do: Callable[[], Any],
-        charge: Callable[[Any, float], None],
-        charge_error: Optional[Callable[[float], None]] = None,
-        droppable: bool = False,
-        degraded: Optional[Callable[[], Any]] = None,
-        placement: Placement = None,
-    ) -> Any:
-        """Run one substrate call under the resilience policy.
-
-        ``do`` performs the substrate effect and returns its result; it
-        only runs on healthy or gray draws, so injected faults are
-        request omissions and can never duplicate an effect.  ``charge``
-        receives ``(result, latency_factor)`` and charges the success
-        latency.  ``charge_error`` charges a substrate *exception* path
-        (the service responded; the round trip was paid) before the
-        exception propagates.  ``droppable`` marks best-effort work
-        (opportunistic background appends) that is dropped — returning
-        ``None`` — instead of retried.  ``degraded`` is the graceful-
-        degradation path tried while the service's breaker is open; it
-        returns ``(served, result)``.
-        """
+    def _is_failure_free(self, service: str) -> bool:
+        """Nothing can be injected into a call to ``service`` and nothing
+        feeds its breaker: the call needs no resilience policy."""
         backend = self.backend
-        breaker = backend.breakers[service]
+        return (not backend.faults_enabled
+                and backend.storage_faults is None
+                and backend.breakers[service].state == BreakerState.CLOSED)
+
+    def _call(self, label: Optional[str], service: str, kind: str,
+              placement: Placement, fn: Callable[..., Any], args: tuple,
+              charge_error: bool = False, degradable: bool = False) -> Any:
+        """Run the substrate call ``fn(*args)`` and account for it.
+
+        ``label`` is the crash checkpoint passed first (an op with an
+        externally visible effect passes its own ``:post`` checkpoint
+        afterwards).  ``charge_error`` charges a substrate *exception*
+        path (the service responded; the round trip was paid) before the
+        exception propagates.  ``degradable`` allows the cache-served
+        read tried while the log's breaker is open.  Per op the RNG
+        order is fault draw → substrate call → latency draw.
+        """
+        if self._fault_hook is not None and label is not None:
+            self._fault_hook(label)
         op_span = None
         if self._span is not None:
             attrs = {"service": service}
@@ -692,48 +701,89 @@ class InstanceServices:
             op_span = self._span.child(
                 kind, CAT_SERVICE, self.now_ms(), **attrs
             )
-        if (not backend.faults.enabled
-                and backend.storage_faults is None
-                and breaker.state == BreakerState.CLOSED):
-            # Failure-free fast path: identical to the pre-fault code.
+        factor: Optional[float] = 1.0
+        note = None
+        if self._failure_free or self._is_failure_free(service):
             try:
-                result = do()
+                result = fn(*args)
             except ReproError:
-                # e.g. a lost conditional append: the round trip was
-                # still paid.
-                if charge_error is not None:
-                    charge_error(1.0)
-                if op_span is not None:
-                    now = self.now_ms()
-                    op_span.annotate("substrate-error", now)
-                    op_span.finish(now)
+                self._substrate_error(op_span, kind, placement,
+                                      1.0 if charge_error else None)
                 raise
-            charge(result, 1.0)
-            if op_span is not None:
-                op_span.finish(self.now_ms())
-            return result
+        else:
+            result, factor, note = self._call_resilient(
+                op_span, service, kind, placement, fn, args,
+                charge_error, degradable,
+            )
+        # The one outcome recorder: charge the round trip scaled by
+        # ``factor`` (``None``: dropped, nothing was paid), then close
+        # the op span.  A log read is charged through the record cache,
+        # for the seqnum it returned: the record's, a whole stream's
+        # newest, or ``None`` when it found nothing.
+        if factor is not None:
+            if kind == _LOG_READ:
+                record = result
+                if record.__class__ is list:
+                    record = record[-1] if record else None
+                self.backend.charge_log_read(
+                    record.seqnum if record is not None else None,
+                    self.trace, factor, placement,
+                )
+            else:
+                self.backend.charge(kind, self.trace, factor, placement)
+        if op_span is not None:
+            now = self.now_ms()
+            if note is not None:
+                op_span.annotate(note, now)
+            op_span.finish(now)
+        return result
 
+    def _substrate_error(self, op_span: Optional[Span], kind: str,
+                         placement: Placement,
+                         factor: Optional[float]) -> None:
+        """The substrate answered with an error (e.g. a lost conditional
+        append): charge the round trip when the op pays for those, then
+        close the op span; the caller re-raises."""
+        if factor is not None:
+            self.backend.charge(kind, self.trace, factor, placement)
+        self._mark(op_span, "substrate-error", close=True)
+
+    def _call_resilient(self, op_span: Optional[Span], service: str,
+                        kind: str, placement: Placement,
+                        fn: Callable[..., Any], args: tuple,
+                        charge_error: bool, degradable: bool) -> tuple:
+        """``_call`` under the resilience policy: returns ``(result,
+        latency factor, span note)`` for ``_call`` to record.
+
+        ``fn`` only runs on healthy or gray draws, so injected faults
+        are request omissions and can never duplicate an effect.
+        Best-effort work (opportunistic background appends) is dropped —
+        ``(None, None, note)`` — instead of retried.
+        """
+        backend = self.backend
+        breaker = backend.breakers[service]
         resilience = backend.config.resilience
+        droppable = kind == Cost.LOG_APPEND_BACKGROUND
         if breaker.consult():
             if droppable and resilience.drop_background_appends:
                 backend.counters.add("background_appends_dropped")
-                if op_span is not None:
-                    now = self.now_ms()
-                    op_span.annotate("dropped-by-breaker", now)
-                    op_span.finish(now)
-                return None
-            if degraded is not None and resilience.degraded_log_reads:
-                served, result = degraded()
-                if served:
+                return None, None, "dropped-by-breaker"
+            if degradable and resilience.degraded_log_reads:
+                # Degraded mode: serve the read node-locally when the
+                # record is resident in the function-node cache.
+                record = fn(*args)
+                if (record is not None
+                        and backend.cache.contains(record.seqnum)):
                     backend.counters.add("degraded_log_reads")
-                    if op_span is not None:
-                        now = self.now_ms()
-                        op_span.annotate("degraded-read", now)
-                        op_span.finish(now)
-                    return result
+                    return record, 1.0, "degraded-read"
 
         policy = backend.retry_policy
         storage_faults = backend.storage_faults
+        # Appends carry the worker's cached metalog epoch; it is read
+        # per attempt, so a retry after leader rediscovery carries the
+        # refreshed one.
+        view = backend.epoch_view
+        stamped = view is not None and kind in Cost.LOGGING_KINDS
         is_write = kind in Cost.WRITE_KINDS
         spent_ms = 0.0
         attempt = 0
@@ -748,15 +798,16 @@ class InstanceServices:
                 decision = storage_faults.draw_placement(
                     placement, self.now_ms(), is_write
                 )
-            if op_span is not None and decision.kind is not None:
-                op_span.annotate(
-                    f"fault:{decision.kind}", self.now_ms(),
-                    attempt=attempt,
-                )
+            if decision.kind is not None:
+                self._mark(op_span, f"fault:{decision.kind}",
+                           attempt=attempt)
             fault_kind = decision.kind if decision.omitted else None
             if fault_kind is None:
                 try:
-                    result = do()
+                    if stamped:
+                        result = fn(*args, epoch=view.epoch)
+                    else:
+                        result = fn(*args)
                 except FencedEpochError:
                     # A failover fenced our stale epoch — the append
                     # never applied.  The fence names its own fix:
@@ -772,16 +823,10 @@ class InstanceServices:
                     )
                     backend.counters.add("epoch_rediscoveries")
                     spent_ms += policy.rediscovery_ms
-                    if op_span is not None:
-                        op_span.annotate(
-                            "fenced-epoch", self.now_ms(),
-                            rediscoveries=rediscoveries,
-                        )
+                    self._mark(op_span, "fenced-epoch",
+                               rediscoveries=rediscoveries)
                     if rediscoveries > policy.max_rediscoveries:
-                        if op_span is not None:
-                            now = self.now_ms()
-                            op_span.annotate("leader-flapping", now)
-                            op_span.finish(now)
+                        self._mark(op_span, "leader-flapping", close=True)
                         raise ServiceUnavailableError(
                             f"{service} {kind} fenced "
                             f"{rediscoveries} times: leader flapping",
@@ -807,12 +852,10 @@ class InstanceServices:
                     # The substrate responded (e.g. a lost conditional
                     # append): a service success, not a fault.
                     self._breaker_outcome(breaker, False, op_span)
-                    if charge_error is not None:
-                        charge_error(decision.latency_factor)
-                    if op_span is not None:
-                        now = self.now_ms()
-                        op_span.annotate("substrate-error", now)
-                        op_span.finish(now)
+                    self._substrate_error(
+                        op_span, kind, placement,
+                        decision.latency_factor if charge_error else None,
+                    )
                     raise
                 if fault_kind is None:
                     # Gray success: slow node.  Feed the brown-out
@@ -820,21 +863,14 @@ class InstanceServices:
                     self._breaker_outcome(
                         breaker, decision.kind == FAULT_GRAY, op_span
                     )
-                    charge(result, decision.latency_factor)
-                    if op_span is not None:
-                        op_span.finish(self.now_ms())
-                    return result
+                    return result, decision.latency_factor, None
 
             # Omission fault (injected, or the storage plane rejected
             # the request before effect): nothing applied.
             self._breaker_outcome(breaker, True, op_span)
             if droppable:
                 backend.counters.add("background_appends_dropped")
-                if op_span is not None:
-                    now = self.now_ms()
-                    op_span.annotate("dropped-under-fault", now)
-                    op_span.finish(now)
-                return None
+                return None, None, "dropped-under-fault"
             fault_ms = policy.fault_cost_ms(fault_kind)
             fault_label = (
                 Cost.SERVICE_TIMEOUT if fault_kind == FAULT_TIMEOUT
@@ -843,24 +879,16 @@ class InstanceServices:
             backend.charge_raw(fault_label, fault_ms, self.trace)
             spent_ms += fault_ms
             if spent_ms > policy.op_deadline_ms:
-                if op_span is not None:
-                    now = self.now_ms()
-                    op_span.annotate(
-                        "deadline-exceeded", now, attempts=attempt
-                    )
-                    op_span.finish(now)
+                self._mark(op_span, "deadline-exceeded", close=True,
+                           attempts=attempt)
                 raise ServiceTimeoutError(
                     f"{service} {kind} blew its {policy.op_deadline_ms}ms "
                     f"deadline after {attempt} attempts",
                     service=service, op=kind,
                 )
             if attempt >= policy.max_attempts:
-                if op_span is not None:
-                    now = self.now_ms()
-                    op_span.annotate(
-                        "retries-exhausted", now, attempts=attempt
-                    )
-                    op_span.finish(now)
+                self._mark(op_span, "retries-exhausted", close=True,
+                           attempts=attempt)
                 raise ServiceUnavailableError(
                     f"{service} {kind} failed all {attempt} attempts",
                     service=service, op=kind,
@@ -869,11 +897,8 @@ class InstanceServices:
             backend.charge_raw(Cost.RETRY_BACKOFF, backoff_ms, self.trace)
             backend.counters.add("service_retries")
             spent_ms += backoff_ms
-            if op_span is not None:
-                op_span.annotate(
-                    "retry", self.now_ms(), attempt=attempt,
-                    backoff_ms=backoff_ms,
-                )
+            self._mark(op_span, "retry", attempt=attempt,
+                       backoff_ms=backoff_ms)
 
     # -- log operations ---------------------------------------------------
 
@@ -886,7 +911,6 @@ class InstanceServices:
         control: bool = False,
         background: bool = False,
     ) -> int:
-        self.checkpoint("log_append:pre")
         if background:
             kind = Cost.LOG_APPEND_BACKGROUND
         elif control:
@@ -896,42 +920,19 @@ class InstanceServices:
                     else Cost.LOG_APPEND_OVERLAPPED)
         backend = self.backend
         placement = backend.log_placement(tags[0]) if tags else None
-        shard = placement[1] if placement is not None else 0
-
-        if self._fast:
-            seqnum = backend.log.append(tags, data, payload_bytes)
-            backend.cache.insert(seqnum, shard)
-            backend.charge(kind, self.trace, placement=placement)
-            self.checkpoint("log_append:post")
-            return seqnum
-
-        view = backend.epoch_view
-
-        def do() -> int:
-            # The epoch stamp is read per attempt, so a retry after
-            # leader rediscovery carries the refreshed epoch.
-            if view is not None:
-                seqnum = backend.log.append(
-                    tags, data, payload_bytes, epoch=view.epoch
-                )
-            else:
-                seqnum = backend.log.append(tags, data, payload_bytes)
-            backend.cache.insert(seqnum, shard)
-            return seqnum
-
-        seqnum = self._service_call(
-            "log", kind, do,
-            charge=lambda _r, f: backend.charge(
-                kind, self.trace, f, placement=placement
-            ),
-            droppable=background,
-            placement=placement,
+        seqnum = self._call(
+            "log_append:pre", "log", kind, placement,
+            backend.log.append, (tags, data, payload_bytes),
         )
-        self.checkpoint("log_append:post")
         if seqnum is None:
             # Best-effort append dropped under faults/brown-out; callers
             # of background appends ignore the seqnum by contract.
-            return -1
+            seqnum = -1
+        else:
+            backend.cache.insert(
+                seqnum, placement[1] if placement is not None else 0
+            )
+        self.checkpoint("log_append:post")
         return seqnum
 
     def log_cond_append(
@@ -946,7 +947,6 @@ class InstanceServices:
     ) -> int:
         """Conditional append; raises :class:`ConditionalAppendError` with
         the winning record's seqnum when a peer instance got there first."""
-        self.checkpoint("log_cond_append:pre")
         if control:
             kind = Cost.LOG_APPEND_CONTROL
         else:
@@ -954,149 +954,50 @@ class InstanceServices:
                     else Cost.LOG_APPEND_OVERLAPPED)
         backend = self.backend
         placement = backend.log_placement(tags[0]) if tags else None
-        shard = placement[1] if placement is not None else 0
-
-        if self._fast:
-            # A lost race still pays for the round trip.
-            try:
-                seqnum = backend.log.cond_append(
-                    tags, data, cond_tag, cond_pos, payload_bytes
-                )
-            except ReproError:
-                backend.charge(kind, self.trace, placement=placement)
-                raise
-            backend.cache.insert(seqnum, shard)
-            backend.charge(kind, self.trace, placement=placement)
-            self.checkpoint("log_cond_append:post")
-            return seqnum
-
-        view = backend.epoch_view
-
-        def do() -> int:
-            if view is not None:
-                seqnum = backend.log.cond_append(
-                    tags, data, cond_tag, cond_pos, payload_bytes,
-                    epoch=view.epoch,
-                )
-            else:
-                seqnum = backend.log.cond_append(
-                    tags, data, cond_tag, cond_pos, payload_bytes
-                )
-            backend.cache.insert(seqnum, shard)
-            return seqnum
-
         # A lost race still pays for the round trip (charge_error).
-        seqnum = self._service_call(
-            "log", kind, do,
-            charge=lambda _r, f: backend.charge(
-                kind, self.trace, f, placement=placement
-            ),
-            charge_error=lambda f: backend.charge(
-                kind, self.trace, f, placement=placement
-            ),
-            placement=placement,
+        seqnum = self._call(
+            "log_cond_append:pre", "log", kind, placement,
+            backend.log.cond_append,
+            (tags, data, cond_tag, cond_pos, payload_bytes),
+            charge_error=True,
+        )
+        backend.cache.insert(
+            seqnum, placement[1] if placement is not None else 0
         )
         self.checkpoint("log_cond_append:post")
         return seqnum
 
-    def _read_from_cache(self, record: Optional[LogRecord],
-                         placement: Placement = None):
-        """Degraded mode: serve a log read node-locally when the record
-        is resident in the function-node cache (log brown-out path)."""
-        if record is not None and self.backend.cache.contains(record.seqnum):
-            self.backend.charge_log_read(
-                record.seqnum, self.trace, placement=placement
-            )
-            return True, record
-        return False, None
-
     def log_read_prev(self, tag: str, max_seqnum: int) -> Optional[LogRecord]:
-        self.checkpoint("log_read_prev:pre")
         backend = self.backend
-        placement = backend.log_placement(tag)
-        if self._fast:
-            record = backend.log.read_prev(tag, max_seqnum)
-            backend.charge_log_read(
-                record.seqnum if record is not None else None,
-                self.trace, placement=placement,
-            )
-            return record
-        return self._service_call(
-            "log", Cost.LOG_READ,
-            lambda: self.backend.log.read_prev(tag, max_seqnum),
-            charge=lambda r, f: self.backend.charge_log_read(
-                r.seqnum if r is not None else None, self.trace, f,
-                placement=placement,
-            ),
-            degraded=lambda: self._read_from_cache(
-                self.backend.log.read_prev(tag, max_seqnum), placement
-            ),
-            placement=placement,
+        return self._call(
+            "log_read_prev:pre", "log", Cost.LOG_READ,
+            backend.log_placement(tag),
+            backend.log.read_prev, (tag, max_seqnum), degradable=True,
         )
 
     def log_read_next(self, tag: str, min_seqnum: int) -> Optional[LogRecord]:
-        self.checkpoint("log_read_next:pre")
         backend = self.backend
-        placement = backend.log_placement(tag)
-        if self._fast:
-            record = backend.log.read_next(tag, min_seqnum)
-            backend.charge_log_read(
-                record.seqnum if record is not None else None,
-                self.trace, placement=placement,
-            )
-            return record
-        return self._service_call(
-            "log", Cost.LOG_READ,
-            lambda: self.backend.log.read_next(tag, min_seqnum),
-            charge=lambda r, f: self.backend.charge_log_read(
-                r.seqnum if r is not None else None, self.trace, f,
-                placement=placement,
-            ),
-            degraded=lambda: self._read_from_cache(
-                self.backend.log.read_next(tag, min_seqnum), placement
-            ),
-            placement=placement,
+        return self._call(
+            "log_read_next:pre", "log", Cost.LOG_READ,
+            backend.log_placement(tag),
+            backend.log.read_next, (tag, min_seqnum), degradable=True,
         )
 
     def log_read_stream(self, tag: str) -> List[LogRecord]:
         """Fetch a whole sub-stream (``getStepLogs`` in the pseudocode)."""
-        self.checkpoint("log_read_stream:pre")
         backend = self.backend
-        placement = backend.log_placement(tag)
-        if self._fast:
-            records = backend.log.read_stream(tag)
-            backend.charge_log_read(
-                records[-1].seqnum if records else None,
-                self.trace, placement=placement,
-            )
-            return records
-        return self._service_call(
-            "log", Cost.LOG_READ,
-            lambda: self.backend.log.read_stream(tag),
-            charge=lambda r, f: self.backend.charge_log_read(
-                r[-1].seqnum if r else None, self.trace, f,
-                placement=placement,
-            ),
-            placement=placement,
+        return self._call(
+            "log_read_stream:pre", "log", Cost.LOG_READ,
+            backend.log_placement(tag),
+            backend.log.read_stream, (tag,),
         )
 
     def log_record_at(self, tag: str, offset: int) -> LogRecord:
         """Fetch the record at a stream offset (post-conflict recovery)."""
         backend = self.backend
-        placement = backend.log_placement(tag)
-        if self._fast:
-            record = backend.log._record_at_offset(tag, offset)
-            backend.charge_log_read(
-                record.seqnum, self.trace, placement=placement
-            )
-            return record
-        return self._service_call(
-            "log", Cost.LOG_READ,
-            lambda: self.backend.log._record_at_offset(tag, offset),
-            charge=lambda r, f: self.backend.charge_log_read(
-                r.seqnum, self.trace, f, placement=placement
-            ),
-            placement=placement,
+        return self._call(
+            None, "log", Cost.LOG_READ, backend.log_placement(tag),
+            backend.log._record_at_offset, (tag, offset),
         )
 
     @property
@@ -1105,118 +1006,57 @@ class InstanceServices:
 
     # -- database operations ----------------------------------------------
 
-    def _db_call(self, kind: str, do: Callable[[], Any], key: str) -> Any:
-        placement = self.backend.kv_placement(key)
-        return self._service_call(
-            "store", kind, do,
-            charge=lambda _r, f: self.backend.charge(
-                kind, self.trace, f, placement=placement
-            ),
-            placement=placement,
-        )
-
     def db_read(self, key: str, default: Any = None) -> Any:
-        self.checkpoint("db_read:pre")
         backend = self.backend
-        if self._fast:
-            placement = backend.kv_placement(key)
-            result = backend.kv.get_optional(key, default)
-            backend.charge(Cost.DB_READ, self.trace, placement=placement)
-            return result
-        return self._db_call(
-            Cost.DB_READ,
-            lambda: backend.kv.get_optional(key, default),
-            key,
+        return self._call(
+            "db_read:pre", "store", Cost.DB_READ, backend.kv_placement(key),
+            backend.kv.get_optional, (key, default),
         )
 
     def db_read_with_version(self, key: str) -> Any:
-        self.checkpoint("db_read:pre")
         backend = self.backend
-        if self._fast:
-            placement = backend.kv_placement(key)
-            result = backend.kv.get_with_version(key)
-            backend.charge(Cost.DB_READ, self.trace, placement=placement)
-            return result
-        return self._db_call(
-            Cost.DB_READ,
-            lambda: backend.kv.get_with_version(key),
-            key,
+        return self._call(
+            "db_read:pre", "store", Cost.DB_READ, backend.kv_placement(key),
+            backend.kv.get_with_version, (key,),
         )
 
     def db_read_version(self, key: str, version_number: str) -> Any:
-        self.checkpoint("db_read_version:pre")
         backend = self.backend
-        if self._fast:
-            placement = backend.kv_placement(key)
-            result = backend.mv.read_version(key, version_number)
-            backend.charge(
-                Cost.DB_READ_VERSION, self.trace, placement=placement
-            )
-            return result
-        return self._db_call(
-            Cost.DB_READ_VERSION,
-            lambda: backend.mv.read_version(key, version_number),
-            key,
+        return self._call(
+            "db_read_version:pre", "store", Cost.DB_READ_VERSION,
+            backend.kv_placement(key),
+            backend.mv.read_version, (key, version_number),
         )
 
     def db_write(self, key: str, value: Any) -> None:
-        self.checkpoint("db_write:pre")
         backend = self.backend
-        if self._fast:
-            placement = backend.kv_placement(key)
-            backend.kv.put(key, value, backend.value_bytes)
-            backend.charge(Cost.DB_WRITE, self.trace, placement=placement)
-        else:
-            self._db_call(
-                Cost.DB_WRITE,
-                lambda: backend.kv.put(key, value, backend.value_bytes),
-                key,
-            )
+        self._call(
+            "db_write:pre", "store", Cost.DB_WRITE, backend.kv_placement(key),
+            backend.kv.put, (key, value, backend.value_bytes),
+        )
         self.checkpoint("db_write:post")
 
     def db_write_version(
         self, key: str, version_number: str, value: Any
     ) -> None:
-        self.checkpoint("db_write_version:pre")
         backend = self.backend
-        if self._fast:
-            placement = backend.kv_placement(key)
-            backend.mv.write_version(
-                key, version_number, value, backend.value_bytes
-            )
-            backend.charge(
-                Cost.DB_WRITE_VERSION, self.trace, placement=placement
-            )
-        else:
-            self._db_call(
-                Cost.DB_WRITE_VERSION,
-                lambda: backend.mv.write_version(
-                    key, version_number, value, backend.value_bytes
-                ),
-                key,
-            )
+        self._call(
+            "db_write_version:pre", "store", Cost.DB_WRITE_VERSION,
+            backend.kv_placement(key),
+            backend.mv.write_version,
+            (key, version_number, value, backend.value_bytes),
+        )
         self.checkpoint("db_write_version:post")
 
     def db_cond_write(self, key: str, value: Any, version: Any) -> bool:
         """Conditional update: applies iff stored VERSION < ``version``."""
-        self.checkpoint("db_cond_write:pre")
         backend = self.backend
-        if self._fast:
-            placement = backend.kv_placement(key)
-            applied = backend.kv.conditional_put(
-                key, value, version, backend.value_bytes
-            )
-            backend.charge(
-                Cost.DB_COND_WRITE, self.trace, placement=placement
-            )
-        else:
-            applied = self._db_call(
-                Cost.DB_COND_WRITE,
-                lambda: backend.kv.conditional_put(
-                    key, value, version, backend.value_bytes
-                ),
-                key,
-            )
+        applied = self._call(
+            "db_cond_write:pre", "store", Cost.DB_COND_WRITE,
+            backend.kv_placement(key),
+            backend.kv.conditional_put,
+            (key, value, version, backend.value_bytes),
+        )
         self.checkpoint("db_cond_write:post")
         return applied
 

@@ -303,3 +303,28 @@ def test_op_table_lists_only_public_names_and_declared_protocol_ops():
                 ("kv", "conditional_put"), ("mv", "read_version"),
                 ("plane", "describe"), ("plane", "log_shard_of")):
         assert key in table
+
+
+# -- (h) teardown pays for the previous plane's garbage ------------------------
+
+
+def test_close_collects_dropped_planes_and_restarts_the_gc_schedule():
+    import gc
+    import weakref
+
+    gc.disable()  # only close() may collect while this test runs
+    try:
+        dropped, _ = _idle_gateway()
+        ghost = weakref.ref(dropped.backend)
+        del dropped, _
+        # A plane is cyclic: dropping the last name frees nothing.
+        assert ghost() is not None
+        plane, _ = _idle_gateway()
+        plane._slots.clear()  # the fake slot has no process to kill
+        plane.close()
+        assert ghost() is None
+        # Every generation restarted: no full pass is due for ~120
+        # young passes, longer than a burst's whole life.
+        assert gc.get_count()[1:] == (0, 0)
+    finally:
+        gc.enable()

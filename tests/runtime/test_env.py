@@ -2,6 +2,7 @@
 
 from repro.runtime import Env
 from repro.sharedlog import LogRecord
+from tests.conftest import make_runtime
 
 
 def make_record(seqnum, step, **data):
@@ -27,14 +28,20 @@ def test_advance_cursor_is_monotone():
     assert env.cursor_ts == 9
 
 
-def test_reset_for_replay_preserves_identity():
-    env = Env(instance_id="x", input={"a": 1})
-    env.step = 4
-    env.cursor_ts = 77
-    env.consecutive_writes = 2
-    env.object_protocols["k"] = "halfmoon-read"
-    env.last_write_key = "k"
-    env.reset_for_replay()
+def test_replay_preserves_identity():
+    """A new attempt is fresh execution state under the same identity
+    (attempt state has one constructor; nothing resets an Env in place)."""
+    runtime = make_runtime("halfmoon-write")
+    runtime.populate("k", 0)
+    first = runtime.open_session(instance_id="x", input={"a": 1}).init()
+    first.write("k", 1)
+    first.write("k", 2)
+    assert first.env.cursor_ts > 0
+    assert first.env.consecutive_writes == 2
+    assert first.env.last_write_key == "k"
+
+    env = first.replay().env
+    assert env is not first.env
     assert env.instance_id == "x"
     assert env.input == {"a": 1}
     assert env.step == 0

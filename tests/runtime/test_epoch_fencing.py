@@ -35,11 +35,27 @@ def svc(backend):
     return InstanceServices(backend)
 
 
-def test_chaos_arms_epoch_view_and_disables_fast_path(backend):
-    svc = InstanceServices(backend)
+def test_chaos_arms_epoch_view_and_stamps_appends(svc, backend, monkeypatch):
+    """A chaos-armed backend never takes the failure-free branch: every
+    append reaches the log stamped with the worker's cached epoch."""
     assert backend.epoch_view is not None
     assert backend.storage_faults is not None
-    assert not svc._fast
+    stamps = []
+    for method in ("append", "cond_append"):
+        real = getattr(backend.log, method)
+
+        def spy(*args, _real=real, _method=method, **kwargs):
+            stamps.append((_method, kwargs.get("epoch")))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(backend.log, method, spy)
+
+    svc.log_append(["t:a"], {"op": "one"})
+    svc.log_cond_append(["t:a"], {"op": "two"}, "t:a", 1)
+
+    # (cond_append lands through the log's own unstamped append.)
+    epoch = backend.epoch_view.epoch
+    assert stamps[:2] == [("append", epoch), ("cond_append", epoch)]
 
 
 def test_fenced_append_rediscovers_and_applies_once(svc, backend):
