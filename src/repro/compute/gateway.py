@@ -13,7 +13,9 @@ are real.  One asyncio gateway process
 * dispatches invocations to a pool of ``spawn``-ed worker processes,
   each running the full :class:`~repro.runtime.local.LocalRuntime`
   stack against an RPC proxy plane, the moment a (worker, invocation)
-  pair exists,
+  pair exists; the INVOKE carries what the platform already knows about
+  the instance — log frontier, attempt number, step log — so a request
+  costs its protocol ops and no round trip besides,
 * drives the shared clock-agnostic lease machinery
   (:class:`~repro.recovery.lease.LeaseTable`) with wall-clock
   heartbeats, so failure detection latency is measured wall time,
@@ -92,6 +94,7 @@ from ..simulation.metrics import (
     TimeWeightedGauge,
 )
 from ..simulation.rng import derive_seed
+from ..tags import instance_tag
 from ..workloads.base import Request, Workload
 from . import rpc
 from .base import ComputePlane, register_backend
@@ -559,6 +562,10 @@ class LocalhostComputePlane(ComputePlane):
         ]
         for task in tasks:
             task.add_done_callback(self._task_crashed)
+        # The plane is built and its workers spawned: park those tens of
+        # thousands of objects outside the collector, so a full pass
+        # that falls inside a long run scans what the run allocated.
+        gc.freeze()
         try:
             await asyncio.wait_for(
                 self._done_event.wait(), timeout=self.deadline_s
@@ -569,6 +576,7 @@ class LocalhostComputePlane(ComputePlane):
                 f"{len(self._inflight)} invocations outstanding"
             )
         finally:
+            gc.unfreeze()  # here, not in close(): a sweep may never close
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
@@ -873,7 +881,6 @@ class LocalhostComputePlane(ComputePlane):
         )
         inv.dispatched_at_ms = now
         inv.worker_id = slot.worker_id
-        inv.ops_wall_ms = 0.0
         slot.busy_with = inv.instance_id
         slot.invocations += 1
         if inv.queue_span is not None:
@@ -893,10 +900,22 @@ class LocalhostComputePlane(ComputePlane):
         ctx = None
         if self.telemetry and inv.attempt_span is not None:
             ctx = (inv.instance_id, inv.attempt_span.span_id)
-        # The log frontier rides the frame: read now it is <= the one
-        # the worker would ask for, so only a more conservative watermark.
+        # What the platform knows about the instance rides the frame.
+        # The log frontier: read now it is <= the one the worker would
+        # ask for, so only a more conservative watermark.  The step log:
+        # the protocol's getStepLogs read, served here instead of over a
+        # round trip (a log_read stage, not an OP frame) — nothing for a
+        # fresh instance, the orphan's records on a takeover; a straggler
+        # appending after this snapshot wins the logCondAppend at that
+        # step and the worker adopts its record, as after any read.
+        log = self.backend.log
+        started = time.monotonic()
+        step_log = log.read_stream(instance_tag(inv.instance_id))
+        inv.ops_wall_ms = wall_ms = (time.monotonic() - started) * 1000.0
+        inv.stages["log_read"] = inv.stages.get("log_read", 0.0) + wall_ms
+        self._note_op("log_read", wall_ms)
         invoke = (rpc.INVOKE, inv.instance_id, inv.request.func_name,
-                  inv.request.input, self.backend.log.next_seqnum)
+                  inv.request.input, log.next_seqnum, inv.attempt, step_log)
         try:
             rpc.write_frame_async(
                 slot.writer, invoke if ctx is None else invoke + (ctx,)
@@ -1108,8 +1127,9 @@ class LocalhostComputePlane(ComputePlane):
             return
         output, attempts, cost_by_kind, _worker_wall_ms = payload
         # Worker-internal lost attempts (BernoulliCrashes / service
-        # faults absorbed by LocalRuntime's retry loop).
-        self.crashed_attempts += max(0, int(attempts) - 1)
+        # faults absorbed by LocalRuntime's retry loop); numbering
+        # started at ``inv.attempt``, the attempt this worker was sent.
+        self.crashed_attempts += max(0, int(attempts) - inv.attempt)
         for kind, ms in cost_by_kind.items():
             self._time_by_kind[kind] = (
                 self._time_by_kind.get(kind, 0.0) + ms

@@ -32,7 +32,8 @@ from . import rpc
 class GatewayConnection:
     """One worker's socket to the gateway, shared with its heartbeat
     thread (sends are locked; the worker main thread is the only
-    reader, so replies never interleave).
+    reader — :meth:`call` and the INVOKE loop both read through
+    :attr:`recv` — so replies never interleave).
 
     When the live plane runs traced, the worker attaches a wall-clock
     tracer plus a per-invocation *scope* (trace id + parent span); each
@@ -47,6 +48,7 @@ class GatewayConnection:
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
+        self.recv = rpc.FrameReader(sock).recv
         self.send_lock = threading.Lock()
         self._op_seq = 0
         # Tracing / telemetry hooks (assigned by worker_main when the
@@ -97,7 +99,7 @@ class GatewayConnection:
             op = (rpc.OP, seq, target, method,
                   rpc.encode_value(args), rpc.encode_value(kwargs))
             self.send(op if ctx is None else op + (ctx,))
-            frame = rpc.recv_frame(self.sock)
+            frame = self.recv()
         except (OSError, rpc.RpcFrameError) as exc:
             if span is not None:
                 now = self.now_fn()
@@ -171,6 +173,18 @@ class _ProxySubstrate:
 class ProxyLog(_ProxySubstrate):
     def __init__(self, conn: GatewayConnection):
         super().__init__(conn, "log")
+        #: ``(tag, records)``: the step log that rode the last INVOKE.
+        self.prefetch: Optional[Tuple[str, list]] = None
+
+    def read_stream(self, tag: str, min_seqnum: int = 0) -> list:
+        """Serve (and drop) the prefetched stream on a tag match — the
+        first attempt's ``getStepLogs``; anything else goes over the
+        wire: a replay attempt, a child instance, a checkpoint stream."""
+        held = self.prefetch
+        if held is not None and held[0] == tag:
+            self.prefetch = None
+            return [r for r in held[1] if r.seqnum >= min_seqnum]
+        return self._conn.call("log", "read_stream", (tag, min_seqnum), {})
 
     # Property on the real log; a method proxy would return a callable.
     @property

@@ -29,16 +29,23 @@ a corrupted or hostile prefix surfaces as the typed
 ``rpc_frame_errors`` metric and treats as a connection-fatal protocol
 error — instead of a multi-gigabyte read or a raw ``struct`` overflow.
 
-``INVOKE`` is ``(kind, instance_id, func, input, frontier)``: the
-frontier is the log's next seqnum as the gateway read it at dispatch,
-which the worker hands to ``LocalRuntime.invoke(start_seqnum=)`` instead
-of spending a round trip asking for it.
+``INVOKE`` is ``(kind, instance_id, func, input, frontier, attempt,
+step_log)``: everything the platform already knows about the instance it
+starts, so the worker spends no round trip asking.  ``frontier`` is the
+log's next seqnum as the gateway read it at dispatch
+(``LocalRuntime.invoke(start_seqnum=)``), ``attempt`` the number of the
+attempt being dispatched (``first_attempt=``: 1, or more after a
+takeover), and ``step_log`` the instance's step-log records at dispatch
+— empty for a fresh instance, the orphan's history on a takeover — which
+the worker's :class:`~repro.compute.proxy.ProxyLog` serves to the
+protocol's ``getStepLogs`` read.  All six fields are always present:
+gateway and worker ship as one commit, so there is no short form.
 
 Trace-context propagation (:mod:`repro.observe.distributed`) rides in
 an optional trailing header field on ``INVOKE`` (the gateway's dispatch
 context) and ``OP`` (the worker's RPC-span context); ``RESULT`` carries
 the gateway-side service time so workers can split wire overhead from
-storage-plane service time.  All three are backwards-shaped: absent
+storage-plane service time.  Those three are backwards-shaped: absent
 means "untraced", and decoding tolerates the short form.
 """
 
@@ -172,7 +179,7 @@ def _decode_body(body: bytes) -> Any:
         ) from exc
 
 
-# -- synchronous framing (worker side) -----------------------------------
+# -- one-shot synchronous framing (``repro top``, codec benchmarks) -------
 
 def send_frame(sock: socket.socket, frame: Any,
                max_bytes: Optional[int] = None) -> None:
@@ -244,3 +251,29 @@ class FrameDecoder:
                 yield _decode_body(buf[body:end])
         finally:
             del buf[:pos]
+
+
+# -- long-lived synchronous framing (worker side) --------------------------
+
+class FrameReader:
+    """Blocking reader for a long-lived socket (the worker side): one
+    ``recv`` per wake-up through the same :class:`FrameDecoder` the
+    gateway uses, frames that arrived together served in order.  A
+    socket has one reader, so everything that reads it shares this."""
+
+    __slots__ = ("_sock", "_decoder", "_ready")
+
+    def __init__(self, sock: socket.socket, max_bytes: Optional[int] = None):
+        self._sock = sock
+        self._decoder = FrameDecoder(max_bytes)
+        self._ready: Iterator[Any] = iter(())
+
+    def recv(self) -> Optional[Any]:
+        """The next frame; ``None`` on EOF, clean or mid-frame."""
+        while True:
+            for frame in self._ready:
+                return frame
+            data = self._sock.recv(65536)
+            if not data:
+                return None
+            self._ready = self._decoder.feed(data)

@@ -36,6 +36,7 @@ from ..observe.distributed import (
 from ..observe.flightrec import FlightRecorder
 from ..observe.registry import MetricsRegistry
 from ..observe.tracing import CAT_ATTEMPT
+from ..tags import instance_tag
 from . import rpc
 from .proxy import GatewayConnection, ProxyPlane
 
@@ -180,13 +181,17 @@ def worker_main(
 
     try:
         while True:
-            frame = rpc.recv_frame(sock)
+            frame = conn.recv()
             if frame is None or frame[0] == rpc.SHUTDOWN:
                 return
             if frame[0] != rpc.INVOKE:
                 continue
-            _, instance_id, func_name, input_value, frontier = frame[:5]
-            ctx = frame[5] if len(frame) > 5 else None
+            (_, instance_id, func_name, input_value, frontier, attempt,
+             step_log) = frame[:7]
+            ctx = frame[7] if len(frame) > 7 else None
+            # One-shot: the protocol's getStepLogs read finds the history
+            # the gateway sent along; the next INVOKE replaces it unread.
+            plane.log.prefetch = (instance_tag(instance_id), step_log)
             root = None
             if tracer is not None and ctx is not None:
                 trace_id, parent_id = ctx
@@ -206,7 +211,7 @@ def worker_main(
             try:
                 result = runtime.invoke(
                     func_name, input_value, instance_id=instance_id,
-                    start_seqnum=frontier,
+                    start_seqnum=frontier, first_attempt=attempt,
                 )
                 wall_ms = (time.monotonic() - started) * 1000.0
                 payload: Tuple[Any, ...] = (

@@ -220,9 +220,10 @@ class Context:
             ))):
                 self.svc.charge_compute()
             sleep = self._runtime.compute_sleep_fn
-            if sleep is not None:
+            if sleep is not None and op.duration_ms > 0:
                 # Live compute plane: burn real wall time so invocations
-                # genuinely overlap across worker processes.
+                # genuinely overlap across worker processes (a zero-length
+                # sleep is still a syscall: skip it).
                 sleep(op.duration_ms)
             return None
         if isinstance(op, SyncOp):
@@ -447,6 +448,7 @@ class LocalRuntime:
         input: Any = None,
         instance_id: Optional[str] = None,
         start_seqnum: Optional[int] = None,
+        first_attempt: int = 1,
     ) -> InvocationResult:
         """Run ``func_name`` to completion with crash/retry semantics.
 
@@ -459,6 +461,8 @@ class LocalRuntime:
         INVOKE frame); any frontier read no later than now is a valid,
         merely more conservative, GC/switching watermark, and passing
         it saves the log round trip of reading a fresh one.
+        ``first_attempt`` numbers the first attempt made here: above 1
+        when the caller took the instance over from a dead node.
         """
         instance_id = (instance_id if instance_id is not None
                        else self.new_instance_id())
@@ -487,7 +491,7 @@ class LocalRuntime:
             return base + (spent + running)
 
         resume = self.run_instance(
-            func_name, input, instance_id, now, False, root
+            func_name, input, instance_id, now, False, root, first_attempt
         ).send
         try:
             pause = resume(None)

@@ -1,30 +1,45 @@
-"""Live-plane contracts that need no worker process.
+"""Live-plane contracts.
 
-The gateway's op table, the worker's proxy plane and ``LocalRuntime``
-are driven in-process through a *counting connection*: the
-``GatewayConnection.call`` duck type, served straight from the
-gateway's closed op table over a real sharded 2×2 storage plane.  What
-a live request costs in round trips, where a route is computed, and
-what a stale INVOKE frontier may and may not do are then plain
-assertions, not something a script has to re-derive from a trace.
+Most need no worker process: the gateway's op table, the worker's proxy
+plane and ``LocalRuntime`` are driven in-process through a *counting
+connection*: the ``GatewayConnection.call`` duck type, served straight
+from the gateway's closed op table over a real sharded 2×2 storage
+plane.  What a live request costs in round trips, where a route is
+computed, and what a stale INVOKE frontier or step-log snapshot may and
+may not do are then plain assertions, not something a script has to
+re-derive from a trace.  The last section runs real worker processes
+and counts what crosses the gateway's socket: the frame budget through
+the real INVOKE path, and the attempt carried across a SIGKILL.
 """
 
 import asyncio
+import gc
 import socket
+import sys
 import threading
+import types
 
 import numpy as np
 import pytest
 
 from repro import LocalRuntime, SystemConfig
 from repro.compute import WorkloadSpec, build_compute_plane, rpc
-from repro.compute.gateway import _build_op_table, _WorkerSlot
+from repro.compute.gateway import (
+    LocalhostComputePlane,
+    _build_op_table,
+    _WorkerSlot,
+)
 from repro.compute.proxy import GatewayConnection, ProxyLog, ProxyPlane
 from repro.errors import UnknownOpError
 from repro.faults import CircuitBreaker
 from repro.harness import CounterWorkload
-from repro.runtime.failures import BernoulliCrashes
+from repro.harness.live_exp import run_live_point
+from repro.recovery import Orphan
+from repro.runtime.failures import BernoulliCrashes, ScriptedCrashes
+from repro.runtime.ops import ComputeOp
 from repro.runtime.services import ServiceBackend
+from repro.storageplane.audit import storage_consistency_report
+from repro.tags import instance_tag
 from repro.workloads.base import Request
 
 
@@ -206,15 +221,19 @@ class _Transport:
         pass
 
 
-def _idle_gateway(breaker=None):
-    """A gateway plane with one fake, connected, idle worker slot."""
+def _gateway(**plane_kwargs):
     kwargs = dict(num_keys=16, read_ratio=0.5, compute_ms=0.0)
-    plane = build_compute_plane(
+    return build_compute_plane(
         "localhost", CounterWorkload(**kwargs), "boki", config=_config(),
         workload_spec=WorkloadSpec("repro.harness.failover",
                                    "CounterWorkload", kwargs),
-        num_workers=1,
+        num_workers=1, **plane_kwargs,
     )
+
+
+def _idle_gateway(breaker=None):
+    """A gateway plane with one fake, connected, idle worker slot."""
+    plane = _gateway()
     slot = _WorkerSlot(0, None, breaker or CircuitBreaker("worker-0"),
                        writer=_Transport(), ready=True)
     plane._slots[0] = slot
@@ -328,3 +347,283 @@ def test_close_collects_dropped_planes_and_restarts_the_gc_schedule():
         assert gc.get_count()[1:] == (0, 0)
     finally:
         gc.enable()
+
+
+# -- (i) the step log rides INVOKE -------------------------------------------
+
+
+def test_prefetch_is_one_shot_and_keyed_by_tag():
+    real, conn, _ = _worker_stack()
+    log = ProxyLog(conn)
+    seq = real.log.append(["tag-a"], {"op": "x"})
+    held = real.log.read_stream("tag-a")
+    conn.ops.clear()
+    log.prefetch = ("tag-a", held)
+    # Another stream (a child instance, a checkpoint stream) asks the
+    # gateway and leaves the prefetch where it is.
+    assert log.read_stream("tag-b") == []
+    assert conn.ops == ["log.read_stream"]
+    # The owner is served locally, once; the second read (an in-worker
+    # replay attempt) sees the log, not the snapshot.
+    assert [r.seqnum for r in log.read_stream("tag-a")] == [seq]
+    assert conn.ops == ["log.read_stream"]
+    real.log.append(["tag-a"], {"op": "y"})
+    assert len(log.read_stream("tag-a")) == 2
+    assert conn.ops == ["log.read_stream"] * 2
+    # An instance that never reads its step log (``unsafe``) leaves the
+    # prefetch behind; the next INVOKE replaces it, so it is never
+    # served to a later instance.
+    log.prefetch = ("tag-a", held)
+    log.prefetch = ("tag-c", [])
+    assert log.read_stream("tag-a") != held and log.read_stream("tag-c") == []
+
+
+def test_stale_step_log_snapshot_is_safe():
+    """A straggler appends to the instance's stream after the gateway
+    took the INVOKE snapshot: the worker loses the ``logCondAppend`` at
+    each step the straggler logged and adopts the record it finds."""
+    for straggler_steps in range(6):
+        real, conn, worker = _worker_stack()
+        straggler = LocalRuntime(_config(), protocol="boki", backend=real)
+        CounterWorkload(num_keys=16, compute_ms=0.0).register(straggler)
+        instance_id = worker.new_instance_id()
+        tag = instance_tag(instance_id)
+        snapshot = real.log.read_stream(tag)  # what INVOKE would carry
+        straggler.tracker.start(instance_id, real.log.next_seqnum)
+        progress = straggler.run_instance(
+            "bump", "c3", instance_id, lambda: 0.0, True
+        )
+        for _ in range(straggler_steps):  # init, read, compute, write, end
+            next(progress, None)
+        worker.backend.plane.log.prefetch = (tag, snapshot)
+        conn.ops.clear()
+        result = worker.invoke("bump", "c3", instance_id=instance_id,
+                               start_seqnum=real.log.next_seqnum)
+        assert "log.read_stream" not in conn.ops
+        assert (result.output, result.attempts) == (1, 1)
+        assert worker.invoke("probe", "c3").output == 1
+        steps = [r["step"] for r in real.log.read_stream(tag)]
+        assert steps == list(range(len(steps))) and len(steps) == 4
+        assert storage_consistency_report(real.plane)["anomalies"] == []
+
+
+def test_in_worker_replay_reads_the_step_log_over_the_wire():
+    """Crash the first attempt at every checkpoint in turn: the attempt
+    that reads first is served by the prefetch, the replay asks the
+    gateway — exactly once — and sees what attempt 1 logged."""
+    replays = 0
+    for checkpoint in range(1, 20):
+        real, conn, worker = _worker_stack()
+        worker.crash_policy = ScriptedCrashes({1: checkpoint})
+        instance_id = worker.new_instance_id()
+        worker.backend.plane.log.prefetch = (instance_tag(instance_id), [])
+        conn.ops.clear()
+        result = worker.invoke("bump", "c5", instance_id=instance_id,
+                               start_seqnum=real.log.next_seqnum)
+        assert result.output == 1
+        # Checkpoint 1 is the read's own: that attempt never read.
+        replayed = result.attempts == 2 and checkpoint > 1
+        assert conn.ops.count("log.read_stream") == int(replayed)
+        replays += replayed
+        steps = [r["step"] for r in real.log.read_stream(
+            instance_tag(instance_id))]
+        assert steps == [0, 1, 2, 3]
+    assert replays >= 8  # the sweep did cross every crash window
+
+
+def test_dispatch_sends_attempt_and_step_log_and_books_the_read():
+    plane, slot = _idle_gateway()
+    plane._admit(Request("bump", "c0"), plane._now())
+    (first,) = slot.writer.frames
+    instance_id = first[1]
+    assert first[4:] == (plane.backend.log.next_seqnum, 1, [])
+    inv = plane._inflight[instance_id]
+    # A log_read stage (the breakdown still sums), not an OP frame.
+    assert inv.stages["log_read"] == inv.ops_wall_ms > 0.0
+    assert inv.rpc_ops == 0
+    # The worker dies after logging two steps; the takeover's INVOKE
+    # carries the next attempt number and the orphan's records.
+    tag = instance_tag(instance_id)
+    for step in range(2):
+        plane.backend.log.append([tag], {"op": "x", "step": step})
+    slot.busy_with = None
+    plane._enqueue_orphan(Orphan(instance_id, inv.request, inv.arrival_ms,
+                                 next_attempt=2, node_id=0,
+                                 orphaned_at_ms=plane._now()))
+    second = slot.writer.frames[1]
+    assert second[:4] == first[:4] and second[5] == 2
+    assert [r["step"] for r in second[6]] == [0, 1]
+    # The replacement reports absolute attempt numbers: it was sent
+    # attempt 2 and finished on attempt 3, one loss inside the worker.
+    plane._handle_done(slot, (rpc.DONE, 0, instance_id, True, (1, 3, {}, 0.5)))
+    assert plane.crashed_attempts == 1
+    assert plane.rpc_ops_per_req == 0.0
+
+
+def test_zero_length_compute_does_not_sleep():
+    runtime = LocalRuntime(SystemConfig(seed=3), protocol="boki")
+    slept = []
+    runtime.compute_sleep_fn = slept.append
+
+    def spin(ms):
+        yield ComputeOp(ms)
+
+    runtime.register("spin", spin)
+    runtime.invoke("spin", 0.0)
+    assert slept == []
+    runtime.invoke("spin", 2.0)
+    assert slept == [2.0]
+
+
+# -- (j) real worker processes: what crosses the socket ----------------------
+
+live = pytest.mark.skipif(
+    sys.platform != "linux", reason="relies on SIGKILL + AF_UNIX semantics"
+)
+
+LIVE = dict(workers=2, kills=0, requests=24, rate_per_s=400.0,
+            compute_ms=0.0, seed=1106, deadline_s=90.0)
+
+
+@pytest.fixture
+def wire(monkeypatch):
+    """Record every INVOKE the gateway writes, every OP it executes
+    (by instance) and every DONE's attempt count, in a real run."""
+    seen = types.SimpleNamespace(invokes=[], ops={}, attempts={})
+    write = rpc.write_frame_async
+    execute = LocalhostComputePlane._execute_op
+    done = LocalhostComputePlane._handle_done
+
+    def spy_write(writer, frame, max_bytes=None):
+        if frame[0] == rpc.INVOKE:
+            seen.invokes.append(frame)
+        write(writer, frame, max_bytes)
+
+    def spy_execute(plane, slot, frame):
+        seen.ops.setdefault(slot.busy_with, []).append(
+            (slot.worker_id, f"{frame[2]}.{frame[3]}")
+        )
+        return execute(plane, slot, frame)
+
+    def spy_done(plane, slot, frame):
+        if frame[3]:
+            seen.attempts[frame[2]] = frame[4][1]
+        done(plane, slot, frame)
+
+    monkeypatch.setattr(rpc, "write_frame_async", spy_write)
+    monkeypatch.setattr(LocalhostComputePlane, "_execute_op", spy_execute)
+    monkeypatch.setattr(LocalhostComputePlane, "_handle_done", spy_done)
+    return seen
+
+
+@live
+def test_first_attempt_costs_its_protocol_ops_and_no_step_log_read(wire):
+    point = run_live_point("boki", **LIVE)
+    assert point.result.completed == LIVE["requests"]
+    assert (point.violations, point.consistency_anomalies) == (0, [])
+    budgets = {"peek": set(), "bump": set()}
+    for frame in wire.invokes:
+        assert frame[5:7] == (1, [])  # first attempt, fresh instance
+        ops = sorted(op for _, op in wire.ops[frame[1]])
+        budgets[frame[2]].add(tuple(ops))
+    assert budgets == {
+        "peek": {("kv.get_optional",) + ("log.cond_append",) * 2},
+        "bump": {("kv.conditional_put", "kv.get_optional")
+                 + ("log.cond_append",) * 4},
+    }
+    # (Outside any invocation: a connecting worker's ``plane.describe``.)
+    assert {op for _, op in wire.ops.pop(None)} == {"plane.describe"}
+    total = sum(len(ops) for ops in wire.ops.values())
+    assert point.result.extras["rpc_ops_per_req"] == total / LIVE["requests"]
+
+
+@live
+def test_in_worker_replay_reads_the_step_log_over_the_wire_once(wire):
+    point = run_live_point("boki", **dict(LIVE, requests=40), crash_f=0.9)
+    assert point.result.completed == 40
+    assert (point.violations, point.consistency_anomalies) == (0, [])
+    assert max(wire.attempts.values()) >= 2, "no crash fired"
+    reads = {
+        instance_id: [op for _, op in wire.ops[instance_id]].count(
+            "log.read_stream")
+        for instance_id in wire.attempts
+    }
+    # One wire read per replay attempt — less one for each attempt that
+    # died before it read anything (the prefetch outlives those).
+    for instance_id, attempts in wire.attempts.items():
+        assert reads[instance_id] <= attempts - 1, (instance_id, attempts)
+    assert sum(reads.values()) >= 1
+    assert point.result.crashed_attempts == sum(
+        attempts - 1 for attempts in wire.attempts.values()
+    )
+
+
+@live
+def test_takeover_carries_the_attempt_and_the_orphans_step_log(wire):
+    point = run_live_point("boki", **dict(
+        LIVE, kills=1, requests=30, rate_per_s=300.0, compute_ms=2.0,
+    ), lease_ms=400.0)
+    result = point.result
+    assert result.completed == 30 and point.kills_delivered == 1
+    assert (point.violations, point.consistency_anomalies) == (0, [])
+    (victim,) = [e[1] for e in result.extras["kill_events"]]
+    first, second = [f for f in wire.invokes if f[1] == victim]
+    assert first[5:7] == (1, [])
+    assert second[5] == 2 and len(second[6]) >= 2  # init + the read step
+    # The replacement replays from the records it was handed: no worker
+    # in this run ever asks for a step log.
+    assert not [op for ops in wire.ops.values() for _, op in ops
+                if op == "log.read_stream"]
+    assert wire.attempts[victim] == 2
+    # A SIGKILL is a node crash, as in the DES: it counts as an orphan,
+    # and no takeover leaks into the worker-internal loss count.
+    assert result.orphaned_invocations == result.recovered_orphans == 1
+    assert result.crashed_attempts == 0
+
+
+class _NoProcess:
+    """A spawned worker that never connects."""
+
+    pid = None
+
+    def join(self, timeout=None):
+        pass
+
+    def is_alive(self):
+        return False
+
+    def kill(self):
+        pass
+
+
+@live
+def test_run_freezes_the_plane_and_always_unfreezes(monkeypatch):
+    assert gc.get_freeze_count() == 0
+    plane = _gateway(requests=4)
+    frozen = []
+    plane.on_request_complete = (
+        lambda request, latency: frozen.append(gc.get_freeze_count())
+    )
+    try:
+        assert plane.run(0.0, 0.0).completed == 4
+    finally:
+        plane.close()
+    assert len(frozen) == 4 and min(frozen) > 10_000
+    assert gc.get_freeze_count() == 0
+
+    # An aborted run (here: the deadline) unfreezes too, without close().
+    plane = _gateway(deadline_s=0.05)
+    monkeypatch.setattr(
+        plane, "_spawn_worker",
+        lambda: plane._slots.update({9: _WorkerSlot(
+            9, _NoProcess(), CircuitBreaker("worker-9"))}),
+    )
+    peak = []
+    freeze = gc.freeze
+    monkeypatch.setattr(
+        gc, "freeze", lambda: (freeze(), peak.append(gc.get_freeze_count()))
+    )
+    result = plane.run(0.0, 0.0)
+    assert result.extras["aborted"].startswith("deadline")
+    assert peak and peak[0] > 10_000
+    assert gc.get_freeze_count() == 0

@@ -245,3 +245,155 @@ def test_undecodable_body_raises_typed_error():
     finally:
         a.close()
         b.close()
+
+
+# -- the worker's reader: FrameDecoder behind a blocking socket -------------
+
+
+def _drain(reader):
+    """Every frame a non-blocking socket holds right now."""
+    got = []
+    while True:
+        try:
+            got.append(reader.recv())
+        except BlockingIOError:
+            return got
+
+
+def test_frame_reader_is_cut_invariant_over_a_socketpair():
+    """The decoder's cut-invariance property, through ``FrameReader``:
+    whatever lands in one ``recv`` — part of a frame, one frame, many —
+    the frames come out as sent, in order."""
+    import socket
+
+    import numpy as np
+
+    rng = np.random.default_rng(1106)
+    frames, wire = _frame_stream(rng, 6)
+
+    def through(chunks):
+        a, b = socket.socketpair()
+        try:
+            b.setblocking(False)
+            reader, got = rpc.FrameReader(b), []
+            for chunk in chunks:
+                a.sendall(chunk)
+                got.extend(_drain(reader))
+            a.close()
+            return got, reader.recv()
+        finally:
+            b.close()
+
+    # Coalesced (six frames in one recv) and one cut at every boundary.
+    assert through([wire]) == (frames, None)
+    for cut in range(1, len(wire)):
+        assert through([wire[:cut], wire[cut:]]) == (frames, None), cut
+    # Seeded random chunkings of longer streams.
+    for _ in range(20):
+        frames, wire = _frame_stream(rng, int(rng.integers(1, 20)))
+        chunks, pos = [], 0
+        while pos < len(wire):
+            step = int(rng.integers(1, 700))
+            chunks.append(wire[pos:pos + step])
+            pos += step
+        assert through(chunks) == (frames, None)
+
+
+def test_frame_reader_serves_two_frames_from_one_recv_then_eof():
+    import socket
+
+    a, b = socket.socketpair()
+    try:
+        result, bye = (rpc.RESULT, 7, True, "v", 0.01), (rpc.SHUTDOWN,)
+        a.sendall(rpc._encode_checked(result, None)
+                  + rpc._encode_checked(bye, None))
+        reads = []
+        reader = rpc.FrameReader(_CountingSocket(b, reads))
+        assert reader.recv() == result
+        assert reader.recv() == bye
+        assert reads == [65536]  # both came out of the one recv
+        # EOF in the middle of a frame is a torn connection, not data.
+        a.sendall(rpc._encode_checked(result, None)[:-3])
+        a.close()
+        assert reader.recv() is None
+        assert reader.recv() is None
+    finally:
+        b.close()
+
+
+class _CountingSocket:
+    def __init__(self, sock, reads):
+        self._sock, self._reads = sock, reads
+
+    def recv(self, n):
+        self._reads.append(n)
+        return self._sock.recv(n)
+
+
+def test_frame_reader_raises_typed_errors_after_the_frames_ahead():
+    import socket
+    import struct
+
+    good = rpc._encode_checked(("ok", 1), None)
+    for bad, cap in (
+        (struct.pack("<I", 1 << 30), 1024),          # oversize prefix
+        (struct.pack("<I", 3) + b"abc", None),       # undecodable body
+    ):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(good + bad)
+            reader = rpc.FrameReader(b, max_bytes=cap)
+            assert reader.recv() == ("ok", 1)
+            with pytest.raises(rpc.RpcFrameError):
+                reader.recv()
+        finally:
+            a.close()
+            b.close()
+
+
+def test_heartbeats_interleave_with_calls_on_the_shared_socket():
+    """The worker's two threads share one socket: sends (OP from the
+    main thread, HEARTBEAT from the beat thread) serialize under
+    ``send_lock``; the main thread is the only reader."""
+    import socket
+    import threading
+
+    from repro.compute.proxy import GatewayConnection
+
+    ours, theirs = socket.socketpair()
+    seen = []
+
+    def gateway():
+        reader = rpc.FrameReader(theirs)
+        while True:
+            frame = reader.recv()  # a torn frame would raise here
+            if frame is None:
+                return
+            seen.append(frame[0])
+            if frame[0] == rpc.OP:
+                rpc.send_frame(theirs, (rpc.RESULT, frame[1], True,
+                                        frame[4][0] * 2, 0.0))
+
+    server = threading.Thread(target=gateway)
+    server.start()
+    conn = GatewayConnection(ours)
+    stop = threading.Event()
+
+    def beat():
+        while not stop.is_set():
+            conn.send((rpc.HEARTBEAT, 0, b"x" * 4096))
+
+    beater = threading.Thread(target=beat)
+    beater.start()
+    try:
+        for i in range(300):
+            assert conn.call("kv", "double", (i,), {}) == 2 * i
+    finally:
+        stop.set()
+        beater.join(5.0)
+        ours.close()
+        server.join(5.0)
+        theirs.close()
+    assert seen.count(rpc.OP) == 300
+    assert seen.count(rpc.HEARTBEAT) > 0
+    assert set(seen) == {rpc.OP, rpc.HEARTBEAT}
