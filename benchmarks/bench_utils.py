@@ -33,12 +33,6 @@ def write_results(name, txt=None, json_payload=None):
         path.write_text(txt if txt.endswith("\n") else txt + "\n")
         written.append(path)
     if json_payload is not None:
-        if isinstance(json_payload, dict) and "sim_kernel" not in json_payload:
-            # Every artifact records which DES kernel produced it; the
-            # two kernels are bit-identical on results but not on speed.
-            from repro.simulation import active_kernel
-
-            json_payload = {"sim_kernel": active_kernel(), **json_payload}
         path = RESULTS_DIR / f"{name}.json"
         path.write_text(json.dumps(json_payload, indent=2) + "\n")
         written.append(path)

@@ -61,8 +61,8 @@ def test_simulator_event_throughput(benchmark):
 
 def test_simulator_bare_delay_throughput(benchmark):
     # The bare-delay fast path (`yield 1.0`): no Timeout object, no
-    # callback list — the headline number for the kernel comparison
-    # (run with REPRO_SIM_KERNEL=pure / =compiled to A/B).
+    # callback list — against test_simulator_event_throughput above,
+    # the same 1k events through Timeout objects.
     def run_events():
         sim = Simulator()
 

@@ -47,8 +47,7 @@ from ..observe import (
 from ..recovery import LeaseManager, Orphan, RecoveryCoordinator
 from ..runtime.local import LocalRuntime, LostAttempt
 from ..runtime.services import Cost, InstanceServices
-from ..simulation import select as _kernel_select
-from ..simulation.kernel import Interrupt
+from ..simulation.kernel import Interrupt, Simulator
 from ..simulation.metrics import (
     LatencyRecorder,
     ThroughputMeter,
@@ -121,10 +120,7 @@ class SimPlatform:
     ):
         self.config = (config if config is not None
                        else SystemConfig()).validate()
-        # Construct through the kernel selector: pure or compiled DES
-        # loop per REPRO_SIM_KERNEL / select_kernel() (bit-identical).
-        self.sim = _kernel_select.active_module().Simulator()
-        self.sim_kernel = _kernel_select.active_kernel()
+        self.sim = Simulator()
         self.runtime = LocalRuntime(
             self.config, protocol=protocol,
             enable_switching=enable_switching,
@@ -758,9 +754,6 @@ class SimPlatform:
         measured_ms = duration_ms - warmup_ms
         extras: Dict[str, Any] = {
             "events_processed": self.sim.events_processed,
-            # Which DES kernel executed this run; excluded from
-            # bit-identity diffs (it is the one legitimate difference).
-            "sim_kernel": self.sim_kernel,
         }
         if self.config.cluster.model_log_contention:
             extras["sequencer"] = self.sequencer_stats()

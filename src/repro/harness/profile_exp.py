@@ -5,10 +5,6 @@ top-N hotspots (via :mod:`pstats`).  This is the tool that drove the
 kernel fast-path work — the heap loop, ``Timeout`` construction, and
 the sampler/charge path dominate, and regressions in any of them show
 up immediately at the top of this report.
-
-Targets are the same fixed-seed cells the wall-clock perf baseline
-(:mod:`benchmarks.test_perf_baseline`) times, so a profile can always
-be matched to a timing regression.
 """
 
 from __future__ import annotations
@@ -81,14 +77,11 @@ def profile_report(
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
-    from ..simulation import active_kernel, requested_kernel
-
     header = (
         f"profile target={target!r} sort={sort} top={top}\n"
-        f"sim kernel: {active_kernel()} "
-        f"(REPRO_SIM_KERNEL={requested_kernel()}; the compiled kernel "
-        "moves the event loop out of the profile entirely)\n"
-        "(cProfile inflates absolute times ~2-3x; compare shapes, "
-        "not wall-clock — timings live in benchmarks/BENCH_sweep.json)\n"
+        "(cProfile inflates absolute times ~2-3x; compare shapes, not "
+        "wall-clock — timings: python3 benchmarks/e2e/run.py "
+        "--workload <name> --trace 1, cpu_share.* and the per-layer "
+        "cells)\n"
     )
     return header + buffer.getvalue()

@@ -1,13 +1,8 @@
 """Discrete-event simulation substrate: kernel, resources, RNG, latency,
 and measurement primitives.
-
-``Simulator`` / ``Event`` / ``Timeout`` / ``Process`` are bound to the
-*active* kernel — the pure-Python reference or its compiled C twin —
-selected by the ``REPRO_SIM_KERNEL`` environment variable (see
-:mod:`repro.simulation.select`).  ``Interrupt`` is always the pure
-kernel's class so ``except Interrupt`` works across kernels.
 """
 
+from ..errors import ConfigError
 from .kernel import Event, Interrupt, Process, Simulator, Timeout
 from .latency import (
     ConstantLatency,
@@ -29,23 +24,21 @@ from .metrics import (
 )
 from .resources import NodeWorkerPool, Resource, WorkerGrant
 from .rng import RngRegistry, derive_seed
-from .select import (
-    KERNEL_CHOICES,
-    KERNEL_ENV,
-    active_kernel,
-    compiled_available,
-    init_from_env as _init_kernel_from_env,
-    requested_kernel,
-    select_kernel,
-)
 
-# Apply REPRO_SIM_KERNEL: may rebind Simulator/Event/Timeout/Process
-# above to the compiled twin.
-_init_kernel_from_env()
+
+def select_kernel(name: str) -> str:
+    """Benchmark shim: ``"pure"`` names the one kernel, anything else raises.
+
+    Kept only because ``benchmarks/e2e/run.py::prepare`` calls it for its
+    ``sim_kernel`` stamp and that tree is frozen outside ``[benchmark]``
+    PRs; the next one removes the call and this function together.
+    """
+    if name != "pure":
+        raise ConfigError(f"unknown simulation kernel {name!r}; only 'pure'")
+    return "pure"
+
 
 __all__ = [
-    "KERNEL_CHOICES",
-    "KERNEL_ENV",
     "ConstantLatency",
     "Counter",
     "EmpiricalLatency",
@@ -69,9 +62,6 @@ __all__ = [
     "Timeout",
     "UniformLatency",
     "WorkerGrant",
-    "active_kernel",
-    "compiled_available",
     "derive_seed",
-    "requested_kernel",
     "select_kernel",
 ]

@@ -7,15 +7,6 @@ small — timeouts, processes, and FIFO resources are all this
 reproduction needs — and fully deterministic: events scheduled for the
 same instant fire in scheduling order.
 
-This module is the *pure* kernel: the reference implementation of the
-scheduling contract.  ``repro.simulation._corec`` is an optional
-C-compiled twin with bit-identical semantics (same heap discipline,
-same schedule-counter allocation, same wait-token rules), selected via
-``REPRO_SIM_KERNEL`` — see ``repro.simulation.select_kernel``.  Any
-change to the semantics here must be mirrored there; the differential
-suites (``tests/simulation/test_kernel_parity.py`` and the golden
-end-to-end diffs) enforce the twin-ship.
-
 The event heap holds ``(time, eid, item)`` tuples where ``eid`` is a
 monotonically increasing schedule counter: same-instant entries compare
 on ``eid`` alone, so the item itself is never compared and insertion
@@ -55,10 +46,6 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 from ..errors import DeadlockError, SimulationError
 
 ProcessGenerator = Generator[Any, Any, Any]
-
-#: Name of this kernel variant, recorded in ``RunResult`` extras and
-#: benchmark rows (the compiled twin reports ``"compiled"``).
-KERNEL_VARIANT = "pure"
 
 
 class Event:
@@ -268,12 +255,6 @@ class Simulator:
         return self._now
 
     # -- scheduling ---------------------------------------------------------
-
-    def _schedule_at(self, time: float, event: Event) -> None:
-        if time < self._now:
-            raise SimulationError("cannot schedule into the past")
-        self._eid += 1
-        heapq.heappush(self._heap, (time, self._eid, event))
 
     def _schedule_callbacks(self, event: Event) -> None:
         """Queue an already-fired event's callbacks at the current instant."""

@@ -10,8 +10,9 @@ ordering (and with it every seeded experiment) silently shifts.
 These tests pin that contract directly.
 """
 
-# Import through the package so the suite exercises whichever kernel
-# REPRO_SIM_KERNEL selected (kernels must not be mixed in one sim).
+import pytest
+
+from repro.errors import SimulationError
 from repro.simulation import Event, Interrupt, Simulator
 
 
@@ -307,3 +308,112 @@ def test_entries_pushed_mid_batch_join_the_instant():
     sim.run(until=0.0)
     assert fired == [0, 1, 2, 3, 4]
     assert sim.now == 0.0
+
+
+# -- edge cases: time limit, stale heap entries, wait tokens, run(until) ----
+
+
+def test_run_until_complete_enforces_time_limit():
+    sim = Simulator()
+
+    def runaway():
+        while True:
+            yield 1.0
+
+    with pytest.raises(SimulationError, match="exceeded time limit 5.0"):
+        sim.run_until_complete(sim.process(runaway()), limit=5.0)
+    # The entry that broke the limit was popped but not executed.
+    assert sim.now == 5.0
+
+
+def test_interrupted_bare_delay_leaves_a_stale_entry_that_still_drains():
+    # An interrupted bare-delay sleep leaves its invalidated heap entry
+    # behind; popping it advances the clock and counts as an event
+    # without resuming the process.
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield 100.0
+            log.append("woke")
+        except Interrupt as exc:
+            log.append(("int", exc.cause, sim.now))
+
+    proc = sim.process(sleeper())
+
+    def attacker():
+        yield sim.timeout(10.0)
+        proc.interrupt("early")
+
+    sim.process(attacker())
+    sim.run()
+    assert log == [("int", "early", 10.0)]
+    assert sim.now == 100.0
+    # Two deferred starts, the attacker's timeout, the deferred throw,
+    # two process completions, and the stale wakeup at t=100.
+    assert sim.events_processed == 7
+
+
+def test_wait_token_gauntlet():
+    # Interrupt a process waiting on a shared event (callback detach),
+    # one with a deferred resume already on the heap, and that one
+    # twice at the same instant.  The surviving waiter must still fire.
+    sim = Simulator()
+    log = []
+    shared = sim.event()
+    fired = Event(sim)
+    fired.succeed("stale")
+
+    def waiter(event, tag):
+        try:
+            value = yield event
+            log.append((tag, "got", value, sim.now))
+        except Interrupt as exc:
+            log.append((tag, "int", exc.cause, sim.now))
+
+    victims = [
+        sim.process(waiter(shared, "shared-victim")),
+        sim.process(waiter(shared, "shared-survivor")),
+        sim.process(waiter(fired, "deferred-victim")),
+    ]
+
+    def attacker():
+        victims[0].interrupt("one")
+        victims[2].interrupt(cause="kw")
+        victims[2].interrupt("again")  # double interrupt, same instant
+        yield sim.timeout(2.0)
+        shared.succeed("late")
+
+    sim.process(attacker())
+    sim.run()
+    assert log == [
+        ("shared-victim", "int", "one", 0.0),
+        ("deferred-victim", "int", "kw", 0.0),
+        ("shared-survivor", "got", "late", 2.0),
+    ]
+    assert shared.callbacks == []
+    assert sim.now == 2.0
+    # ``fired``'s own callbacks entry, four deferred starts, the stale
+    # deferred resume, three deferred throws (the third a no-op), the
+    # attacker's timeout, ``shared``'s entry, and four completions.
+    assert sim.events_processed == 15
+
+
+def test_run_until_then_peek_then_resume_to_completion():
+    sim = Simulator()
+    fired = []
+
+    def worker():
+        for _ in range(4):
+            yield 5.0
+            fired.append(sim.now)
+
+    sim.process(worker())
+    sim.run(until=10.0)
+    assert (fired, sim.now, sim.peek()) == ([5.0, 10.0], 10.0, 15.0)
+    sim.run()
+    assert fired == [5.0, 10.0, 15.0, 20.0]
+    assert sim.now == 20.0 and sim.peek() is None
+    # Deferred start, four wakeups, and the process completion.
+    assert sim.events_processed == 6
