@@ -416,12 +416,6 @@ class LocalhostComputePlane(ComputePlane):
                               self.backend.kv.storage_bytes()),
             store="db",
         )
-        self.backend.log.add_storage_listener(
-            lambda b: self.log_gauge.set(b, self._now())
-        )
-        self.backend.kv.add_storage_listener(
-            lambda b: self.db_gauge.set(b, self._now())
-        )
         self.telemetry_sink = TelemetrySink(tracer, metrics)
         self.rpc_frame_errors = metrics.counters("rpc_frame_errors")
         self.status_queries = 0
@@ -497,6 +491,14 @@ class LocalhostComputePlane(ComputePlane):
 
     def _now(self) -> float:
         return (time.monotonic() - self._t0) * 1000.0
+
+    def _sample_storage(self) -> None:
+        """Feed the storage gauges the plane's byte counters: after
+        each served op (nothing else writes the plane during a run) and
+        when the result is built."""
+        now = self._now()
+        self.log_gauge.observe(self.backend.log.storage_bytes(), now)
+        self.db_gauge.observe(self.backend.kv.storage_bytes(), now)
 
     @property
     def rpc_ops_per_req(self) -> float:
@@ -1028,6 +1030,7 @@ class LocalhostComputePlane(ComputePlane):
         except BaseException as exc:  # noqa: BLE001 - forwarded to worker
             ok, payload = False, rpc.encode_error(exc)
         wall_ms = (time.monotonic() - started) * 1000.0
+        self._sample_storage()
         if serve_span is not None:
             if not ok:
                 serve_span.annotate("error", self._now())
@@ -1275,6 +1278,7 @@ class LocalhostComputePlane(ComputePlane):
     def _build_result(self, rate_per_s: float, duration_ms: float):
         from ..harness.platform import RunResult
 
+        self._sample_storage()
         now = self._now()
         have = self.latencies.count > 0
         wall_s = now / 1000.0

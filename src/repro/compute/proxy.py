@@ -149,8 +149,6 @@ class GatewayConnection:
 class _ProxySubstrate:
     """Generic method-forwarding proxy for one substrate name."""
 
-    _LOCAL_NOOPS = ("add_storage_listener", "add_shard_storage_listener")
-
     def __init__(self, conn: GatewayConnection, target: str):
         self._conn = conn
         self._target = target
@@ -158,8 +156,6 @@ class _ProxySubstrate:
     def __getattr__(self, method: str) -> Callable[..., Any]:
         if method.startswith("__"):
             raise AttributeError(method)
-        if method in self._LOCAL_NOOPS:
-            return lambda *a, **k: None
         conn, target = self._conn, self._target
 
         def remote(*args: Any, **kwargs: Any) -> Any:

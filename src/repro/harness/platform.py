@@ -246,54 +246,47 @@ class SimPlatform:
         self._store_next_free = [0.0] * num_store_stations
         self.store_wait_ms_total = 0.0
 
+        # Storage accounting is pulled: the substrates only count, and
+        # ``_sample_storage`` reads the two totals into these gauges.
+        self._log_bytes = backend.log.storage_bytes
+        self._db_bytes = backend.kv.storage_bytes
         self.log_gauge = metrics.register(
             "storage_bytes",
-            TimeWeightedGauge("log-bytes", 0.0,
-                              backend.log.storage_bytes()),
+            TimeWeightedGauge("log-bytes", 0.0, self._log_bytes()),
             store="log",
         )
         self.db_gauge = metrics.register(
             "storage_bytes",
-            TimeWeightedGauge("db-bytes", 0.0,
-                              backend.kv.storage_bytes()),
+            TimeWeightedGauge("db-bytes", 0.0, self._db_bytes()),
             store="db",
         )
-        backend.log.add_storage_listener(
-            lambda b: self.log_gauge.feed(b, self.sim.now)
-        )
-        backend.kv.add_storage_listener(
-            lambda b: self.db_gauge.feed(b, self.sim.now)
-        )
-        if plane.labelled:
-            self._register_placement_gauges(metrics, backend, plane)
+        # Per-shard / per-partition bytes (sharded planes only, so the
+        # default topology's metric set is unchanged): current value,
+        # read when the snapshot is taken.
+        placements = (
+            ("log", "shard", backend.log.shard_bytes,
+             plane.num_log_shards),
+            ("db", "partition", backend.kv.partition_bytes,
+             plane.num_kv_partitions),
+        ) if plane.labelled else ()
+        for store, label, read, count in placements:
+            for i in range(count):
+                metrics.probe(
+                    "storage_bytes",
+                    lambda read=read, i=i: {"type": "gauge",
+                                            "value": float(read(i))},
+                    store=store, **{label: i},
+                )
 
-    def _register_placement_gauges(self, metrics, backend, plane) -> None:
-        """Per-shard / per-partition ``storage_bytes`` gauges (sharded
-        planes only, so the default topology's metric set is unchanged)."""
-        shard_gauges = [
-            metrics.register(
-                "storage_bytes",
-                TimeWeightedGauge(f"log-shard-{i}-bytes", 0.0,
-                                  backend.log.shard_bytes(i)),
-                store="log", shard=i,
-            )
-            for i in range(plane.num_log_shards)
-        ]
-        backend.log.add_shard_storage_listener(
-            lambda shard, b: shard_gauges[shard].feed(b, self.sim.now)
-        )
-        partition_gauges = [
-            metrics.register(
-                "storage_bytes",
-                TimeWeightedGauge(f"db-partition-{i}-bytes", 0.0,
-                                  backend.kv.partition_bytes(i)),
-                store="db", partition=i,
-            )
-            for i in range(plane.num_kv_partitions)
-        ]
-        backend.kv.add_partition_storage_listener(
-            lambda part, b: partition_gauges[part].feed(b, self.sim.now)
-        )
+    def _sample_storage(self) -> None:
+        """Feed the storage gauges the substrates' byte counters.
+        Called at every instant storage can change, before the clock
+        leaves it: after each step of an invocation (the top of
+        ``_drain``, and after the step that finishes it), after a GC
+        pass, after a scheduled action, and before the result is built."""
+        now = self.sim.now
+        self.log_gauge.observe(self._log_bytes(), now)
+        self.db_gauge.observe(self._db_bytes(), now)
 
     # ------------------------------------------------------------------
     # Processes
@@ -426,6 +419,9 @@ class SimPlatform:
                         pause = resume(None)
             except StopIteration as stop:
                 pending_triggers = stop.value[2]
+                # The last step is not drained, and finishing can close
+                # a protocol switch (an END record lands in the log).
+                self._sample_storage()
             latency = self.sim.now - arrival_ms
             # A triggered callee occupies a worker and is tracked like
             # any invocation, but latency statistics and ``completed``
@@ -581,6 +577,7 @@ class SimPlatform:
         invocation's simulated time and are tallied separately.
         ``stages`` (the per-request breakdown vector) receives the same
         per-kind milliseconds plus the contention wait."""
+        self._sample_storage()
         cluster = self.config.cluster
         # Appends of one drained operation are treated as arriving at the
         # current instant; drains happen in global nondecreasing time
@@ -710,6 +707,7 @@ class SimPlatform:
         while True:
             yield interval
             self.runtime.run_gc()
+            self._sample_storage()
 
     def at(self, time_ms: float, action: Callable[[], None]) -> None:
         """Schedule ``action()`` at an absolute simulation time."""
@@ -719,6 +717,7 @@ class SimPlatform:
             if delay > 0:
                 yield delay
             action()
+            self._sample_storage()
 
         self.sim.process(process(), name="scheduled-action")
 
@@ -748,9 +747,15 @@ class SimPlatform:
         if self.lease is not None:
             self.lease.start()
         self.sim.run(until=duration_ms + drain_ms)
+        self._sample_storage()
 
         backend = self.runtime.backend
-        have_samples = self.latencies.count > 0
+        mean_ms, median_ms, p99_ms = (
+            self.latencies.stats() if self.latencies.count > 0
+            else (0.0, 0.0, 0.0)
+        )
+        avg_log_bytes = self.log_gauge.time_average(self.sim.now)
+        avg_db_bytes = self.db_gauge.time_average(self.sim.now)
         measured_ms = duration_ms - warmup_ms
         extras: Dict[str, Any] = {
             "events_processed": self.sim.events_processed,
@@ -765,19 +770,16 @@ class SimPlatform:
             completed=self.latencies.count,
             crashed_attempts=self.crashed_attempts,
             faulted_attempts=self.faulted_attempts,
-            median_ms=self.latencies.median() if have_samples else 0.0,
-            p99_ms=self.latencies.p99() if have_samples else 0.0,
-            mean_ms=self.latencies.mean() if have_samples else 0.0,
+            median_ms=median_ms,
+            p99_ms=p99_ms,
+            mean_ms=mean_ms,
             throughput_per_s=(
                 self.latencies.count * 1000.0 / measured_ms
                 if measured_ms > 0 else 0.0
             ),
-            avg_log_bytes=self.log_gauge.time_average(self.sim.now),
-            avg_db_bytes=self.db_gauge.time_average(self.sim.now),
-            avg_total_bytes=(
-                self.log_gauge.time_average(self.sim.now)
-                + self.db_gauge.time_average(self.sim.now)
-            ),
+            avg_log_bytes=avg_log_bytes,
+            avg_db_bytes=avg_db_bytes,
+            avg_total_bytes=avg_log_bytes + avg_db_bytes,
             latency_series=self.latency_series,
             counters=backend.counters.as_dict(),
             time_by_kind=dict(self.time_by_kind),

@@ -135,8 +135,6 @@ def _metric_wire(metric: Any, shipped: Dict[int, int]
         counts = metric.as_dict()
         return ("counters", counts) if counts else None
     if isinstance(metric, TimeWeightedGauge):
-        if metric._pending:
-            metric._integrate_pending()
         return ("gauge", (metric._value, metric._area,
                           metric._last_time, metric._start_time,
                           metric._max_value))

@@ -20,13 +20,17 @@ Three ways to get a metric in:
   snapshot time, for components whose state *is* the metric (breaker
   state machines, cache occupancy, log bytes).
 
+A component that buffers samples on its hot path and folds them into
+its registered metrics later hands the fold to :meth:`collector`, which
+:meth:`snapshot` runs first.
+
 Like the primitives themselves, the registry is simulation-agnostic and
 deterministic: it never samples a clock and holds plain Python state.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..simulation.metrics import (
@@ -59,6 +63,7 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: Dict[MetricKey, Any] = {}
         self._probes: Dict[MetricKey, Callable[[], Dict[str, Any]]] = {}
+        self._collectors: List[Callable[[], None]] = []
 
     # -- registration ---------------------------------------------------
 
@@ -83,13 +88,22 @@ class MetricsRegistry:
 
     def probe(self, name: str, fn: Callable[[], Dict[str, Any]],
               **labels: Any) -> None:
-        """Register a snapshot-time callable returning a flat dict."""
+        """Register a snapshot-time callable returning a flat dict.
+
+        The summary's ``type`` is ``"probe"`` unless the dict names its
+        own — a current-value read reports as ``{"type": "gauge",
+        "value": ...}`` and exports like any gauge."""
         key = _key(name, labels)
         if key in self._metrics or key in self._probes:
             raise SimulationError(
                 f"metric {_render_key(key)!r} already registered"
             )
         self._probes[key] = fn
+
+    def collector(self, fn: Callable[[], None]) -> None:
+        """Register a callable run at the top of every snapshot (it may
+        register metrics of its own while it runs)."""
+        self._collectors.append(fn)
 
     # -- typed get-or-create accessors ----------------------------------
 
@@ -179,6 +193,8 @@ class MetricsRegistry:
         (pass the simulation clock); omitted, gauges report up to their
         last update.
         """
+        for collect in self._collectors:
+            collect()
         out: Dict[str, Dict[str, Any]] = {}
         for key, metric in sorted(self._metrics.items()):
             out[_render_key(key)] = _summarise(metric, now_ms)
@@ -191,12 +207,13 @@ def _summarise(metric: Any, now_ms: Optional[float]) -> Dict[str, Any]:
     if isinstance(metric, LatencyRecorder):
         if metric.count == 0:
             return {"type": "latency", "count": 0}
+        mean, median, p99 = metric.stats()
         return {
             "type": "latency",
             "count": metric.count,
-            "mean_ms": metric.mean(),
-            "median_ms": metric.median(),
-            "p99_ms": metric.p99(),
+            "mean_ms": mean,
+            "median_ms": median,
+            "p99_ms": p99,
         }
     if isinstance(metric, Counter):
         return {"type": "counters", "counts": metric.as_dict()}

@@ -34,7 +34,7 @@ from ..errors import (
 )
 from ..observe import CAT_ATTEMPT, CAT_INVOCATION, Span
 from ..protocols import Protocol
-from ..simulation.rng import RngRegistry
+from ..simulation.rng import IntegerDrawBatch
 from ..store import TableIndex
 from .env import Env
 from .gc import GarbageCollector
@@ -267,7 +267,9 @@ class LocalRuntime:
         #: Keys declared immutable (Section 7): reads bypass the logging
         #: protocol entirely, writes are rejected.
         self.read_only_keys: set = set()
-        self._id_rng = self.backend.rng.stream("instance-ids")
+        self._instance_ids = IntegerDrawBatch(
+            self.backend.rng.stream("instance-ids"), 1 << 63
+        )
         #: Base clock for trace timestamps.  Direct mode runs at virtual
         #: time 0; the DES platform points this at its simulation clock
         #: so child invocations (``ctx.invoke`` runs them synchronously
@@ -321,7 +323,7 @@ class LocalRuntime:
     # ------------------------------------------------------------------
 
     def new_instance_id(self) -> str:
-        return f"{int(self._id_rng.integers(0, 1 << 63)):016x}"
+        return f"{self._instance_ids.next_int():016x}"
 
     def run_instance(self, func_name: str, input: Any, instance_id: str,
                      now: Callable[[], float], paced: bool,

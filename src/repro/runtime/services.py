@@ -53,9 +53,12 @@ from ..simulation.latency import (
     NormalDrawBatch,
 )
 from ..simulation.metrics import LatencyRecorder
-from ..simulation.rng import RngRegistry
+from ..simulation.rng import IntegerDrawBatch, RngRegistry
 from ..storageplane import StoragePlane, build_storage_plane
 
+#: Charges buffered before :meth:`ServiceBackend._fold` drains them into
+#: the ``op_latency`` recorders; bounds the buffer on long runs.
+_FOLD_THRESHOLD = 1024
 
 
 class Cost:
@@ -293,22 +296,17 @@ class ServiceBackend:
         #: ``RunResult.metrics`` is its snapshot.
         self.metrics = MetricsRegistry()
         self.counters = self.metrics.counters("ops")
-        #: Per-kind latency samples (successful, faulted, and degraded
-        #: charges alike), so experiments can report e.g. log-read p99
-        #: under brown-out without instrumenting every call site.
-        #: Registry-backed: each recorder is ``op_latency{kind=...}``.
-        self.op_latency: Dict[str, LatencyRecorder] = {}
-        #: Placement-labelled recorders, nested by kind so the hot
-        #: ``_note`` path needs no per-call tuple key.
-        self._op_latency_labelled: Dict[
-            str, Dict[Placement, LatencyRecorder]
-        ] = {}
-        #: Fused note channels: ``(kind, placement)`` → tuple of
-        #: sample-list ``append`` bound methods.  Built lazily on a
-        #: channel's first charge; thereafter ``_note`` is one dict hit
-        #: plus the appends (the recorders themselves stay registered in
-        #: ``op_latency`` / ``_op_latency_labelled`` for reporting).
-        self._note_channels: Dict[Any, tuple] = {}
+        #: Per-kind latency recorders behind :attr:`op_latency`, each
+        #: registered as ``op_latency{kind=...}``.
+        self._op_latency: Dict[str, LatencyRecorder] = {}
+        #: ``(kind, placement)`` → the sample lists a charge lands in:
+        #: its kind's, plus the per-shard / per-partition recorder's
+        #: when the plane routes the op.
+        self._fold_targets: Dict[Any, tuple] = {}
+        #: Charges not yet folded, in charge order: the cost traces'
+        #: own ``(kind, ms, placement)`` tuples.
+        self._charges: List[tuple] = []
+        self.metrics.collector(self._fold)
         #: Attach a :class:`repro.observe.Tracer` to record span trees;
         #: ``None`` (the default) disables tracing with zero overhead.
         self.tracer: Optional[Tracer] = None
@@ -332,6 +330,9 @@ class ServiceBackend:
         }
         self._latency_rng = self.rng.stream("service-latency")
         self._uuid_rng = self.rng.stream("uuid")
+        #: The 64-bit ids ``random_hex`` hands out are two 32-bit draws,
+        #: served from one batch over the stream.
+        self._uuid_halves = IntegerDrawBatch(self._uuid_rng, 1 << 32)
         self._jitter_rng = self.rng.stream("retry-jitter")
         #: Compiled per-kind samplers: the charge path draws through
         #: zero-arg closures instead of walking model objects per op.
@@ -444,12 +445,17 @@ class ServiceBackend:
                placement: Placement = None) -> float:
         ms = self._samplers[kind]() * factor
         # Inlined ``CostTrace.charge`` (same module): this is the single
-        # hottest accounting call in the DES, so skip the dispatch.
-        trace.entries.append((kind, ms, placement))
+        # hottest accounting call in the DES, so skip the dispatch.  The
+        # same tuple is buffered for ``op_latency`` (see ``_fold``).
+        entry = (kind, ms, placement)
+        trace.entries.append(entry)
         trace._total_ms += ms
         counts = self.counters._counts
         counts[kind] = counts.get(kind, 0) + 1
-        self._note(kind, ms, placement)
+        charges = self._charges
+        charges.append(entry)
+        if len(charges) >= _FOLD_THRESHOLD:
+            self._fold()
         return ms
 
     def charge_log_read(self, seqnum: Optional[int], trace: CostTrace,
@@ -462,56 +468,67 @@ class ServiceBackend:
             ms = self._lr_hit() * factor
         else:
             ms = self._lr_miss() * factor
-        trace.entries.append((Cost.LOG_READ, ms, placement))
+        entry = (Cost.LOG_READ, ms, placement)
+        trace.entries.append(entry)
         trace._total_ms += ms
         counts = self.counters._counts
         counts[Cost.LOG_READ] = counts.get(Cost.LOG_READ, 0) + 1
-        self._note(Cost.LOG_READ, ms, placement)
+        charges = self._charges
+        charges.append(entry)
+        if len(charges) >= _FOLD_THRESHOLD:
+            self._fold()
         return ms
 
     def charge_raw(self, kind: str, ms: float, trace: CostTrace) -> float:
         """Charge a policy-determined amount (backoff, timeout burn)."""
         trace.charge(kind, ms)
         self.counters.add(kind)
-        self._note(kind, ms, None)
+        # Rare (faults only): the next ``charge`` checks the threshold.
+        self._charges.append((kind, ms, None))
         return ms
 
-    def _note(self, kind: str, ms: float, placement: Placement) -> None:
-        """Record into ``op_latency{kind=}`` — plus the per-shard /
-        per-partition labelled recorder when the plane routes the op."""
-        if ms.__class__ is not float:
-            ms = float(ms)
-        # Charges are non-negative floats by construction, so append to
-        # each recorder's sample list directly (``record()`` re-checks
-        # and re-coerces on every call).
-        channel = self._note_channels.get((kind, placement))
-        if channel is None:
-            channel = self._build_note_channel(kind, placement)
-        for append in channel:
-            append(ms)
+    @property
+    def op_latency(self) -> Dict[str, LatencyRecorder]:
+        """Per-kind latency samples (successful, faulted, and degraded
+        charges alike), so experiments can report e.g. log-read p99
+        under brown-out without instrumenting every call site."""
+        self._fold()
+        return self._op_latency
 
-    def _build_note_channel(self, kind: str, placement: Placement) -> tuple:
-        """Resolve (and register) the recorders behind one note channel."""
-        recorder = self.op_latency.get(kind)
-        if recorder is None:
-            recorder = self.op_latency[kind] = self.metrics.latency(
-                "op_latency", kind=kind
+    def _fold(self) -> None:
+        """Drain the buffered charges, in charge order, into
+        ``op_latency{kind=}`` and the placement-labelled recorders,
+        registering each on its first charge.  Runs when the buffer
+        fills and when the recorders are read (``op_latency``, a
+        registry snapshot)."""
+        charges = self._charges
+        targets = self._fold_targets
+        for kind, ms, placement in charges:
+            sample_lists = targets.get((kind, placement))
+            if sample_lists is None:
+                sample_lists = self._fold_target(kind, placement)
+            if ms.__class__ is not float:
+                ms = float(ms)
+            # Charges are non-negative floats by construction, so append
+            # to each recorder's sample list directly (``record()``
+            # re-checks and re-coerces on every call).
+            for samples in sample_lists:
+                samples.append(ms)
+        charges.clear()
+
+    def _fold_target(self, kind: str, placement: Placement) -> tuple:
+        """Resolve (and register) the recorders one charge lands in."""
+        recorder = self._op_latency[kind] = self.metrics.latency(
+            "op_latency", kind=kind
+        )
+        sample_lists = (recorder._samples,)
+        if placement is not None:
+            labelled = self.metrics.latency(
+                "op_latency", kind=kind, **{placement[0]: placement[1]}
             )
-        if placement is None:
-            channel = (recorder._samples.append,)
-        else:
-            by_placement = self._op_latency_labelled.get(kind)
-            if by_placement is None:
-                by_placement = self._op_latency_labelled[kind] = {}
-            labelled = by_placement.get(placement)
-            if labelled is None:
-                labelled = by_placement[placement] = self.metrics.latency(
-                    "op_latency", kind=kind,
-                    **{placement[0]: placement[1]},
-                )
-            channel = (recorder._samples.append, labelled._samples.append)
-        self._note_channels[(kind, placement)] = channel
-        return channel
+            sample_lists += (labelled._samples,)
+        self._fold_targets[(kind, placement)] = sample_lists
+        return sample_lists
 
     def log_placement(self, tag: str) -> Placement:
         """Placement label of a log operation on ``tag`` (None at 1×1)."""
@@ -573,6 +590,9 @@ class ServiceBackend:
         return self.epoch_view.refresh()
 
     def random_hex(self, bits: int = 64) -> str:
+        if bits == 64:
+            half = self._uuid_halves.next_int
+            return f"{(half() << 32) | half():016x}"
         if bits > 63:
             high = int(self._uuid_rng.integers(0, 1 << (bits - 32)))
             low = int(self._uuid_rng.integers(0, 1 << 32))

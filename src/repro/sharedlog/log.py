@@ -20,7 +20,7 @@ index it, matching how Boki stores the record body once.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..errors import (
     ConditionalAppendError,
@@ -69,7 +69,6 @@ class SharedLog:
         self._storage_bytes = 0
         self._append_count = 0
         self._trim_count = 0
-        self._storage_listeners: List[Callable[[int], None]] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -100,14 +99,6 @@ class SharedLog:
     def storage_bytes(self) -> int:
         """Bytes held by live records (body counted once, plus metadata)."""
         return self._storage_bytes
-
-    def add_storage_listener(self, listener: Callable[[int], None]) -> None:
-        """Register a callback invoked with the new total after any change."""
-        self._storage_listeners.append(listener)
-
-    def _notify_storage(self) -> None:
-        for listener in self._storage_listeners:
-            listener(self._storage_bytes)
 
     # ------------------------------------------------------------------
     # Appends
@@ -192,7 +183,6 @@ class SharedLog:
             stream.append(record.seqnum)
         self._storage_bytes += self._meta_bytes + record.payload_bytes
         self._append_count += 1
-        self._notify_storage()
 
     # ------------------------------------------------------------------
     # Reads
@@ -272,5 +262,4 @@ class SharedLog:
                 del self._live_tag_refs[sn]
                 self._storage_bytes -= self._meta_bytes + record.payload_bytes
                 self._trim_count += 1
-        self._notify_storage()
         return len(removed)

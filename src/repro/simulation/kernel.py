@@ -100,7 +100,7 @@ class Timeout(Event):
         self._value = value
         self.delay = delay
         sim._eid += 1
-        heapq.heappush(sim._heap, (sim._now + delay, sim._eid, self))
+        heapq.heappush(sim._heap, (sim.now + delay, sim._eid, self))
 
 
 class Interrupt(Exception):
@@ -196,7 +196,7 @@ class Process(Event):
             sim._eid += 1
             heapq.heappush(
                 sim._heap,
-                (sim._now + target, sim._eid,
+                (sim.now + target, sim._eid,
                  (self._token_bound, self._wait_token)),
             )
             return
@@ -245,21 +245,19 @@ class Simulator:
     """The event loop: a clock plus a priority queue of pending events."""
 
     def __init__(self):
-        self._now = 0.0
+        #: The clock: a plain attribute the scheduler assigns (read on
+        #: every step of every process; a property would be a call).
+        self.now = 0.0
         self._heap: List[Tuple[float, int, Any]] = []
         self._eid = 0
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     # -- scheduling ---------------------------------------------------------
 
     def _schedule_callbacks(self, event: Event) -> None:
         """Queue an already-fired event's callbacks at the current instant."""
         self._eid += 1
-        heapq.heappush(self._heap, (self._now, self._eid, event))
+        heapq.heappush(self._heap, (self.now, self._eid, event))
 
     def _defer(self, fn: Callable[[Any], None], arg: Any) -> None:
         """Queue a bare callback at the current instant.
@@ -268,7 +266,7 @@ class Simulator:
         relative to real events is still by schedule counter.
         """
         self._eid += 1
-        heapq.heappush(self._heap, (self._now, self._eid, (fn, arg)))
+        heapq.heappush(self._heap, (self.now, self._eid, (fn, arg)))
 
     # -- public API ---------------------------------------------------------
 
@@ -299,7 +297,7 @@ class Simulator:
             time = heap[0][0]
             if until is not None and time > until:
                 break
-            self._now = time
+            self.now = time
             # Drain this timestamp in one pass.
             while True:
                 _, _eid, item = pop(heap)
@@ -311,8 +309,8 @@ class Simulator:
                 if not heap or heap[0][0] != time:
                     break
         self.events_processed += processed
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
 
     def run_until_complete(self, process: Process,
                            limit: Optional[float] = None) -> Any:
@@ -329,7 +327,7 @@ class Simulator:
                 raise SimulationError(
                     f"{process.name!r} exceeded time limit {limit}"
                 )
-            self._now = time
+            self.now = time
             self.events_processed += 1
             if item.__class__ is tuple:
                 item[0](item[1])

@@ -193,7 +193,19 @@ class LogNormalLatency(LatencyModel):
         mu, sigma = self._mu, self._sigma
         exp = math.exp
         next_normal = batch.next_normal
-        return lambda: exp(mu + sigma * next_normal())
+
+        def draw() -> float:
+            # Inlined ``next_normal``: the cursor is read here, so a
+            # draw is one Python call; only a refill goes through the
+            # batch (which swaps ``_buf``, hence the read per draw).
+            pos = batch._pos
+            buf = batch._buf
+            if pos < len(buf):
+                batch._pos = pos + 1
+                return exp(mu + sigma * buf[pos])
+            return exp(mu + sigma * next_normal())
+
+        return draw
 
     def percentile(self, q: float) -> float:
         """Analytic quantile, ``q`` in (0, 1)."""

@@ -57,13 +57,24 @@ class LatencyRecorder:
             raise SimulationError(f"recorder {self.name!r} is empty")
         return float(np.mean(self._samples))
 
+    def stats(self) -> Tuple[float, float, float]:
+        """``(mean, median, p99)`` from one array conversion — what
+        every report reads together; equal bit for bit to the three
+        separate calls."""
+        if not self._samples:
+            raise SimulationError(f"recorder {self.name!r} is empty")
+        arr = np.asarray(self._samples)
+        p50, p99 = np.percentile(arr, (50.0, 99.0))
+        return float(np.mean(arr)), float(p50), float(p99)
+
     def summary(self) -> "LatencySummary":
+        mean, median, p99 = self.stats()
         return LatencySummary(
             name=self.name,
             count=self.count,
-            mean_ms=self.mean(),
-            median_ms=self.median(),
-            p99_ms=self.p99(),
+            mean_ms=mean,
+            median_ms=median,
+            p99_ms=p99,
         )
 
     def merged(self, other: "LatencyRecorder") -> "LatencyRecorder":
@@ -124,7 +135,7 @@ class TimeWeightedGauge:
     """
 
     __slots__ = ("name", "_last_time", "_value", "_area", "_start_time",
-                 "_max_value", "_pending")
+                 "_max_value")
 
     def __init__(self, name: str, start_time_ms: float = 0.0,
                  initial_value: float = 0.0):
@@ -134,63 +145,16 @@ class TimeWeightedGauge:
         self._area = 0.0
         self._start_time = float(start_time_ms)
         self._max_value = float(initial_value)
-        #: Deferred (time, value) updates from :meth:`feed`, integrated
-        #: lazily on the next read (or eager :meth:`set`/:meth:`add`).
-        self._pending: Optional[list] = None
-
-    def feed(self, value: float, now_ms: float) -> None:
-        """Hot-path :meth:`set`: record the update, integrate later.
-
-        Storage listeners fire on every append/trim; buffering the
-        (time, value) pair costs one list append, and the piecewise
-        integration happens once, on the next read.  Ordering and
-        results are identical to eager ``set`` calls — including the
-        backwards-time rejection, which just surfaces at read time.
-        """
-        pending = self._pending
-        if pending is None:
-            pending = self._pending = []
-        pending.append((now_ms, value))
-
-    def _integrate_pending(self) -> None:
-        pending = self._pending
-        last = self._last_time
-        value = self._value
-        area = self._area
-        max_value = self._max_value
-        for now_ms, fed in pending:
-            if now_ms < last:
-                raise SimulationError(
-                    f"gauge {self.name!r} driven backwards in time "
-                    f"({now_ms} < {last})"
-                )
-            if now_ms > last:
-                area += value * (now_ms - last)
-                last = now_ms
-            value = float(fed)
-            if value > max_value:
-                max_value = value
-        self._last_time = last
-        self._value = value
-        self._area = area
-        self._max_value = max_value
-        pending.clear()
 
     @property
     def value(self) -> float:
-        if self._pending:
-            self._integrate_pending()
         return self._value
 
     @property
     def max_value(self) -> float:
-        if self._pending:
-            self._integrate_pending()
         return self._max_value
 
     def set(self, value: float, now_ms: float) -> None:
-        if self._pending:
-            self._integrate_pending()
         last = self._last_time
         if now_ms < last:
             raise SimulationError(
@@ -207,14 +171,17 @@ class TimeWeightedGauge:
         if value > self._max_value:
             self._max_value = value
 
+    def observe(self, value: float, now_ms: float) -> None:
+        """:meth:`set` for a sampler that reads a counter whether or not
+        it moved: an unchanged reading changes nothing and does not
+        split the integral, so a constant series averages to itself."""
+        if value != self._value:
+            self.set(value, now_ms)
+
     def add(self, delta: float, now_ms: float) -> None:
-        if self._pending:
-            self._integrate_pending()
         self.set(self._value + delta, now_ms)
 
     def time_average(self, now_ms: Optional[float] = None) -> float:
-        if self._pending:
-            self._integrate_pending()
         end = self._last_time if now_ms is None else float(now_ms)
         if end < self._last_time:
             raise SimulationError("time_average asked before last update")
@@ -226,8 +193,6 @@ class TimeWeightedGauge:
 
     def area_until(self, now_ms: float) -> float:
         """Integrated value·time up to ``now_ms`` (≥ the last update)."""
-        if self._pending:
-            self._integrate_pending()
         if now_ms < self._last_time:
             raise SimulationError(
                 f"gauge {self.name!r}: area_until({now_ms}) precedes "
@@ -251,10 +216,6 @@ class TimeWeightedGauge:
         updates — then divides once by the shared elapsed window, so
         ``merged.time_average()`` is the true combined average.
         """
-        if self._pending:
-            self._integrate_pending()
-        if other._pending:
-            other._integrate_pending()
         horizon = max(self._last_time, other._last_time)
         if horizon_ms is not None:
             horizon = max(horizon, float(horizon_ms))

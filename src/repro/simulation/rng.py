@@ -15,11 +15,37 @@ from typing import Dict
 
 import numpy as np
 
+#: Refill size of :class:`IntegerDrawBatch`.
+ID_DRAW_CHUNK = 256
+
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a stable 64-bit child seed from ``root_seed`` and ``name``."""
     digest = hashlib.sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+class IntegerDrawBatch:
+    """Chunked ``rng.integers(0, high)`` draws from one exclusively-owned
+    stream: a refill of ``size=ID_DRAW_CHUNK`` consumes the generator
+    exactly as that many scalar calls do, so the sequence is the scalar
+    one (``tests/simulation/test_batched_ids.py``).  Same contract as
+    :class:`~repro.simulation.latency.NormalDrawBatch`."""
+
+    __slots__ = ("rng", "high", "_buf")
+
+    def __init__(self, rng: np.random.Generator, high: int):
+        self.rng = rng
+        self.high = high
+        #: Undrawn Python ints, next draw last (``pop`` is the cursor).
+        self._buf: list = []
+
+    def next_int(self) -> int:
+        if not self._buf:
+            self._buf = self.rng.integers(
+                0, self.high, size=ID_DRAW_CHUNK
+            ).tolist()[::-1]
+        return self._buf.pop()
 
 
 class RngRegistry:

@@ -115,6 +115,12 @@ def audit_partitioned_kv(kv) -> List[str]:
                 f"partition {index}: byte accounting "
                 f"{store.storage_bytes()} != {actual}"
             )
+    summed = sum(kv.partition_bytes(i) for i in range(kv.num_partitions))
+    if kv.storage_bytes() != summed:
+        anomalies.append(
+            f"kv running byte total {kv.storage_bytes()} != {summed} "
+            "summed over partitions"
+        )
     return anomalies
 
 

@@ -31,7 +31,7 @@ by default and every default path stays bit-identical.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import PartitionUnavailableError, StoreError
 from ..store.kv import KVStore, StoredObject
@@ -49,12 +49,9 @@ class PartitionedKV:
     ):
         self.router = Router(partitions, placement)
         self._partitions = [KVStore() for _ in range(partitions)]
-        self._storage_listeners: List[Callable[[int], None]] = []
-        self._partition_listeners: List[Callable[[int, int], None]] = []
-        for index, store in enumerate(self._partitions):
-            store.add_storage_listener(
-                lambda _bytes, i=index: self._on_partition_change(i)
-            )
+        #: Running sum of the partitions' bytes: every mutation goes
+        #: through this facade, which adds the touched partition's delta.
+        self._storage_bytes = 0
         self._durability = bool(durability)
         #: Redo journals + checkpoints, one per partition (durability).
         self._journals: Optional[List[List[Tuple]]] = (
@@ -102,7 +99,7 @@ class PartitionedKV:
             yield from store.keys()
 
     def storage_bytes(self) -> int:
-        return sum(p.storage_bytes() for p in self._partitions)
+        return self._storage_bytes
 
     def partition_bytes(self, index: int) -> int:
         return self._partitions[index].storage_bytes()
@@ -131,25 +128,6 @@ class PartitionedKV:
             for i, p in enumerate(self._partitions)
         ]
 
-    def add_storage_listener(self, listener: Callable[[int], None]) -> None:
-        self._storage_listeners.append(listener)
-
-    def add_partition_storage_listener(
-        self, listener: Callable[[int, int], None]
-    ) -> None:
-        """Register ``listener(partition, partition_bytes)`` updates."""
-        self._partition_listeners.append(listener)
-
-    def _on_partition_change(self, index: int) -> None:
-        if self._storage_listeners:
-            total = self.storage_bytes()
-            for listener in self._storage_listeners:
-                listener(total)
-        if self._partition_listeners:
-            partition_bytes = self._partitions[index].storage_bytes()
-            for listener in self._partition_listeners:
-                listener(index, partition_bytes)
-
     # ------------------------------------------------------------------
     # Data plane (delegated per key)
     # ------------------------------------------------------------------
@@ -164,16 +142,20 @@ class PartitionedKV:
         return self._store(key).get_with_version(key)
 
     def put(self, key: str, value: Any, value_bytes: int = 0) -> None:
-        self._store(key).put(key, value, value_bytes)
+        store = self._store(key)
+        before = store._storage_bytes
+        store.put(key, value, value_bytes)
+        self._storage_bytes += store._storage_bytes - before
         if self._durability:
             self._journal(key, ("put", key, value, value_bytes))
 
     def conditional_put(
         self, key: str, value: Any, version: Any, value_bytes: int = 0
     ) -> bool:
-        applied = self._store(key).conditional_put(
-            key, value, version, value_bytes
-        )
+        store = self._store(key)
+        before = store._storage_bytes
+        applied = store.conditional_put(key, value, version, value_bytes)
+        self._storage_bytes += store._storage_bytes - before
         if self._durability:
             # Journal the *attempt*: replay from the checkpoint evolves
             # the same state, so it re-decides identically.
@@ -186,7 +168,10 @@ class PartitionedKV:
             self._journal(key, ("setv", key, version))
 
     def delete(self, key: str) -> bool:
-        deleted = self._store(key).delete(key)
+        store = self._store(key)
+        before = store._storage_bytes
+        deleted = store.delete(key)
+        self._storage_bytes += store._storage_bytes - before
         if self._durability:
             self._journal(key, ("del", key))
         return deleted
@@ -248,14 +233,10 @@ class PartitionedKV:
         rejected *before* taking effect, so protocol retries during the
         outage window cannot half-apply.
         """
-        fresh = KVStore()
-        fresh.add_storage_listener(
-            lambda _bytes, i=index: self._on_partition_change(i)
-        )
-        self._partitions[index] = fresh
+        self._partitions[index] = KVStore()
         self._down_partitions.add(index)
         self._degraded = True
-        self._on_partition_change(index)
+        self._recount_storage_bytes()
 
     def rebuild_partition(self, index: int) -> int:
         """Reconstruct a lost partition: checkpoint restore + redo replay.
@@ -292,5 +273,12 @@ class PartitionedKV:
         self._down_partitions.discard(index)
         self._degraded = bool(self._down_partitions)
         self._rebuilds += 1
-        self._on_partition_change(index)
+        self._recount_storage_bytes()
         return len(journal)
+
+    def _recount_storage_bytes(self) -> None:
+        """Crash and rebuild change a partition wholesale, outside the
+        per-key delegation that keeps the running total."""
+        self._storage_bytes = sum(
+            p.storage_bytes() for p in self._partitions
+        )

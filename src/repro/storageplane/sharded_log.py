@@ -18,10 +18,10 @@ trims its last referencing stream — the metalog's refcount, not any
 single shard, decides.
 
 At ``shards=1`` every operation takes the same code path shape as
-``SharedLog`` (same seqnums, same errors, same storage-byte
-notifications in the same order), which the golden-run tests verify
-bit-exactly; the split only becomes observable through per-shard
-metrics, placement labels, and the DES per-shard queueing model.
+``SharedLog`` (same seqnums, same errors, same storage bytes after
+every operation), which the golden-run tests verify bit-exactly; the
+split only becomes observable through per-shard metrics, placement
+labels, and the DES per-shard queueing model.
 
 Fault tolerance (the storage-chaos PR): every component is crashable.
 
@@ -47,7 +47,7 @@ chaos-free hot paths pay a single attribute test.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
 
 from ..errors import (
     ConditionalAppendError,
@@ -119,8 +119,6 @@ class ShardedLog:
         self._storage_bytes = 0
         self._append_count = 0
         self._trim_count = 0
-        self._storage_listeners: List[Callable[[int], None]] = []
-        self._shard_listeners: List[Callable[[int, int], None]] = []
         self.replication = int(replication)
         self._replica_sets = None
         if replication > 1:
@@ -235,23 +233,6 @@ class ShardedLog:
             }
             for s in self._shards
         ]
-
-    def add_storage_listener(self, listener: Callable[[int], None]) -> None:
-        self._storage_listeners.append(listener)
-
-    def add_shard_storage_listener(
-        self, listener: Callable[[int, int], None]
-    ) -> None:
-        """Register ``listener(shard_id, shard_bytes)`` per-shard updates."""
-        self._shard_listeners.append(listener)
-
-    def _notify_storage(self, shard_id: int) -> None:
-        for listener in self._storage_listeners:
-            listener(self._storage_bytes)
-        if self._shard_listeners:
-            shard_bytes = self._shards[shard_id].storage_bytes
-            for shard_listener in self._shard_listeners:
-                shard_listener(shard_id, shard_bytes)
 
     # ------------------------------------------------------------------
     # Appends
@@ -383,7 +364,6 @@ class ShardedLog:
         home.homed_records += 1
         home.append_count += 1
         self._append_count += 1
-        self._notify_storage(home.shard_id)
 
     # ------------------------------------------------------------------
     # Reads
@@ -465,7 +445,6 @@ class ShardedLog:
             self._replica_sets[shard_id].mirror_trim(tag, cut)
         self.metalog.note_trim(shard.shard_id, removed[-1])
         self.metalog.note_stream_trim(tag, len(removed), removed[-1])
-        freed_home: Optional[int] = None
         for sn in removed:
             if self.metalog.release_ref(sn):
                 record = self._records.pop(sn)
@@ -476,13 +455,6 @@ class ShardedLog:
                 home.storage_bytes -= size
                 home.homed_records -= 1
                 self._trim_count += 1
-                freed_home = home_id
-        # One notification per trim call, as the monolithic log does;
-        # report the shard whose bytes changed (the trimming shard when
-        # only indexes moved).
-        self._notify_storage(
-            shard.shard_id if freed_home is None else freed_home
-        )
         return len(removed)
 
     # ------------------------------------------------------------------

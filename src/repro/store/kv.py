@@ -16,7 +16,7 @@ always lands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from ..errors import KeyMissingError, StoreError
 
@@ -42,7 +42,6 @@ class KVStore:
         self._writes = 0
         self._conditional_writes = 0
         self._conditional_rejections = 0
-        self._storage_listeners: List[Callable[[int], None]] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -71,13 +70,6 @@ class KVStore:
     @property
     def conditional_rejections(self) -> int:
         return self._conditional_rejections
-
-    def add_storage_listener(self, listener: Callable[[int], None]) -> None:
-        self._storage_listeners.append(listener)
-
-    def _notify_storage(self) -> None:
-        for listener in self._storage_listeners:
-            listener(self._storage_bytes)
 
     # ------------------------------------------------------------------
     # Data plane
@@ -141,7 +133,6 @@ class KVStore:
         if obj is None:
             return False
         self._storage_bytes -= obj.value_bytes
-        self._notify_storage()
         return True
 
     # ------------------------------------------------------------------
@@ -168,4 +159,3 @@ class KVStore:
             self._storage_bytes -= old.value_bytes
         self._data[key] = obj
         self._storage_bytes += obj.value_bytes
-        self._notify_storage()

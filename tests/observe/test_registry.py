@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.observe import MetricsRegistry
+from repro.observe import MetricsRegistry, lint_prom_text, prom_text
 from repro.simulation import Counter, LatencyRecorder
 
 
@@ -72,6 +72,34 @@ class TestRegisterAndProbe:
         assert snap["circuit_breaker{service=log}"] == {
             "type": "probe", "trips": 3,
         }
+
+    def test_probe_may_name_its_own_type(self):
+        # A current-value read reports (and exports) as a gauge.
+        reg = MetricsRegistry()
+        reg.probe("storage_bytes", lambda: {"type": "gauge", "value": 9.0},
+                  store="log", shard=0)
+        snap = reg.snapshot()
+        assert snap["storage_bytes{shard=0,store=log}"] == {
+            "type": "gauge", "value": 9.0,
+        }
+        text = prom_text(snap)
+        assert 'storage_bytes{shard="0",store="log"} 9' in text
+        assert lint_prom_text(text) == []
+
+    def test_collector_runs_before_each_snapshot(self):
+        # A component that buffers on its hot path folds when asked;
+        # the fold may register metrics of its own.
+        reg = MetricsRegistry()
+        buffered = [1.0, 3.0]
+
+        def fold():
+            reg.latency("late").extend(buffered)
+            buffered.clear()
+
+        reg.collector(fold)
+        assert reg.snapshot()["late"]["count"] == 2
+        buffered.append(5.0)
+        assert reg.snapshot()["late"]["count"] == 3
 
     def test_duplicate_probe_rejected(self):
         reg = MetricsRegistry()

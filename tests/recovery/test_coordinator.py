@@ -24,7 +24,7 @@ def test_orphans_redispatched_on_node_failure():
     assert tracker.orphan_count == 2
     assert coord.pending_count == 2
 
-    sim._now = 400.0  # advance the clock without running processes
+    sim.now = 400.0  # advance the clock without running processes
     coord.node_failed(0, detected_at_ms=400.0)
     assert [o.instance_id for o in redispatched] == ["a", "b"]
     assert coord.recovered == 2

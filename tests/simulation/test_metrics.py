@@ -1,5 +1,6 @@
 """Unit tests for measurement primitives."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -39,6 +40,23 @@ class TestLatencyRecorder:
         assert summary.median_ms == 2.0
         assert "ops" in str(summary)
 
+    @pytest.mark.parametrize("length", [1, 2, 3, 100, 10_001])
+    def test_stats_equals_the_three_separate_reads(self, length):
+        # One array conversion, one two-quantile percentile call: bit
+        # for bit what mean() / median() / p99() each compute alone.
+        rec = LatencyRecorder()
+        rec.extend(np.random.default_rng(length).lognormal(
+            0.5, 1.2, size=length
+        ))
+        assert rec.stats() == (rec.mean(), rec.median(), rec.p99())
+        summary = rec.summary()
+        assert (summary.mean_ms, summary.median_ms,
+                summary.p99_ms) == rec.stats()
+
+    def test_stats_of_empty_recorder_raises(self):
+        with pytest.raises(SimulationError):
+            LatencyRecorder("empty").stats()
+
     def test_merged(self):
         a = LatencyRecorder()
         b = LatencyRecorder()
@@ -72,6 +90,33 @@ class TestTimeWeightedGauge:
         g.set(0.0, now_ms=20.0)    # 20 for [10,20)
         # average over [0, 40): (10*10 + 20*10 + 0*20) / 40 = 7.5
         assert g.time_average(40.0) == pytest.approx(7.5)
+
+    def test_observed_constant_series_averages_to_itself(self):
+        # A sampler reads the counter at every instant, moved or not.
+        # ``set`` splits the integral at each call and the pieces sum
+        # to 153 600.00000000003-style drift; ``observe`` leaves an
+        # unchanged reading alone, so the average is the value.
+        instants = np.cumsum(
+            np.random.default_rng(7).exponential(0.37, size=1_000)
+        )
+        eager = TimeWeightedGauge("db", 0.0, 153_600)
+        sampled = TimeWeightedGauge("db", 0.0, 153_600)
+        for now in instants:
+            eager.set(153_600, now)
+            sampled.observe(153_600, now)
+        end = float(instants[-1]) + 1.0
+        assert sampled.time_average(end) == sampled.value == 153_600.0
+        assert eager.time_average(end) != 153_600.0  # why it matters
+
+    def test_observe_of_a_new_value_is_a_set(self):
+        g = TimeWeightedGauge("g", 0.0, 10.0)
+        g.observe(10.0, 5.0)
+        g.observe(20.0, 10.0)
+        g.observe(20.0, 15.0)
+        assert (g.value, g.max_value) == (20.0, 20.0)
+        assert g.time_average(20.0) == pytest.approx(15.0)
+        with pytest.raises(SimulationError):
+            g.observe(1.0, 9.0)
 
     def test_add_delta(self):
         g = TimeWeightedGauge("g")

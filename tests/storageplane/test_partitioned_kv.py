@@ -73,23 +73,32 @@ def test_counters_and_bytes_sum_over_partitions():
 
 def test_partition_storage_listener_reports_the_touched_partition():
     kv = PartitionedKV(partitions=4)
-    events = []
-    kv.add_partition_storage_listener(lambda p, b: events.append((p, b)))
     kv.put("hello", 1, value_bytes=30)
     home = kv.partition_of("hello")
-    assert events == [(home, kv.partition_bytes(home))]
+    assert [kv.partition_bytes(i) for i in range(4)] == [
+        30 if i == home else 0 for i in range(4)
+    ]
 
 
 def test_aggregate_storage_listener_sees_totals():
     kv = PartitionedKV(partitions=2)
     totals = []
-    kv.add_storage_listener(totals.append)
     kv.put("x", 1, value_bytes=10)
+    totals.append(kv.storage_bytes())
     kv.put("y", 2, value_bytes=10)
+    totals.append(kv.storage_bytes())
     # Aggregate totals after each write, regardless of which partition
-    # absorbed it.
+    # absorbed it; replace, conditional write and delete keep the
+    # running total equal to the partitions' sum.
     assert totals == [10, 20]
-    assert kv.storage_bytes() == 20
+    kv.put("x", 1, value_bytes=25)
+    assert kv.conditional_put("y", 3, (1, 0), value_bytes=5)
+    assert not kv.conditional_put("y", 4, (1, 0), value_bytes=50)
+    assert kv.storage_bytes() == 30
+    assert kv.delete("x") and not kv.delete("x")
+    assert kv.storage_bytes() == 5 == sum(
+        kv.partition_bytes(i) for i in range(2)
+    )
 
 
 def test_multiversion_store_works_over_partitions():

