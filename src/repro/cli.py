@@ -26,28 +26,32 @@ Commands map one-to-one onto the experiment harness::
     python -m repro profile [--target shards] [--top 25]
     python -m repro advise --read-ratio 0.8 --rate 300
 
-Every experiment command additionally accepts ``--seed N`` (reseed the
-whole run deterministically) and ``--fault-rate R`` (inject transient
-infrastructure faults — errors, timeouts, gray failure — into every
-log/store operation at rate ``R``; see :mod:`repro.faults`), plus the
-storage-plane topology flags ``--storage-backend`` / ``--log-shards`` /
-``--kv-partitions`` / ``--placement`` (see :mod:`repro.storageplane`;
-the default 1×1 ``auto`` topology is bit-identical to the pre-plane
-code, which the CI golden-run diff enforces), and the sequencing flags
+Each command is one row of :data:`COMMANDS`: the harness driver it
+calls and, per flag, the driver parameter the flag feeds.  A flag's
+type, default and ``nargs`` are read from that parameter's declaration,
+so a default is written once, in the harness (DESIGN.md,
+"Per-experiment index", has the rule).
+
+Every experiment command also parses the shared flags: ``--seed N``
+(reseed the whole run), ``--fault-rate R`` (transient infrastructure
+faults on every log/store operation; :mod:`repro.faults`), the
+storage-plane flags ``--storage-backend`` / ``--log-shards`` /
+``--kv-partitions`` / ``--placement`` (:mod:`repro.storageplane`) and
 ``--sequencer`` / ``--sequencer-batch`` / ``--sequencer-hold`` /
-``--sequencer-block`` (see :mod:`repro.storageplane.sequencer`; the
-default ``monolith`` strategy is likewise bit-identical).
+``--sequencer-block`` (:mod:`repro.storageplane.sequencer`), ``--jobs N``
+(fan a sweep's cells over N worker processes) and ``--trace-out PATH``
+(write a Perfetto-loadable Chrome trace of the run).  The defaults —
+1×1 ``auto`` topology, ``monolith`` sequencer, any job count, tracing
+on or off — print bit-identical tables.  A command honours a shared
+flag or exits 2 naming it, never drops it: ``chaos --fault-rate`` (use
+``--fault-rates``), ``storagechaos --storage-backend`` (it picks its
+own), ``table1 --jobs`` (no pool), ``table1 --trace-out`` (no
+tracer).
 
-``--jobs N`` fans each sweep's independent cells out over N worker
-processes (default: all cores but one).  Output is bit-identical at
-every job count — cells are deterministically seeded and reassembled
-in grid order — which the CI golden diff enforces.
-
-``--trace-out PATH`` attaches a span tracer to the run and writes a
-Chrome trace-event JSON file (loadable in https://ui.perfetto.dev or
-``chrome://tracing``); supported by the commands that execute
-invocations (fig10-13, chaos, failover, trace).  Tracing never changes
-results: the same seed prints the same tables with or without it.
+``chaos``, ``failover``, ``storagechaos`` and ``live`` end with the
+verdict of the exactly-once audit (:mod:`repro.harness.audit`):
+``exactly-once audit: PASS (...)``, or one ``AUDIT FAILURE: ...`` line
+per failure and exit 1.
 
 Each command prints the same table the corresponding benchmark saves.
 """
@@ -55,16 +59,23 @@ Each command prints the same table the corresponding benchmark saves.
 from __future__ import annotations
 
 import argparse
+import inspect
+import os
 import signal
 import sys
-from typing import List, Optional
+import typing
+from collections import abc
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .analysis import ProtocolAdvisor, WorkloadProfile
+from .compute.status import top_loop
 from .config import SystemConfig
+from .errors import ConfigError
 from .harness import (
     APP_FACTORIES,
+    PROFILE_TARGETS,
     SweepInterrupted,
-    audit_live_points,
+    audit_verdict,
     default_jobs,
     profile_report,
     run_brownout_comparison,
@@ -86,11 +97,453 @@ from .harness import (
     trace_breakdown_table,
     trace_summary_table,
 )
-from .observe import Tracer, breakdown_table, write_chrome_trace
+from .harness.parallel import cell_config
+from .harness.profile_exp import SORT_KEYS
+from .harness.scale_exp import DEFAULT_SEQUENCERS
+from .harness.storagechaos import DEFAULT_COMPONENTS
+from .observe import (
+    Tracer,
+    breakdown_table,
+    write_chrome_trace,
+    write_prom_text,
+)
+from .protocols.registry import SYSTEMS
 
-#: Commands that execute invocations and accept an attached tracer.
-_TRACEABLE = ("fig10", "fig11", "fig12", "fig13", "chaos", "failover",
-              "storagechaos", "trace", "shards", "scale", "live")
+
+class Flag(NamedTuple):
+    """One flag of a command: its spelling, the driver parameter it
+    feeds (``None``: only the command's ``render`` reads it) and its
+    help.  ``spec`` overrides what the parameter would derive — the
+    deliberate CLI defaults of the paper figures, ``choices``,
+    ``metavar``.  A ``--no-…`` spelling passes ``False`` when given."""
+
+    spelling: str
+    param: Optional[str]
+    help: Optional[str]
+    spec: Dict[str, Any]
+
+    @property
+    def dest(self) -> str:
+        return self.spelling.lstrip("-").replace("-", "_")
+
+
+def _flag(spelling: str, param: Optional[str], help: Optional[str] = None,
+          **spec: Any) -> Flag:
+    return Flag(spelling, param, help, spec)
+
+
+def _parameters(driver: Callable[..., Any]) -> Dict[str, Tuple[Any, Any]]:
+    """``{name: (default, type hint)}`` of every keyword the driver
+    accepts.  A sweep's ``**kwargs`` stand for the parameters of its
+    point function (``sweep_of``), minus the point's required ones —
+    those are the sweep's axes; the sweep's own declarations win."""
+    found: Dict[str, Tuple[Any, Any]] = {}
+    fn: Optional[Callable[..., Any]] = driver
+    while fn is not None:
+        hints = typing.get_type_hints(fn)
+        forwards = False
+        for name, parameter in inspect.signature(fn).parameters.items():
+            if parameter.kind is parameter.VAR_KEYWORD:
+                forwards = True
+            elif fn is driver or parameter.default is not parameter.empty:
+                found.setdefault(name, (parameter.default, hints.get(name)))
+        fn = getattr(fn, "point_fn", None) if forwards else None
+    return found
+
+
+def _argument_spec(flag: Flag,
+                   parameters: Dict[str, Tuple[Any, Any]]) -> Dict[str, Any]:
+    """``add_argument`` keywords for ``flag``, derived from its driver
+    parameter: ``Sequence[T]`` → ``nargs="+"``, ``bool`` → a switch,
+    ``Optional[T]`` → ``T``, no default → required."""
+    if flag.param is None:
+        return dict(flag.spec)
+    default, hint = parameters[flag.param]
+    inner = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if len(inner) < len(typing.get_args(hint)):  # Optional[T]
+        hint = inner[0]
+    if hint is bool:
+        spec: Dict[str, Any] = dict(action="store_true")
+    elif typing.get_origin(hint) is abc.Sequence:
+        spec = dict(nargs="+", type=typing.get_args(hint)[0],
+                    default=list(default))
+    elif default is inspect.Parameter.empty and "default" not in flag.spec:
+        spec = dict(type=hint, required=True)
+    else:
+        spec = dict(type=hint, default=default)
+    if flag.param == "protocol":
+        spec["choices"] = list(SYSTEMS)
+    spec.update(flag.spec)
+    return spec
+
+
+# -- renders: only where printing is not "print the table(s)" ---------------
+
+def _print_result(result: Any, args=None, shared=None) -> None:
+    """A report string, one table, or a dict of tables (each followed by
+    a blank line)."""
+    if isinstance(result, dict):
+        for table in result.values():
+            print(table.render())
+            print()
+    elif isinstance(result, str):
+        print(result)
+    else:
+        print(result.render())
+
+
+def _call(fn: Callable[..., Any], shared: Dict[str, Any], **kwargs: Any):
+    """Call ``fn`` with ``kwargs`` plus whatever of ``shared`` (config,
+    seed, tracer, jobs, forwarded shared flags) it accepts."""
+    accepted = _parameters(fn)
+    kwargs.update(
+        (name, value) for name, value in shared.items()
+        if name in accepted and value is not None
+    )
+    return fn(**kwargs)
+
+
+def _write_trace(tracer: Tracer, path: str) -> None:
+    trace_json = write_chrome_trace(tracer, path)
+    print(
+        f"trace written to {path} "
+        f"({trace_json['otherData']['spans']} spans, "
+        f"{len(trace_json['traceEvents'])} events)"
+    )
+
+
+def _render_fig10(tables, args, shared) -> None:
+    print("\n\n".join(table.render() for table in tables.values()))
+
+
+def _render_fig13(tables, args, shared) -> None:
+    _print_result(tables)
+    # Where the milliseconds go at the first swept rate: the mechanism
+    # behind the crossover the tables above show.
+    _print_result(_call(
+        run_latency_breakdown, shared,
+        rate_per_s=args.rates[0], duration_ms=args.duration,
+    ))
+
+
+def _render_chaos(table, args, shared) -> None:
+    _print_result(table)
+    print()
+    # Cells run in the order the rates were given, so each system's
+    # last point is the one kept.
+    _print_result(breakdown_table(
+        {point.protocol: point.breakdown for point in table.points},
+        f"Latency breakdown at fault rate {max(args.fault_rates)}",
+    ))
+    if args.brownout:
+        print()
+        _print_result(_call(run_brownout_comparison, shared))
+
+
+def _render_failover(table, args, shared) -> None:
+    _print_result(table)
+    print()
+    # The first (shortest) lease: where takeover-gap and detection
+    # stages are easiest to compare.
+    breakdowns: Dict[str, Any] = {}
+    for point in table.points:
+        breakdowns.setdefault(point.protocol, point.result.breakdown)
+    _print_result(breakdown_table(
+        breakdowns, f"Latency breakdown at lease {args.leases[0]:.0f}ms"
+    ))
+
+
+def _render_live(table, args, shared) -> None:
+    _print_result(table)
+    if args.prom_out is not None:
+        for point in table.points:
+            path = f"{args.prom_out}.{point.protocol}"
+            write_prom_text(point.result.metrics, path)
+            print(f"prometheus snapshot written to {path}")
+
+
+def _render_trace(outcome, args, shared) -> None:
+    result, run_tracer = outcome
+    _print_result(trace_summary_table(result))
+    print()
+    _print_result(trace_breakdown_table(result))
+    out = args.out if args.out is not None else args.trace_out
+    if run_tracer is not None and out is not None:
+        _write_trace(run_tracer, out)
+
+
+def _advise(read_ratio: float, arrival_rate_per_s: float = 100.0,
+            value_bytes: int = 256) -> str:
+    recommendation = ProtocolAdvisor(value_bytes=value_bytes).recommend(
+        WorkloadProfile(
+            p_read=read_ratio,
+            p_write=1.0 - read_ratio,
+            arrival_rate_per_s=arrival_rate_per_s,
+        )
+    )
+    return (f"{recommendation.explain()}\n"
+            f"recommended protocol: {recommendation.protocol}")
+
+
+class Command(NamedTuple):
+    help: str
+    driver: Callable[..., Any]
+    flags: Tuple[Flag, ...]
+    #: ``render(result, args, shared)`` prints the driver's result and
+    #: may return the exit code.
+    render: Callable[[Any, argparse.Namespace, Dict[str, Any]],
+                     Optional[int]] = _print_result
+    #: The result is a table of audited points: the command ends with
+    #: the exactly-once verdict and exits by it.
+    audited: bool = False
+
+
+#: The paper-figure commands whose CLI default is deliberately smaller
+#: or larger than the library's carry it as an explicit ``default=``:
+#: ``table1 --samples``, ``fig10 --requests``, ``fig11``/``fig12
+#: --duration``, ``fig13 --rates``, ``recovery --requests``.
+COMMANDS: Dict[str, Command] = {
+    "table1": Command("primitive op latencies", run_table1, (
+        _flag("--samples", "samples", default=10_000),
+    )),
+    "fig10": Command("read/write latency, 4 systems", run_fig10, (
+        _flag("--requests", "requests", default=1_500),
+        _flag("--keys", "num_keys"),
+    ), _render_fig10),
+    "fig11": Command("apps: latency vs throughput", run_fig11, (
+        _flag("--apps", "apps", choices=list(APP_FACTORIES)),
+        _flag("--duration", "duration_ms", default=5_000.0),
+    )),
+    "fig12": Command("storage vs read ratio", run_fig12, (
+        _flag("--size", "value_bytes"),
+        _flag("--gc", "gc_interval_ms"),
+        _flag("--duration", "duration_ms", default=25_000.0),
+    )),
+    "fig13": Command("latency vs read ratio", run_fig13, (
+        _flag("--rates", "rates", default=[150.0, 350.0]),
+        _flag("--duration", "duration_ms"),
+    ), _render_fig13),
+    "fig14": Command("protocol switching delay", run_fig14, (
+        _flag("--rates", "rates"),
+    )),
+    "recovery": Command("cost under failures", run_recovery_sweep, (
+        _flag("--f", "f_values"),
+        _flag("--requests", "requests", default=300),
+    )),
+    "chaos": Command(
+        "crashes × infra faults: goodput, p99, exactly-once audit",
+        run_chaos_sweep, (
+            _flag("--fault-rates", "fault_rates"),
+            _flag("--requests", "requests"),
+            _flag("--crash-f", "crash_f"),
+            _flag("--brownout", None,
+                  "also run the log brown-out fallback ablation",
+                  action="store_true"),
+        ), _render_chaos, audited=True),
+    "failover": Command(
+        "node crash under load: lease detection, orphan takeover, "
+        "exactly-once audit",
+        run_failover_sweep, (
+            _flag("--leases", "lease_values",
+                  "lease durations (ms) to sweep"),
+            _flag("--crash-at", "crash_at_ms",
+                  "simulated time (ms) of the node crash"),
+            _flag("--rate", "rate_per_s",
+                  "offered load (requests per second)"),
+            _flag("--duration", "duration_ms", "arrival window (ms)"),
+            _flag("--systems", "systems", "protocols to sweep"),
+        ), _render_failover, audited=True),
+    "storagechaos": Command(
+        "storage components killed under load: metalog failover, "
+        "shard loss, partition rebuild; exactly-once + "
+        "consistency audits",
+        run_storagechaos_sweep, (
+            _flag("--components", "components",
+                  "storage components to kill (one cell each)",
+                  choices=list(DEFAULT_COMPONENTS)),
+            _flag("--systems", "systems", "protocols to sweep"),
+            _flag("--replications", "replications",
+                  "log-shard replication factors to sweep "
+                  "(1 is the paper-faithful default)"),
+            _flag("--sequencers", "sequencers",
+                  "metalog sequencing strategies to chaos-test (the "
+                  "default keeps the historical grid; add "
+                  "batched/leased-ranges to prove group commit and "
+                  "leased blocks survive failover)",
+                  choices=list(DEFAULT_SEQUENCERS)),
+            _flag("--crash-at", "crash_at_ms",
+                  "simulated time (ms) of the kill"),
+            _flag("--recover-after", "recover_after_ms",
+                  "delay (ms) from kill to failover/repair/rebuild"),
+            _flag("--rate", "rate_per_s",
+                  "offered load (requests per second)"),
+            _flag("--duration", "duration_ms", "arrival window (ms)"),
+            _flag("--crash-f", "crash_f",
+                  "instance crash probability per operation boundary "
+                  "(the unsafe control needs it to violate)"),
+        ), audited=True),
+    "trace": Command(
+        "one traced DES run: latency breakdown + Chrome trace export",
+        run_trace, (
+            _flag("--protocol", "protocol"),
+            _flag("--rate", "rate_per_s",
+                  "offered load (requests per second)"),
+            _flag("--duration", "duration_ms", "arrival window (ms)"),
+            _flag("--read-ratio", "read_ratio"),
+            _flag("--crash-node", "crash_node",
+                  "function node to crash (default 0 when --crash-at "
+                  "is given)"),
+            _flag("--crash-at", "crash_at_ms",
+                  "simulated time (ms) of a node crash; enables "
+                  "lease-based recovery"),
+            _flag("--out", None,
+                  "write the Chrome trace-event JSON here (same as "
+                  "--trace-out)", type=str, metavar="PATH"),
+            _flag("--no-trace", "tracing",
+                  "run without a tracer attached (results are "
+                  "identical; used by the determinism check)"),
+        ), _render_trace),
+    "shards": Command(
+        "storage-plane scaling: p99 vs load by log-shard count",
+        run_shard_sweep, (
+            _flag("--shards", "shard_counts", "log-shard counts to sweep"),
+            _flag("--rates", "rates",
+                  "offered loads (requests per second)"),
+            _flag("--protocol", "protocol"),
+            _flag("--read-ratio", "read_ratio"),
+            _flag("--duration", "duration_ms", "arrival window (ms)"),
+        )),
+    "scale": Command(
+        "sequencer scaling: p99 + sequencer occupancy vs offered "
+        "load per sequencing strategy, Zipf-skewed users",
+        run_scale_sweep, (
+            _flag("--sequencers", "sequencers",
+                  "sequencing strategies to sweep"),
+            _flag("--rates", "rates",
+                  "offered loads (requests per second)"),
+            _flag("--users", "num_users",
+                  "Zipf user population (10^5-10^6)"),
+            _flag("--ops", "ops_per_request",
+                  "write+read pairs per request"),
+            _flag("--protocol", "protocol"),
+            _flag("--duration", "duration_ms", "arrival window (ms)"),
+            _flag("--diurnal", "diurnal_base",
+                  "replace --rates with samples of a day-shaped load "
+                  "curve around BASE_RATE req/s", metavar="BASE_RATE"),
+            _flag("--diurnal-points", "diurnal_points",
+                  "rate samples along the diurnal curve"),
+        )),
+    "live": Command(
+        "live compute plane: real worker processes over a unix "
+        "socket, seeded mid-invocation SIGKILLs, wall-clock lease "
+        "recovery, exactly-once audit (exits nonzero on failure)",
+        run_live, (
+            _flag("--workers", "workers", "worker processes in the pool"),
+            _flag("--kills", "kills",
+                  "mid-invocation SIGKILLs to deliver"),
+            _flag("--rate", "rate_per_s",
+                  "offered load (requests per second)"),
+            _flag("--requests", "requests",
+                  "total invocations to issue"),
+            _flag("--lease", "lease_ms",
+                  "wall-clock lease duration (ms)"),
+            _flag("--crash-f", "crash_f",
+                  "worker-internal instance crash probability "
+                  "(soft failures, composable with SIGKILLs)"),
+            _flag("--admission", "max_inflight",
+                  "bound gateway admission at N in-flight invocations; "
+                  "excess arrivals are shed deterministically and "
+                  "counted in the admission_rejections metric "
+                  "(default: unbounded)", metavar="N"),
+            _flag("--deadline", "deadline_s",
+                  "abort the run after this many wall seconds"),
+            _flag("--systems", "systems",
+                  "protocols to audit (unsafe is the must-violate "
+                  "control)"),
+            _flag("--no-telemetry", "telemetry",
+                  "disable worker telemetry shipping even when traced "
+                  "(default: telemetry is on iff --trace-out is "
+                  "given)"),
+            _flag("--flightrec-dir", "flightrec_dir",
+                  "directory for flight-recorder dumps and the "
+                  "repro-top discovery file (default: none — no "
+                  "artifacts)", metavar="DIR"),
+            _flag("--prom-out", None,
+                  "write the final metrics snapshot in Prometheus "
+                  "text format (one file per audited system: "
+                  "PATH.<system>)", type=str, metavar="PATH"),
+        ), _render_live, audited=True),
+    "top": Command(
+        "poll a running live gateway's STATUS endpoint and render "
+        "run state (workers, chaos, latency) until it exits",
+        top_loop, (
+            _flag("--gateway", "target",
+                  "gateway socket, discovery file, or the "
+                  "--flightrec-dir of the run (default: results/)",
+                  default="results", metavar="PATH"),
+            _flag("--interval", "interval_s", "poll interval in seconds"),
+            _flag("--once", "once",
+                  "take one snapshot and exit (scriptable)"),
+        ), lambda exit_code, args, shared: exit_code),
+    "profile": Command(
+        "cProfile hotspot report for one canonical cell",
+        profile_report, (
+            _flag("--target", "target", choices=list(PROFILE_TARGETS)),
+            _flag("--top", "top", "number of hotspots to print"),
+            _flag("--sort", "sort", choices=list(SORT_KEYS)),
+        )),
+    "advise": Command("recommend a protocol", _advise, (
+        _flag("--read-ratio", "read_ratio"),
+        _flag("--rate", "arrival_rate_per_s"),
+        _flag("--value-bytes", "value_bytes"),
+    )),
+}
+
+
+#: The experiment flags every config-taking command inherits, so they
+#: can be given after the command name.  ``param`` is the
+#: ``SystemConfig.with_storage_plane`` keyword a storage-plane flag sets.
+SHARED_FLAGS: Tuple[Flag, ...] = (
+    _flag("--seed", None,
+          "master RNG seed (non-negative; default: config seed)",
+          type=int),
+    _flag("--fault-rate", None,
+          "per-operation infrastructure fault rate in [0, 1)",
+          type=float),
+    _flag("--jobs", None,
+          "worker processes for sweep cells (default: cores - 1; "
+          "output is bit-identical at every job count)",
+          type=int, metavar="N"),
+    _flag("--trace-out", None,
+          "write a Chrome trace-event JSON of the run to PATH "
+          "(Perfetto-loadable; invocation-executing commands only)",
+          type=str, metavar="PATH"),
+    _flag("--storage-backend", "backend",
+          "storage-plane backend (auto, single, sharded, or a "
+          "registered name; default: auto)", type=str, metavar="NAME"),
+    _flag("--log-shards", "log_shards",
+          "number of log shards behind the metalog (default: 1)",
+          type=int, metavar="N"),
+    _flag("--kv-partitions", "kv_partitions",
+          "number of KV-store hash partitions (default: 1)",
+          type=int, metavar="M"),
+    _flag("--placement", "placement",
+          "tag/key placement policy for sharded planes",
+          type=str, choices=["hash", "first_seen"]),
+    _flag("--sequencer", "sequencer",
+          "sequencing strategy (monolith, batched, leased-ranges, "
+          "or a registered name; default: monolith)",
+          type=str, metavar="NAME"),
+    _flag("--sequencer-batch", "sequencer_batch",
+          "group-commit size for --sequencer batched (default: 8)",
+          type=int, metavar="K"),
+    _flag("--sequencer-hold", "sequencer_hold_ms",
+          "group-commit hold window in ms for --sequencer batched "
+          "(default: 0.2)", type=float, metavar="MS"),
+    _flag("--sequencer-block", "sequencer_block",
+          "leased seqnum block size for --sequencer leased-ranges "
+          "(default: 64)", type=int, metavar="B"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,432 +551,88 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Halfmoon (SOSP 2023) reproduction experiments",
     )
-    # Shared experiment options, inherited by every subcommand so they
-    # can be given after the command name.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="master RNG seed (non-negative; default: config seed)",
-    )
-    common.add_argument(
-        "--fault-rate", type=float, default=None,
-        help="per-operation infrastructure fault rate in [0, 1)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for sweep cells (default: cores - 1; "
-             "output is bit-identical at every job count)",
-    )
-    common.add_argument(
-        "--trace-out", type=str, default=None, metavar="PATH",
-        help="write a Chrome trace-event JSON of the run to PATH "
-             "(Perfetto-loadable; invocation-executing commands only)",
-    )
-    common.add_argument(
-        "--storage-backend", type=str, default=None,
-        metavar="NAME",
-        help="storage-plane backend (auto, single, sharded, or a "
-             "registered name; default: auto)",
-    )
-    common.add_argument(
-        "--log-shards", type=int, default=None, metavar="N",
-        help="number of log shards behind the metalog (default: 1)",
-    )
-    common.add_argument(
-        "--kv-partitions", type=int, default=None, metavar="M",
-        help="number of KV-store hash partitions (default: 1)",
-    )
-    common.add_argument(
-        "--placement", type=str, default=None,
-        choices=["hash", "first_seen"],
-        help="tag/key placement policy for sharded planes",
-    )
-    common.add_argument(
-        "--sequencer", type=str, default=None, metavar="NAME",
-        help="sequencing strategy (monolith, batched, leased-ranges, "
-             "or a registered name; default: monolith)",
-    )
-    common.add_argument(
-        "--sequencer-batch", type=int, default=None, metavar="K",
-        help="group-commit size for --sequencer batched (default: 8)",
-    )
-    common.add_argument(
-        "--sequencer-hold", type=float, default=None, metavar="MS",
-        help="group-commit hold window in ms for --sequencer batched "
-             "(default: 0.2)",
-    )
-    common.add_argument(
-        "--sequencer-block", type=int, default=None, metavar="B",
-        help="leased seqnum block size for --sequencer leased-ranges "
-             "(default: 64)",
-    )
+    for flag in SHARED_FLAGS:
+        common.add_argument(flag.spelling, help=flag.help, **flag.spec)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "table1", help="primitive op latencies", parents=[common]
-    ).add_argument("--samples", type=int, default=10_000)
-
-    fig10 = sub.add_parser("fig10", help="read/write latency, 4 systems",
-                           parents=[common])
-    fig10.add_argument("--requests", type=int, default=1_500)
-    fig10.add_argument("--keys", type=int, default=2_000)
-
-    fig11 = sub.add_parser("fig11", help="apps: latency vs throughput",
-                           parents=[common])
-    fig11.add_argument("--apps", nargs="+", default=list(APP_FACTORIES),
-                       choices=list(APP_FACTORIES))
-    fig11.add_argument("--duration", type=float, default=5_000.0)
-
-    fig12 = sub.add_parser("fig12", help="storage vs read ratio",
-                           parents=[common])
-    fig12.add_argument("--size", type=int, default=256)
-    fig12.add_argument("--gc", type=float, default=10_000.0)
-    fig12.add_argument("--duration", type=float, default=25_000.0)
-
-    fig13 = sub.add_parser("fig13", help="latency vs read ratio",
-                           parents=[common])
-    fig13.add_argument("--rates", nargs="+", type=float,
-                       default=[150.0, 350.0])
-    fig13.add_argument("--duration", type=float, default=8_000.0)
-
-    fig14 = sub.add_parser("fig14", help="protocol switching delay",
-                           parents=[common])
-    fig14.add_argument("--rates", nargs="+", type=float,
-                       default=[300.0, 600.0])
-
-    recovery = sub.add_parser("recovery", help="cost under failures",
-                              parents=[common])
-    recovery.add_argument("--f", nargs="+", type=float,
-                          default=[0.0, 0.1, 0.2, 0.3, 0.4])
-    recovery.add_argument("--requests", type=int, default=300)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="crashes × infra faults: goodput, p99, exactly-once audit",
-        parents=[common],
-    )
-    chaos.add_argument("--fault-rates", nargs="+", type=float,
-                       default=[0.0, 0.02, 0.05, 0.1])
-    chaos.add_argument("--requests", type=int, default=200)
-    chaos.add_argument("--crash-f", type=float, default=0.15)
-    chaos.add_argument("--brownout", action="store_true",
-                       help="also run the log brown-out fallback ablation")
-
-    failover = sub.add_parser(
-        "failover",
-        help="node crash under load: lease detection, orphan takeover, "
-             "exactly-once audit",
-        parents=[common],
-    )
-    failover.add_argument("--leases", nargs="+", type=float,
-                          default=[250.0, 1_000.0, 4_000.0],
-                          help="lease durations (ms) to sweep")
-    failover.add_argument("--crash-at", type=float, default=1_500.0,
-                          help="simulated time (ms) of the node crash")
-    failover.add_argument("--rate", type=float, default=600.0,
-                          help="offered load (requests per second)")
-    failover.add_argument("--duration", type=float, default=4_000.0,
-                          help="arrival window (ms)")
-    failover.add_argument(
-        "--systems", nargs="+",
-        default=["boki", "halfmoon-read", "halfmoon-write"],
-        help="protocols to sweep",
-    )
-
-    storagechaos = sub.add_parser(
-        "storagechaos",
-        help="storage components killed under load: metalog failover, "
-             "shard loss, partition rebuild; exactly-once + "
-             "consistency audits",
-        parents=[common],
-    )
-    storagechaos.add_argument(
-        "--components", nargs="+",
-        default=["metalog", "shard-replica", "partition", "netsplit"],
-        choices=["metalog", "shard-replica", "partition", "netsplit"],
-        help="storage components to kill (one cell each)",
-    )
-    storagechaos.add_argument(
-        "--systems", nargs="+",
-        default=["unsafe", "boki", "halfmoon-read", "halfmoon-write"],
-        help="protocols to sweep",
-    )
-    storagechaos.add_argument(
-        "--replications", nargs="+", type=int, default=[1, 3],
-        help="log-shard replication factors to sweep "
-             "(1 is the paper-faithful default)",
-    )
-    storagechaos.add_argument(
-        "--sequencers", nargs="+", default=["monolith"],
-        choices=["monolith", "batched", "leased-ranges"],
-        help="metalog sequencing strategies to chaos-test (the default "
-             "keeps the historical grid; add batched/leased-ranges to "
-             "prove group commit and leased blocks survive failover)",
-    )
-    storagechaos.add_argument("--crash-at", type=float, default=1_000.0,
-                              help="simulated time (ms) of the kill")
-    storagechaos.add_argument(
-        "--recover-after", type=float, default=400.0,
-        help="delay (ms) from kill to failover/repair/rebuild",
-    )
-    storagechaos.add_argument("--rate", type=float, default=400.0,
-                              help="offered load (requests per second)")
-    storagechaos.add_argument("--duration", type=float, default=3_000.0,
-                              help="arrival window (ms)")
-    storagechaos.add_argument(
-        "--crash-f", type=float, default=0.1,
-        help="instance crash probability per operation boundary "
-             "(the unsafe control needs it to violate)",
-    )
-
-    trace = sub.add_parser(
-        "trace",
-        help="one traced DES run: latency breakdown + Chrome trace "
-             "export",
-        parents=[common],
-    )
-    trace.add_argument(
-        "--protocol", default="halfmoon-read",
-        choices=["unsafe", "boki", "halfmoon-read", "halfmoon-write"],
-    )
-    trace.add_argument("--rate", type=float, default=150.0,
-                       help="offered load (requests per second)")
-    trace.add_argument("--duration", type=float, default=5_000.0,
-                       help="arrival window (ms)")
-    trace.add_argument("--read-ratio", type=float, default=0.5)
-    trace.add_argument("--crash-node", type=int, default=None,
-                       help="function node to crash (default 0 when "
-                            "--crash-at is given)")
-    trace.add_argument("--crash-at", type=float, default=None,
-                       help="simulated time (ms) of a node crash; "
-                            "enables lease-based recovery")
-    trace.add_argument("--out", type=str, default=None, metavar="PATH",
-                       help="write the Chrome trace-event JSON here "
-                            "(same as --trace-out)")
-    trace.add_argument("--no-trace", action="store_true",
-                       help="run without a tracer attached (results "
-                            "are identical; used by the determinism "
-                            "check)")
-
-    shards = sub.add_parser(
-        "shards",
-        help="storage-plane scaling: p99 vs load by log-shard count",
-        parents=[common],
-    )
-    shards.add_argument("--shards", nargs="+", type=int,
-                        default=[1, 2, 4, 8],
-                        help="log-shard counts to sweep")
-    shards.add_argument("--rates", nargs="+", type=float,
-                        default=[150.0, 300.0, 600.0],
-                        help="offered loads (requests per second)")
-    shards.add_argument("--protocol", default="boki",
-                        choices=["unsafe", "boki", "halfmoon-read",
-                                 "halfmoon-write"])
-    shards.add_argument("--read-ratio", type=float, default=0.5)
-    shards.add_argument("--duration", type=float, default=8_000.0,
-                        help="arrival window (ms)")
-
-    scale = sub.add_parser(
-        "scale",
-        help="sequencer scaling: p99 + sequencer occupancy vs offered "
-             "load per sequencing strategy, Zipf-skewed users",
-        parents=[common],
-    )
-    scale.add_argument(
-        "--sequencers", nargs="+",
-        default=["monolith", "batched", "leased-ranges"],
-        help="sequencing strategies to sweep",
-    )
-    scale.add_argument("--rates", nargs="+", type=float,
-                       default=[400.0, 800.0, 1200.0, 1600.0],
-                       help="offered loads (requests per second)")
-    scale.add_argument("--users", type=int, default=100_000,
-                       help="Zipf user population (10^5-10^6)")
-    scale.add_argument("--ops", type=int, default=4,
-                       help="write+read pairs per request")
-    scale.add_argument("--protocol", default="boki",
-                       choices=["unsafe", "boki", "halfmoon-read",
-                                "halfmoon-write"])
-    scale.add_argument("--duration", type=float, default=3_000.0,
-                       help="arrival window (ms)")
-    scale.add_argument(
-        "--diurnal", type=float, default=None, metavar="BASE_RATE",
-        help="replace --rates with samples of a day-shaped load curve "
-             "around BASE_RATE req/s",
-    )
-    scale.add_argument("--diurnal-points", type=int, default=6,
-                       help="rate samples along the diurnal curve")
-
-    live = sub.add_parser(
-        "live",
-        help="live compute plane: real worker processes over a unix "
-             "socket, seeded mid-invocation SIGKILLs, wall-clock lease "
-             "recovery, exactly-once audit (exits nonzero on failure)",
-        parents=[common],
-    )
-    live.add_argument("--workers", type=int, default=4,
-                      help="worker processes in the pool")
-    live.add_argument("--kills", type=int, default=3,
-                      help="mid-invocation SIGKILLs to deliver")
-    live.add_argument("--rate", type=float, default=400.0,
-                      help="offered load (requests per second)")
-    live.add_argument("--requests", type=int, default=250,
-                      help="total invocations to issue")
-    live.add_argument("--lease", type=float, default=400.0,
-                      help="wall-clock lease duration (ms)")
-    live.add_argument("--crash-f", type=float, default=0.0,
-                      help="worker-internal instance crash probability "
-                           "(soft failures, composable with SIGKILLs)")
-    live.add_argument(
-        "--admission", type=int, default=None, metavar="N",
-        help="bound gateway admission at N in-flight invocations; "
-             "excess arrivals are shed deterministically and counted "
-             "in the admission_rejections metric (default: unbounded)",
-    )
-    live.add_argument("--deadline", type=float, default=120.0,
-                      help="abort the run after this many wall seconds")
-    live.add_argument(
-        "--systems", nargs="+",
-        default=["unsafe", "boki", "halfmoon-read", "halfmoon-write"],
-        help="protocols to audit (unsafe is the must-violate control)",
-    )
-    live.add_argument(
-        "--no-telemetry", action="store_true",
-        help="disable worker telemetry shipping even when traced "
-             "(default: telemetry is on iff --trace-out is given)",
-    )
-    live.add_argument(
-        "--flightrec-dir", type=str, default=None, metavar="DIR",
-        help="directory for flight-recorder dumps and the repro-top "
-             "discovery file (default: none — no artifacts)",
-    )
-    live.add_argument(
-        "--prom-out", type=str, default=None, metavar="PATH",
-        help="write the final metrics snapshot in Prometheus text "
-             "format (one file per audited system: PATH.<system>)",
-    )
-
-    top = sub.add_parser(
-        "top",
-        help="poll a running live gateway's STATUS endpoint and render "
-             "run state (workers, chaos, latency) until it exits",
-    )
-    top.add_argument(
-        "--gateway", type=str, default="results", metavar="PATH",
-        help="gateway socket, discovery file, or the --flightrec-dir "
-             "of the run (default: results/)",
-    )
-    top.add_argument("--interval", type=float, default=1.0,
-                     help="poll interval in seconds")
-    top.add_argument("--once", action="store_true",
-                     help="take one snapshot and exit (scriptable)")
-
-    profile = sub.add_parser(
-        "profile",
-        help="cProfile hotspot report for one canonical cell",
-        parents=[common],
-    )
-    profile.add_argument("--target", default="shards",
-                         choices=["shards", "fig10", "chaos"])
-    profile.add_argument("--top", type=int, default=25,
-                         help="number of hotspots to print")
-    profile.add_argument("--sort", default="cumulative",
-                         choices=["cumulative", "tottime", "ncalls"])
-
-    advise = sub.add_parser("advise", help="recommend a protocol")
-    advise.add_argument("--read-ratio", type=float, required=True)
-    advise.add_argument("--rate", type=float, default=100.0)
-    advise.add_argument("--value-bytes", type=int, default=256)
+    for name, command in COMMANDS.items():
+        parameters = _parameters(command.driver)
+        subparser = sub.add_parser(
+            name, help=command.help,
+            parents=[common] if "config" in parameters else [],
+        )
+        for flag in command.flags:
+            subparser.add_argument(
+                flag.spelling, help=flag.help,
+                **_argument_spec(flag, parameters),
+            )
     return parser
+
+
+def _rejection(name: str, command: Command,
+               parameters: Dict[str, Tuple[Any, Any]]) -> Optional[str]:
+    """Why ``command`` cannot honour shared flag ``name`` (``None``: it
+    can — by its own parameter of that name, or on the config)."""
+    if name == "trace_out":
+        if "tracer" in parameters or "tracing" in parameters:
+            return None
+        return "its driver attaches no tracer"
+    if name == "jobs":
+        return (None if "jobs" in parameters
+                else "it does not fan cells over a pool")
+    pins = getattr(command.driver, "pins", {})
+    if name not in pins:
+        return None
+    if pins[name] is None:
+        return "the experiment sets it itself"
+    axis = next(flag.spelling for flag in command.flags
+                if flag.param == pins[name])
+    return f"the experiment sweeps it: use {axis}"
 
 
 def _experiment_config(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> Optional[SystemConfig]:
-    """Build the shared config from ``--seed`` / ``--fault-rate``.
+    """Build the shared config from ``--seed`` / ``--fault-rate`` and
+    the storage-plane flags.
 
-    Returns ``None`` when neither flag was given so each experiment keeps
-    its own defaults; rejects invalid values with a parser error.
+    Returns ``None`` when none was given so each experiment keeps its
+    own defaults.  The two checks the CLI tests spell by flag stay
+    here; every other bad value (an unknown backend or sequencer name,
+    a zero shard count) is the ``ConfigError`` of whoever validates it,
+    which ``main`` turns into the same exit 2.
     """
-    seed = getattr(args, "seed", None)
-    fault_rate = getattr(args, "fault_rate", None)
-    backend = getattr(args, "storage_backend", None)
-    log_shards = getattr(args, "log_shards", None)
-    kv_partitions = getattr(args, "kv_partitions", None)
-    placement = getattr(args, "placement", None)
-    sequencer = getattr(args, "sequencer", None)
-    sequencer_batch = getattr(args, "sequencer_batch", None)
-    sequencer_hold = getattr(args, "sequencer_hold", None)
-    sequencer_block = getattr(args, "sequencer_block", None)
+    seed, fault_rate = args.seed, args.fault_rate
     if seed is not None and seed < 0:
         parser.error(f"--seed must be non-negative, got {seed}")
     if fault_rate is not None and not (0.0 <= fault_rate < 1.0):
         parser.error(
             f"--fault-rate must be in [0, 1), got {fault_rate}"
         )
-    if log_shards is not None and log_shards <= 0:
-        parser.error(f"--log-shards must be positive, got {log_shards}")
-    if kv_partitions is not None and kv_partitions <= 0:
-        parser.error(
-            f"--kv-partitions must be positive, got {kv_partitions}"
-        )
-    if backend is not None and backend != "auto":
-        from .storageplane import available_backends
-
-        if backend not in available_backends():
-            parser.error(
-                f"unknown --storage-backend {backend!r}; available: "
-                f"{['auto'] + available_backends()}"
-            )
-    if sequencer is not None:
-        from .storageplane import available_sequencers
-
-        if sequencer not in available_sequencers():
-            parser.error(
-                f"unknown --sequencer {sequencer!r}; available: "
-                f"{available_sequencers()}"
-            )
-    if sequencer_batch is not None and sequencer_batch < 1:
-        parser.error(
-            f"--sequencer-batch must be >= 1, got {sequencer_batch}"
-        )
-    if sequencer_block is not None and sequencer_block < 1:
-        parser.error(
-            f"--sequencer-block must be >= 1, got {sequencer_block}"
-        )
-    if sequencer_hold is not None and sequencer_hold < 0:
-        parser.error(
-            f"--sequencer-hold must be >= 0, got {sequencer_hold}"
-        )
-    storage_flags = (backend, log_shards, kv_partitions, placement,
-                     sequencer, sequencer_batch, sequencer_hold,
-                     sequencer_block)
-    if seed is None and fault_rate is None and all(
-        flag is None for flag in storage_flags
-    ):
+    plane = {
+        flag.param: getattr(args, flag.dest)
+        for flag in SHARED_FLAGS
+        if flag.param is not None and getattr(args, flag.dest) is not None
+    }
+    if seed is None and fault_rate is None and not plane:
         return None
-    config = SystemConfig()
-    if seed is not None:
-        config = config.with_seed(seed)
-    if fault_rate is not None:
-        config = config.with_fault_rate(fault_rate)
-    if any(flag is not None for flag in storage_flags):
-        config = config.with_storage_plane(
-            log_shards=log_shards, kv_partitions=kv_partitions,
-            backend=backend, placement=placement,
-            sequencer=sequencer, sequencer_batch=sequencer_batch,
-            sequencer_hold_ms=sequencer_hold,
-            sequencer_block=sequencer_block,
-        )
-    return config.validate()
+    return (
+        cell_config(None, seed, fault_rate or 0.0)
+        .with_storage_plane(**plane)
+        .validate()
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point: dispatch plus graceful SIGINT/SIGTERM.
+    """CLI entry point: dispatch plus the typed failures of the edge.
 
     An interrupt mid-sweep drains in-flight cells, prints a
     partial-result summary instead of a stacked traceback, and exits
-    nonzero (130, the conventional fatal-signal code).
+    nonzero (130, the conventional fatal-signal code).  An invalid
+    configuration — wherever it is detected — is a ``repro: error:``
+    line and exit 2, and a reader that went away (``| head``) ends the
+    run quietly with 141 (128 + SIGPIPE; 1 would read as an audit
+    failure).
     """
     previous_sigterm = None
     try:
@@ -533,13 +642,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError:  # not the main thread: leave handlers alone
         pass
     try:
-        return _dispatch(argv)
+        exit_code = _dispatch(argv)
+        # A closed pipe must surface here, not at interpreter exit.
+        sys.stdout.flush()
+        return exit_code
     except SweepInterrupted as exc:
         print(f"\n{exc}; partial results above", file=sys.stderr)
         return 130
     except KeyboardInterrupt:
         print("\ninterrupted before results were ready", file=sys.stderr)
         return 130
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        try:
+            # The interpreter flushes stdout once more on exit.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        return 141
     finally:
         if previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
@@ -553,245 +675,50 @@ def _sigterm_to_interrupt(signum, frame):
 def _dispatch(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _experiment_config(parser, args)
-    exit_code = 0
+    command = COMMANDS[args.command]
+    parameters = _parameters(command.driver)
 
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out is not None and args.command not in _TRACEABLE:
-        parser.error(
-            f"--trace-out is not supported by {args.command!r} "
-            "(it executes no invocations)"
-        )
-    tracer = Tracer() if trace_out is not None else None
-
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {jobs}")
-    admission = getattr(args, "admission", None)
+    kwargs: Dict[str, Any] = {}
+    for flag in command.flags:
+        value = getattr(args, flag.dest)
+        if flag.param is None:
+            continue
+        if not flag.spelling.startswith("--no-"):
+            kwargs[flag.param] = value
+        elif value:
+            kwargs[flag.param] = False
+    admission = kwargs.get("max_inflight")
     if admission is not None and admission < 1:
         parser.error(f"--admission must be >= 1, got {admission}")
-    if jobs is None:
-        jobs = default_jobs()
 
-    if args.command == "table1":
-        print(run_table1(config=config, samples=args.samples).render())
-    elif args.command == "fig10":
-        tables = run_fig10(config=config, requests=args.requests,
-                           num_keys=args.keys, tracer=tracer, jobs=jobs)
-        print(tables["read"].render())
-        print()
-        print(tables["write"].render())
-    elif args.command == "fig11":
-        tables = run_fig11(apps=args.apps, config=config,
-                           duration_ms=args.duration, tracer=tracer,
-                           jobs=jobs)
-        for table in tables.values():
-            print(table.render())
-            print()
-    elif args.command == "fig12":
-        print(
-            run_fig12(
-                value_bytes=args.size, gc_interval_ms=args.gc,
-                config=config, duration_ms=args.duration,
-                tracer=tracer, jobs=jobs,
-            ).render()
-        )
-    elif args.command == "fig13":
-        for table in run_fig13(
-            rates=args.rates, config=config, duration_ms=args.duration,
-            tracer=tracer, jobs=jobs,
-        ).values():
-            print(table.render())
-            print()
-        # Where the milliseconds go at the first swept rate: the
-        # mechanism behind the crossover the tables above show.
-        print(
-            run_latency_breakdown(
-                config=config, rate_per_s=args.rates[0],
-                duration_ms=args.duration, tracer=tracer, jobs=jobs,
-            ).render()
-        )
-    elif args.command == "fig14":
-        print(run_fig14(rates=args.rates, config=config).render())
-    elif args.command == "recovery":
-        print(
-            run_recovery_sweep(
-                f_values=args.f, config=config, requests=args.requests
-            ).render()
-        )
-    elif args.command == "chaos":
-        chaos_breakdowns: dict = {}
-        print(
-            run_chaos_sweep(
-                fault_rates=args.fault_rates, config=config,
-                requests=args.requests, crash_f=args.crash_f,
-                seed=getattr(args, "seed", None),
-                tracer=tracer, breakdowns=chaos_breakdowns,
-                jobs=jobs,
-            ).render()
-        )
-        print()
-        print(
-            breakdown_table(
-                chaos_breakdowns,
-                "Latency breakdown at fault rate "
-                f"{max(args.fault_rates)}",
-            ).render()
-        )
-        if args.brownout:
-            print()
-            print(
-                run_brownout_comparison(
-                    config=config, seed=getattr(args, "seed", None)
-                ).render()
-            )
-    elif args.command == "failover":
-        fault_rate = getattr(args, "fault_rate", None)
-        failover_breakdowns: dict = {}
-        print(
-            run_failover_sweep(
-                lease_values=args.leases, systems=args.systems,
-                crash_at_ms=args.crash_at, rate_per_s=args.rate,
-                duration_ms=args.duration,
-                seed=getattr(args, "seed", None),
-                # Compose node crashes with infra faults by default; an
-                # explicit --fault-rate (including 0) overrides.
-                fault_rate=(0.05 if fault_rate is None else fault_rate),
-                tracer=tracer, breakdowns=failover_breakdowns,
-                jobs=jobs,
-            ).render()
-        )
-        print()
-        print(
-            breakdown_table(
-                failover_breakdowns,
-                f"Latency breakdown at lease {args.leases[0]:.0f}ms",
-            ).render()
-        )
-    elif args.command == "storagechaos":
-        print(
-            run_storagechaos_sweep(
-                components=args.components, systems=args.systems,
-                replications=args.replications,
-                sequencers=args.sequencers,
-                crash_at_ms=args.crash_at,
-                recover_after_ms=args.recover_after,
-                rate_per_s=args.rate, duration_ms=args.duration,
-                config=config, seed=getattr(args, "seed", None),
-                crash_f=args.crash_f, tracer=tracer, jobs=jobs,
-            ).render()
-        )
-    elif args.command == "trace":
-        result, run_tracer = run_trace(
-            protocol=args.protocol,
-            rate_per_s=args.rate,
-            duration_ms=args.duration,
-            read_ratio=args.read_ratio,
-            crash_node=args.crash_node,
-            crash_at_ms=args.crash_at,
-            config=config,
-            tracing=not args.no_trace,
-        )
-        print(trace_summary_table(result).render())
-        print()
-        print(trace_breakdown_table(result).render())
-        out = args.out if args.out is not None else trace_out
-        if run_tracer is not None and out is not None:
-            trace_json = write_chrome_trace(run_tracer, out)
-            print(
-                f"trace written to {out} "
-                f"({trace_json['otherData']['spans']} spans, "
-                f"{len(trace_json['traceEvents'])} events)"
-            )
-    elif args.command == "shards":
-        print(
-            run_shard_sweep(
-                shard_counts=args.shards, rates=args.rates,
-                protocol=args.protocol, read_ratio=args.read_ratio,
-                config=config, duration_ms=args.duration,
-                tracer=tracer, jobs=jobs,
-            ).render()
-        )
-    elif args.command == "scale":
-        print(
-            run_scale_sweep(
-                sequencers=args.sequencers, rates=args.rates,
-                protocol=args.protocol, num_users=args.users,
-                ops_per_request=args.ops, config=config,
-                duration_ms=args.duration, diurnal_base=args.diurnal,
-                diurnal_points=args.diurnal_points,
-                tracer=tracer, jobs=jobs,
-            ).render()
-        )
-    elif args.command == "live":
-        fault_rate = getattr(args, "fault_rate", None)
-        points: dict = {}
-        print(
-            run_live(
-                systems=args.systems, workers=args.workers,
-                kills=args.kills, rate_per_s=args.rate,
-                requests=args.requests, lease_ms=args.lease,
-                config=config, seed=getattr(args, "seed", None),
-                fault_rate=(0.0 if fault_rate is None else fault_rate),
-                crash_f=args.crash_f, deadline_s=args.deadline,
-                tracer=tracer,
-                telemetry=(False if args.no_telemetry else None),
-                flightrec_dir=args.flightrec_dir,
-                points_out=points,
-                max_inflight=args.admission,
-            ).render()
-        )
-        if args.prom_out is not None:
-            from .observe import write_prom_text
+    shared: Dict[str, Any] = {}
+    if "config" in parameters:
+        if args.jobs is not None and args.jobs < 1:
+            parser.error(f"--jobs must be >= 1, got {args.jobs}")
+        for flag in SHARED_FLAGS:
+            if getattr(args, flag.dest) is None:
+                continue
+            reason = _rejection(flag.dest, command, parameters)
+            if reason is not None:
+                parser.error(
+                    f"{flag.spelling} is not supported by "
+                    f"{args.command!r}: {reason}"
+                )
+            shared[flag.dest] = getattr(args, flag.dest)
+        shared["config"] = _experiment_config(parser, args)
+        if shared.get("jobs") is None:
+            shared["jobs"] = default_jobs()
+        if args.trace_out is not None and "tracer" in parameters:
+            shared["tracer"] = Tracer()
 
-            for system, point in points.items():
-                path = f"{args.prom_out}.{system}"
-                write_prom_text(point.result.metrics, path)
-                print(f"prometheus snapshot written to {path}")
-        failures = audit_live_points(points)
-        if failures:
-            for failure in failures:
-                print(f"AUDIT FAILURE: {failure}")
-            exit_code = 1
-        else:
-            delivered = sum(p.kills_delivered for p in points.values())
-            print(
-                "exactly-once audit: PASS "
-                f"({delivered} SIGKILLs delivered across "
-                f"{len(points)} systems)"
-            )
-    elif args.command == "top":
-        from .compute.status import top_loop
-
-        return top_loop(
-            args.gateway, interval_s=args.interval, once=args.once
-        )
-    elif args.command == "profile":
-        print(
-            profile_report(
-                target=args.target, top=args.top, sort=args.sort,
-                config=config,
-            )
-        )
-    elif args.command == "advise":
-        profile = WorkloadProfile(
-            p_read=args.read_ratio,
-            p_write=1.0 - args.read_ratio,
-            arrival_rate_per_s=args.rate,
-        )
-        advisor = ProtocolAdvisor(value_bytes=args.value_bytes)
-        recommendation = advisor.recommend(profile)
-        print(recommendation.explain())
-        print(f"recommended protocol: {recommendation.protocol}")
-
-    if tracer is not None and args.command != "trace":
-        trace_json = write_chrome_trace(tracer, trace_out)
-        print(
-            f"trace written to {trace_out} "
-            f"({trace_json['otherData']['spans']} spans, "
-            f"{len(trace_json['traceEvents'])} events)"
-        )
-    return exit_code
+    result = _call(command.driver, shared, **kwargs)
+    exit_code = command.render(result, args, shared)
+    if command.audited:
+        exit_code, verdict = audit_verdict(result.points)
+        print("\n".join(verdict))
+    if "tracer" in shared:
+        _write_trace(shared["tracer"], args.trace_out)
+    return exit_code or 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -24,14 +24,17 @@
 * :mod:`repro.harness.live_exp` — the live compute-plane audit:
   real worker processes, seeded SIGKILLs, wall-clock leases
   (``python -m repro live``)
-* :mod:`repro.harness.parallel` — the sweep executor: independent,
-  deterministically-seeded cells over a process pool (``--jobs``),
-  bit-identical to serial execution
+* :mod:`repro.harness.parallel` — the sweep template and executor:
+  ``run_grid`` over independent, deterministically-seeded cells on a
+  process pool (``--jobs``), bit-identical to serial execution
+* :mod:`repro.harness.audit` — the exactly-once audit the four audited
+  experiments share: ground truth, probe pass, and the one verdict
 * :mod:`repro.harness.profile_exp` — cProfile hotspot reports for the
   canonical cells (``python -m repro profile``)
 """
 
 from .apps import APP_FACTORIES, run_app_point, run_fig11
+from .audit import GroundTruth, audit_failures, audit_verdict
 from .chaos import (
     ChaosPoint,
     run_brownout_comparison,
@@ -45,18 +48,14 @@ from .failover import (
     run_failover_sweep,
 )
 from .micro import measure_op_latencies, run_fig10, run_table1
-from .live_exp import (
-    LivePoint,
-    audit_live_points,
-    run_live,
-    run_live_point,
-)
+from .live_exp import LivePoint, run_live, run_live_point
 from .parallel import (
     SweepCell,
     SweepInterrupted,
     default_jobs,
     pop_crash_notes,
     run_cells,
+    run_grid,
     seed_for,
 )
 from .overhead import (
@@ -103,6 +102,7 @@ __all__ = [
     "CounterWorkload",
     "ExperimentTable",
     "FailoverPoint",
+    "GroundTruth",
     "RunResult",
     "SimPlatform",
     "LivePoint",
@@ -110,6 +110,8 @@ __all__ = [
     "SweepCell",
     "SweepInterrupted",
     "SwitchingResult",
+    "audit_failures",
+    "audit_verdict",
     "crossover_ratio",
     "default_jobs",
     "profile_report",
@@ -127,7 +129,7 @@ __all__ = [
     "run_fig13",
     "run_fig14",
     "run_fig14_point",
-    "audit_live_points",
+    "run_grid",
     "pop_crash_notes",
     "run_latency_breakdown",
     "run_live",

@@ -7,21 +7,20 @@ panels of Figure 11.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..config import SystemConfig
 from ..observe import Tracer
+from ..protocols.registry import SYSTEMS
 from ..workloads import (
     MovieReviewWorkload,
     RetwisWorkload,
     TravelReservationWorkload,
     Workload,
 )
-from .parallel import SweepCell, pop_crash_notes, run_cells
+from .parallel import cell_config, run_grid, sweep_of
 from .platform import RunResult, SimPlatform
 from .report import ExperimentTable
-
-SYSTEMS = ("unsafe", "boki", "halfmoon-read", "halfmoon-write")
 
 APP_FACTORIES: Dict[str, Callable[[], Workload]] = {
     "travel-reservation": TravelReservationWorkload,
@@ -49,66 +48,57 @@ def run_app_point(
     """One (app, system, rate) cell of Figure 11."""
     workload = APP_FACTORIES[app]()
     platform = SimPlatform(
-        workload, protocol,
-        config if config is not None else SystemConfig(),
-        tracer=tracer,
+        workload, protocol, cell_config(config), tracer=tracer
     )
     return platform.run(rate_per_s, duration_ms, warmup_ms=warmup_ms)
 
 
+@sweep_of(run_app_point)
 def run_fig11(
     apps: Sequence[str] = tuple(APP_FACTORIES),
     systems: Sequence[str] = SYSTEMS,
     rates: Optional[Dict[str, Sequence[int]]] = None,
-    config: Optional[SystemConfig] = None,
-    duration_ms: float = 6_000.0,
-    warmup_ms: float = 1_000.0,
     tracer: Optional[Tracer] = None,
     jobs: Optional[int] = None,
+    **point,
 ) -> Dict[str, ExperimentTable]:
     """Figure 11: latency vs throughput for the three applications.
+    Remaining keywords are :func:`run_app_point`'s.
 
     ``jobs`` spreads the whole (app, system, rate) grid across a
     process pool; every panel is assembled from results in grid order,
     so output is identical at any job count.
     """
     rates = rates if rates is not None else DEFAULT_RATES
-    cells = [
-        SweepCell(
-            key=("fig11", app, system, rate),
-            fn=run_app_point,
-            kwargs=dict(
-                app=app, protocol=system, rate_per_s=rate,
-                config=config, duration_ms=duration_ms,
-                warmup_ms=warmup_ms,
-            ),
-        )
-        for app in apps
-        for system in systems
-        for rate in rates[app]
-    ]
-    results = iter(run_cells(cells, jobs=jobs, tracer=tracer))
-    tables: Dict[str, ExperimentTable] = {}
-    for app in apps:
-        table = ExperimentTable(
+    grid = run_grid(
+        run_app_point,
+        [
+            dict(app=app, protocol=system, rate_per_s=rate)
+            for app in apps
+            for system in systems
+            for rate in rates[app]
+        ],
+        point, jobs=jobs, tracer=tracer,
+    )
+    tables: Dict[str, ExperimentTable] = {
+        app: ExperimentTable(
             f"Figure 11: {app} latency vs throughput",
             ["system", "offered (req/s)", "achieved (req/s)",
              "median (ms)", "p99 (ms)"],
         )
-        for system in systems:
-            for rate in rates[app]:
-                result = next(results)
-                table.add_row(
-                    system, rate, round(result.throughput_per_s, 1),
-                    result.median_ms, result.p99_ms,
-                )
+        for app in apps
+    }
+    for cell, result in grid:
+        tables[cell["app"]].add_row(
+            cell["protocol"], cell["rate_per_s"],
+            round(result.throughput_per_s, 1),
+            result.median_ms, result.p99_ms,
+        )
+    for table in tables.values():
         table.add_note(
             "expected shape: the matching Halfmoon protocol 20-40% below "
             "Boki; HM-read wins on travel/retwis, HM-write on movie; "
             "both Halfmoon variants beat Boki even when mis-chosen"
         )
-        tables[app] = table
-    for note in pop_crash_notes():
-        for table in tables.values():
-            table.add_note(note)
+        table.attach(grid)
     return tables

@@ -29,18 +29,15 @@ from typing import Dict, Optional, Sequence
 
 from ..config import SystemConfig
 from ..observe import LatencyBreakdown, Tracer
+# EXACTLY_ONCE_SYSTEMS is re-exported: the chaos tests and benchmarks
+# import it from this module.
+from ..protocols.registry import EXACTLY_ONCE_SYSTEMS, SYSTEMS  # noqa: F401
 from ..runtime.failures import BernoulliCrashes
 from ..runtime.local import LocalRuntime
 from ..simulation.metrics import LatencyRecorder
-from .parallel import SweepCell, pop_crash_notes, run_cells
+from .audit import GroundTruth
+from .parallel import cell_config, point_kwargs, run_grid, sweep_of
 from .report import ExperimentTable
-
-#: Systems included in the default sweep; ``unsafe`` is the control that
-#: proves the violation counter can fire.
-DEFAULT_SYSTEMS = ("unsafe", "boki", "halfmoon-read", "halfmoon-write")
-
-#: Systems that must uphold exactly-once under chaos.
-EXACTLY_ONCE_SYSTEMS = ("boki", "halfmoon-read", "halfmoon-write")
 
 
 @dataclass
@@ -122,10 +119,7 @@ def run_chaos_point(
     checkpoint is a no-op, so a tight horizon keeps the *effective*
     crash rate close to ``crash_f``.
     """
-    base = config if config is not None else SystemConfig()
-    if seed is not None:
-        base = base.with_seed(seed)
-    cfg = base.with_fault_rate(fault_rate).validate()
+    cfg = cell_config(config, seed).with_fault_rate(fault_rate).validate()
     runtime = LocalRuntime(cfg, protocol=protocol)
     runtime.backend.tracer = tracer
     if crash_f > 0.0:
@@ -138,25 +132,18 @@ def run_chaos_point(
 
     latency = LatencyRecorder(f"{protocol}@fault={fault_rate}")
     breakdown = LatencyBreakdown(f"{protocol}@fault={fault_rate}")
-    expected: Dict[str, int] = {key: 0 for key in keys}
+    truth = GroundTruth(keys)
     for _ in range(requests):
         key = keys[int(rng.integers(0, len(keys)))]
         if float(rng.random()) < read_ratio:
             result = runtime.invoke("peek", key)
         else:
             result = runtime.invoke("bump", key)
-            expected[key] += 1
+            truth.count(key)
         latency.record(result.latency_ms)
         breakdown.record(result.cost_by_kind)
 
-    # Audit: read every key through the protocol (a fresh invocation, so
-    # the value observed is the committed state) and compare against the
-    # ground truth.  Any mismatch is an exactly-once violation.
-    violations = 0
-    for key in keys:
-        observed = runtime.invoke("probe", key).output
-        if observed != expected[key]:
-            violations += 1
+    violations = truth.violations(runtime)
 
     counters = runtime.backend.counters.as_dict()
     policy = runtime.crash_policy
@@ -177,30 +164,26 @@ def run_chaos_point(
     )
 
 
+@sweep_of(run_chaos_point, pins={"fault_rate": "fault_rates"})
 def run_chaos_sweep(
     fault_rates: Sequence[float] = (0.0, 0.02, 0.05, 0.1),
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    config: Optional[SystemConfig] = None,
-    requests: int = 200,
-    num_keys: int = 40,
-    read_ratio: float = 0.4,
-    crash_f: float = 0.15,
-    crash_horizon: int = 6,
-    seed: Optional[int] = None,
+    systems: Sequence[str] = SYSTEMS,
     tracer: Optional[Tracer] = None,
-    breakdowns: Optional[Dict[str, LatencyBreakdown]] = None,
     jobs: Optional[int] = None,
+    **point,
 ) -> ExperimentTable:
     """Fault rate × system sweep under composed crashes + infra faults.
 
-    ``breakdowns``, if supplied, is filled with each system's
-    per-request latency decomposition at the *highest* fault rate —
-    the point where retry/detection stages matter most.
+    ``unsafe`` is the control that proves the violation counter can
+    fire.  Remaining keywords are :func:`run_chaos_point`'s.  The
+    table's ``points`` carry each cell's per-request latency
+    decomposition (``breakdown``).
 
-    ``jobs`` runs the (system, rate) cells over a process pool; rows,
-    amplification baselines, and breakdowns come out identical because
-    the cells are reassembled in grid order before any of that logic.
+    ``jobs`` runs the (system, rate) cells over a process pool; rows and
+    amplification baselines come out identical because the cells are
+    reassembled in grid order before any of that logic.
     """
+    crash_f = point_kwargs(run_chaos_point, point)["crash_f"]
     table = ExperimentTable(
         "Chaos: goodput and latency under crashes + infrastructure "
         f"faults (crash f={crash_f})",
@@ -208,38 +191,23 @@ def run_chaos_sweep(
          "p99 (ms)", "p99 amp", "retries", "degraded", "faulted",
          "violations"],
     )
-    cells = [
-        SweepCell(
-            key=("chaos", system, rate),
-            fn=run_chaos_point,
-            kwargs=dict(
-                protocol=system, fault_rate=rate, config=config,
-                requests=requests, num_keys=num_keys,
-                read_ratio=read_ratio, crash_f=crash_f,
-                crash_horizon=crash_horizon, seed=seed,
-            ),
+    grid = run_grid(
+        run_chaos_point, dict(protocol=systems, fault_rate=fault_rates),
+        point, jobs=jobs, tracer=tracer,
+    )
+    baselines: Dict[str, float] = {}
+    for cell, chaos_point in grid:
+        p99 = chaos_point.latency.p99()
+        # A system's first swept rate is its amplification baseline.
+        baseline_p99 = baselines.setdefault(cell["protocol"], p99)
+        table.add_row(
+            cell["protocol"], cell["fault_rate"],
+            chaos_point.goodput_per_s,
+            chaos_point.latency.median(), p99,
+            p99 / baseline_p99 if baseline_p99 > 0 else 1.0,
+            chaos_point.retries, chaos_point.degraded_reads,
+            chaos_point.faulted_attempts, chaos_point.violations,
         )
-        for system in systems
-        for rate in fault_rates
-    ]
-    points = iter(run_cells(cells, jobs=jobs, tracer=tracer))
-    for system in systems:
-        baseline_p99 = None
-        for rate in fault_rates:
-            point = next(points)
-            if breakdowns is not None:
-                # Fault rates sweep in ascending order; keep the last.
-                breakdowns[system] = point.breakdown
-            p99 = point.latency.p99()
-            if baseline_p99 is None:
-                baseline_p99 = p99
-            table.add_row(
-                system, rate, point.goodput_per_s,
-                point.latency.median(), p99,
-                p99 / baseline_p99 if baseline_p99 > 0 else 1.0,
-                point.retries, point.degraded_reads,
-                point.faulted_attempts, point.violations,
-            )
     table.add_note(
         "expected: zero violations for every logged protocol at every "
         "fault rate; the unsafe baseline violates under crashes"
@@ -248,9 +216,7 @@ def run_chaos_sweep(
         "p99 amp is each system's p99 over its own fault-free p99 — "
         "retry/backoff time charged by the resilience layer"
     )
-    for note in pop_crash_notes():
-        table.add_note(note)
-    return table
+    return table.attach(grid)
 
 
 def run_brownout_comparison(
@@ -275,13 +241,11 @@ def run_brownout_comparison(
          "degraded reads", "breaker trips", "request p99 (ms)"],
     )
     for fallback in (True, False):
-        base = config if config is not None else SystemConfig()
-        if seed is not None:
-            base = base.with_seed(seed)
         # A tight breaker (both arms) so a short run reaches the open
         # state: 3 consecutive log failures at rate 0.35 are common.
         cfg = (
-            base.with_fault_rate(brownout_rate, scope="log")
+            cell_config(config, seed)
+            .with_fault_rate(brownout_rate, scope="log")
             .with_resilience(degraded_log_reads=fallback,
                              breaker_failure_threshold=3,
                              breaker_cooldown_ops=30)

@@ -20,21 +20,19 @@ composed with infrastructure faults.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import SystemConfig
-from ..observe import LatencyBreakdown, Tracer
-from ..protocols.registry import PROTOCOL_CLASSES
+from ..observe import Tracer
+from ..protocols.registry import EXACTLY_ONCE_SYSTEMS, PROTOCOL_CLASSES
 from ..runtime.ops import ComputeOp, ReadOp, WriteOp
 from ..workloads.base import Request, Workload
-from .parallel import SweepCell, pop_crash_notes, run_cells
+from .audit import GroundTruth
+from .parallel import cell_config, point_kwargs, run_grid, sweep_of
 from .platform import RunResult, SimPlatform
 from .report import ExperimentTable
-
-#: Systems in the default sweep — the three that promise exactly-once.
-DEFAULT_SYSTEMS = ("boki", "halfmoon-read", "halfmoon-write")
 
 
 class CounterWorkload(Workload):
@@ -139,17 +137,9 @@ def run_failover_point(
     within ``lease + lease/5 + lease/20`` of the crash); ``drain_ms``
     must cover detection plus replay of the takeover backlog.
     """
-    base = config if config is not None else SystemConfig()
-    if seed is not None:
-        base = base.with_seed(seed)
-    if fault_rate > 0.0:
-        base = base.with_fault_rate(fault_rate)
+    base = cell_config(config, seed, fault_rate, lease_ms)
     cfg = replace(
-        base.with_node_recovery(
-            lease_ms=lease_ms,
-            heartbeat_interval_ms=lease_ms / 5.0,
-            detector_poll_ms=lease_ms / 20.0,
-        ),
+        base,
         cluster=replace(base.cluster, function_nodes=4,
                         workers_per_node=4),
     ).validate()
@@ -163,107 +153,72 @@ def run_failover_point(
     platform = SimPlatform(workload, protocol, config=cfg,
                            tracer=tracer)
 
-    expected: Dict[str, int] = {key: 0 for key in workload.keys}
-
-    def on_complete(request: Request, latency_ms: float) -> None:
-        if request.func_name == "bump":
-            expected[request.input] += 1
-
-    platform.on_request_complete = on_complete
+    truth = GroundTruth(workload.keys)
+    platform.on_request_complete = truth.on_request_complete
     for node_id in crash_nodes:
         platform.schedule_node_crash(crash_at_ms, node_id)
 
     result = platform.run(rate_per_s, duration_ms, drain_ms=drain_ms)
-
-    # Audit: probe every key through the protocol (a fresh direct-mode
-    # invocation observes committed state) against the ground truth.
-    violations = 0
-    for key in workload.keys:
-        observed = platform.runtime.invoke("probe", key).output
-        if observed != expected[key]:
-            violations += 1
 
     return FailoverPoint(
         protocol=protocol,
         lease_ms=lease_ms,
         recovery_mode=PROTOCOL_CLASSES[protocol].recovery_mode,
         result=result,
-        violations=violations,
-        expected_bumps=sum(expected.values()),
+        violations=truth.violations(platform.runtime),
+        expected_bumps=truth.bumps,
     )
 
 
+@sweep_of(run_failover_point)
 def run_failover_sweep(
     lease_values: Sequence[float] = (250.0, 1_000.0, 4_000.0),
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    crash_at_ms: float = 1_500.0,
-    crash_nodes: Sequence[int] = (0,),
-    rate_per_s: float = 600.0,
-    duration_ms: float = 4_000.0,
-    config: Optional[SystemConfig] = None,
-    seed: Optional[int] = None,
+    systems: Sequence[str] = EXACTLY_ONCE_SYSTEMS,
     fault_rate: float = 0.05,
-    num_keys: Optional[int] = None,
-    compute_ms: float = 8.0,
     tracer: Optional[Tracer] = None,
-    breakdowns: Optional[Dict[str, LatencyBreakdown]] = None,
     jobs: Optional[int] = None,
+    **point,
 ) -> ExperimentTable:
     """Lease duration × system sweep with one node crash under load.
 
     Node crashes are composed with infrastructure faults at
     ``fault_rate`` so recovery is exercised against the same substrate
-    misbehaviour the chaos experiment injects.
-
-    ``breakdowns``, if supplied, is filled with each system's
-    per-request latency decomposition at the *first* (shortest) lease —
-    where takeover-gap and detection stages are easiest to compare.
+    misbehaviour the chaos experiment injects.  Remaining keywords are
+    :func:`run_failover_point`'s.
 
     ``jobs`` fans the (system, lease) cells out over a process pool;
-    results are reassembled in grid order, so the table and the
-    ``breakdowns`` selection are identical at every job count.
+    results are reassembled in grid order, so the table and its
+    ``points`` are identical at every job count.
     """
+    point["fault_rate"] = fault_rate
+    effective = point_kwargs(run_failover_point, point)
     table = ExperimentTable(
         "Failover: node crash at "
-        f"t={crash_at_ms:.0f}ms (nodes {list(crash_nodes)}, "
+        f"t={effective['crash_at_ms']:.0f}ms "
+        f"(nodes {list(effective['crash_nodes'])}, "
         f"infra fault rate {fault_rate})",
         ["system", "lease (ms)", "recovery", "completed", "orphans",
          "recovered", "detect (ms)", "takeover p50 (ms)",
          "takeover p99 (ms)", "faulted", "violations"],
     )
-    cells = [
-        SweepCell(
-            key=("failover", system, lease_ms),
-            fn=run_failover_point,
-            kwargs=dict(
-                protocol=system, lease_ms=lease_ms,
-                crash_at_ms=crash_at_ms, crash_nodes=crash_nodes,
-                rate_per_s=rate_per_s, duration_ms=duration_ms,
-                config=config, seed=seed, fault_rate=fault_rate,
-                num_keys=num_keys, compute_ms=compute_ms,
-            ),
+    grid = run_grid(
+        run_failover_point, dict(protocol=systems, lease_ms=lease_values),
+        point, jobs=jobs, tracer=tracer,
+    )
+    for cell, failover_point in grid:
+        result = failover_point.result
+        detect = result.detection_ms
+        takeover = result.takeover_ms
+        table.add_row(
+            cell["protocol"], cell["lease_ms"],
+            failover_point.recovery_mode,
+            result.completed, result.orphaned_invocations,
+            result.recovered_orphans,
+            detect.mean() if detect and detect.count else 0.0,
+            takeover.median() if takeover and takeover.count else 0.0,
+            takeover.p99() if takeover and takeover.count else 0.0,
+            result.faulted_attempts, failover_point.violations,
         )
-        for system in systems
-        for lease_ms in lease_values
-    ]
-    points = iter(run_cells(cells, jobs=jobs, tracer=tracer))
-    for system in systems:
-        for lease_ms in lease_values:
-            point = next(points)
-            result = point.result
-            if breakdowns is not None:
-                breakdowns.setdefault(system, result.breakdown)
-            detect = result.detection_ms
-            takeover = result.takeover_ms
-            table.add_row(
-                system, lease_ms, point.recovery_mode,
-                result.completed, result.orphaned_invocations,
-                result.recovered_orphans,
-                detect.mean() if detect and detect.count else 0.0,
-                takeover.median() if takeover and takeover.count else 0.0,
-                takeover.p99() if takeover and takeover.count else 0.0,
-                result.faulted_attempts, point.violations,
-            )
     table.add_note(
         "detect = mean lease-expiry detection latency; takeover = time "
         "from crash to an orphan's re-dispatch on a survivor."
@@ -272,6 +227,4 @@ def run_failover_sweep(
         "violations = keys whose audited value diverges from the "
         "ground-truth increment count (must be 0 for logged protocols)."
     )
-    for note in pop_crash_notes():
-        table.add_note(note)
-    return table
+    return table.attach(grid)

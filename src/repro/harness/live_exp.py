@@ -19,22 +19,18 @@ not adversarial and the run is flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..compute import build_compute_plane
 from ..compute.worker import WorkloadSpec
 from ..config import SystemConfig
 from ..observe import Tracer
-from ..protocols.registry import PROTOCOL_CLASSES
-from ..storageplane.audit import storage_consistency_report
-from ..workloads.base import Request
+from ..protocols.registry import PROTOCOL_CLASSES, SYSTEMS
+from .audit import GroundTruth, anomaly_count, storage_anomalies
 from .failover import CounterWorkload
-from .parallel import seed_for
+from .parallel import cell_config, point_kwargs, seed_for, sweep_of
 from .platform import RunResult
 from .report import ExperimentTable
-
-#: Audited systems: the three exactly-once protocols plus the control.
-DEFAULT_SYSTEMS = ("unsafe", "boki", "halfmoon-read", "halfmoon-write")
 
 
 @dataclass
@@ -78,24 +74,9 @@ def run_live_point(
     file) — ``None`` keeps the run artifact-free.  ``max_inflight``
     arms gateway admission control (default: unbounded).
     """
-    base = config if config is not None else SystemConfig()
-    if seed is not None:
-        base = base.with_seed(seed)
-    if fault_rate > 0.0:
-        base = base.with_fault_rate(fault_rate)
-    # Wall-clock lease: heartbeat and poll scale with the lease exactly
-    # as in the DES failover sweep, so detection stays a fixed multiple.
-    cfg = (
-        base.with_node_recovery(
-            lease_ms=lease_ms,
-            heartbeat_interval_ms=lease_ms / 5.0,
-            detector_poll_ms=lease_ms / 20.0,
-        )
-        .with_storage_plane(
-            backend="sharded" if log_shards * kv_partitions > 1
-            else "single",
-            log_shards=log_shards, kv_partitions=kv_partitions,
-        )
+    cfg = cell_config(config, seed, fault_rate, lease_ms).with_storage_plane(
+        backend="sharded" if log_shards * kv_partitions > 1 else "single",
+        log_shards=log_shards, kv_partitions=kv_partitions,
     )
     # Per-protocol child seed (parallel-sweep convention): cells are
     # independent, reproducible, and distinct.
@@ -120,37 +101,24 @@ def run_live_point(
         max_inflight=max_inflight,
     )
 
-    expected: Dict[str, int] = {key: 0 for key in workload.keys}
-
-    def on_complete(request: Request, latency_ms: float) -> None:
-        if request.func_name == "bump":
-            expected[request.input] += 1
-
-    plane.on_request_complete = on_complete
+    truth = GroundTruth(workload.keys)
+    plane.on_request_complete = truth.on_request_complete
     duration_ms = requests * 1000.0 / rate_per_s
     try:
         result = plane.run(rate_per_s, duration_ms)
-        # Audit every key through the protocol (gateway-side probe
-        # invocation observes committed state) against ground truth —
-        # including never-bumped keys, which catch double-applied
-        # replays of killed invocations.
-        violations = 0
-        for key in workload.keys:
-            observed = plane.runtime.invoke("probe", key).output
-            if observed != expected[key]:
-                violations += 1
-        report = storage_consistency_report(plane.backend.plane)
-        if violations or report["anomalies"]:
+        # The gateway-side probe invocation observes committed state.
+        violations = truth.violations(plane.runtime)
+        anomalies = storage_anomalies(plane.backend.plane)
+        if violations or anomalies:
             # Forensics for the one outcome the audit exists to catch.
             plane.flightrec.record(
                 "audit-violation", protocol=protocol,
-                violations=violations,
-                anomalies=len(report["anomalies"]),
+                violations=violations, anomalies=len(anomalies),
             )
             plane.dump_flightrecorder("audit-violation", meta={
                 "protocol": protocol,
                 "violations": violations,
-                "anomalies": list(report["anomalies"])[:10],
+                "anomalies": anomalies[:10],
             })
     finally:
         plane.close()
@@ -159,61 +127,42 @@ def run_live_point(
         protocol=protocol,
         result=result,
         violations=violations,
-        expected_bumps=sum(expected.values()),
-        consistency_anomalies=list(report["anomalies"]),
+        expected_bumps=truth.bumps,
+        consistency_anomalies=anomalies,
         kills_delivered=result.extras.get("kills_delivered", 0),
         workers_spawned=result.extras.get("workers_spawned", workers),
     )
 
 
-def run_live(
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    workers: int = 4,
-    kills: int = 3,
-    rate_per_s: float = 400.0,
-    requests: int = 250,
-    lease_ms: float = 400.0,
-    config: Optional[SystemConfig] = None,
-    seed: Optional[int] = None,
-    fault_rate: float = 0.0,
-    crash_f: float = 0.0,
-    compute_ms: float = 2.0,
-    deadline_s: float = 120.0,
-    tracer: Optional[Tracer] = None,
-    telemetry: Optional[bool] = None,
-    flightrec_dir: Optional[str] = None,
-    points_out: Optional[Dict[str, LivePoint]] = None,
-    max_inflight: Optional[int] = None,
-) -> ExperimentTable:
-    """Live compute-plane audit, one cell per system (run serially:
-    each cell owns the machine's worker pool)."""
+@sweep_of(run_live_point, pins={"storage_backend": None})
+def run_live(systems: Sequence[str] = SYSTEMS, **point) -> ExperimentTable:
+    """Live compute-plane audit, one cell per system: the three
+    exactly-once protocols plus the control.  Keywords are
+    :func:`run_live_point`'s.  The cells run serially and share the
+    caller's tracer — each owns the machine's worker pool, and the
+    merged trace keeps one id space across gateway and workers."""
+    effective = point_kwargs(run_live_point, point)
+    max_inflight = effective["max_inflight"]
     table = ExperimentTable(
-        f"Live compute plane: {workers} worker processes, "
-        f"{kills} SIGKILLs mid-invocation, lease {lease_ms:.0f}ms wall",
+        f"Live compute plane: {effective['workers']} worker processes, "
+        f"{effective['kills']} SIGKILLs mid-invocation, "
+        f"lease {effective['lease_ms']:.0f}ms wall",
         ["system", "recovery", "completed", "kills", "orphans",
          "recovered", "detect p50 (ms)", "takeover p50 (ms)",
          "median (ms)", "p99 (ms)", "rpc p50 (ms)", "rpc p99 (ms)",
          "rpc ops/req", "violations", "anomalies"],
     )
     for system in systems:
-        point = run_live_point(
-            system, workers=workers, kills=kills, rate_per_s=rate_per_s,
-            requests=requests, lease_ms=lease_ms, config=config,
-            seed=seed, fault_rate=fault_rate, crash_f=crash_f,
-            compute_ms=compute_ms, deadline_s=deadline_s, tracer=tracer,
-            telemetry=telemetry, flightrec_dir=flightrec_dir,
-            max_inflight=max_inflight,
-        )
-        if points_out is not None:
-            points_out[system] = point
-        result = point.result
+        live_point = run_live_point(system, **point)
+        table.points.append(live_point)
+        result = live_point.result
         detect = result.detection_ms
         takeover = result.takeover_ms
         table.add_row(
             system,
             PROTOCOL_CLASSES[system].recovery_mode,
             result.completed,
-            point.kills_delivered,
+            live_point.kills_delivered,
             result.orphaned_invocations,
             result.recovered_orphans,
             detect.median() if detect is not None and detect.count else 0.0,
@@ -224,8 +173,8 @@ def run_live(
             result.extras.get("rpc_p50_ms") or 0.0,
             result.extras.get("rpc_p99_ms") or 0.0,
             result.extras.get("rpc_ops_per_req") or 0.0,
-            point.violations,
-            len(point.consistency_anomalies),
+            live_point.violations,
+            anomaly_count(live_point),
         )
         for note in per_worker_notes(system, result):
             table.add_note(note)
@@ -267,39 +216,8 @@ def per_worker_notes(system: str, result: RunResult) -> List[str]:
     return notes
 
 
-def audit_live_points(points: Dict[str, LivePoint]) -> List[str]:
-    """Machine-checkable acceptance: returns a list of failures."""
-    failures: List[str] = []
-    for system, point in points.items():
-        safe = system != "unsafe"
-        if safe and point.violations:
-            failures.append(
-                f"{system}: {point.violations} exactly-once violations"
-            )
-        if safe and point.consistency_anomalies:
-            failures.append(
-                f"{system}: {len(point.consistency_anomalies)} "
-                "consistency anomalies"
-            )
-        if point.result.extras.get("aborted"):
-            failures.append(
-                f"{system}: run aborted "
-                f"({point.result.extras['aborted']})"
-            )
-    unsafe = points.get("unsafe")
-    if unsafe is not None and unsafe.kills_delivered > 0:
-        if unsafe.violations == 0:
-            failures.append(
-                "unsafe control survived the kill schedule — the kills "
-                "were not adversarial (audit is vacuous)"
-            )
-    return failures
-
-
 __all__ = [
-    "DEFAULT_SYSTEMS",
     "LivePoint",
-    "audit_live_points",
     "per_worker_notes",
     "run_live",
     "run_live_point",

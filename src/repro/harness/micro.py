@@ -13,26 +13,24 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..config import SystemConfig
 from ..observe import Tracer
+from ..protocols.registry import SYSTEMS
 from ..runtime.local import LocalRuntime
 from ..runtime.services import Cost
 from ..simulation.metrics import LatencyRecorder
 from ..workloads.synthetic import ReadWriteMicrobench
-from .parallel import SweepCell, pop_crash_notes, run_cells
+from .parallel import cell_config, run_grid, sweep_of
 from .report import ExperimentTable
-
-SYSTEMS = ("unsafe", "boki", "halfmoon-read", "halfmoon-write")
 
 
 def run_table1(
     config: Optional[SystemConfig] = None, samples: int = 5_000
 ) -> ExperimentTable:
     """Latency of log, read, and write primitives (Table 1)."""
-    config = (config if config is not None else SystemConfig()).validate()
-    runtime = LocalRuntime(config, protocol="boki")
+    runtime = LocalRuntime(cell_config(config).validate(), protocol="boki")
     backend = runtime.backend
     recorders = {
         "Log": LatencyRecorder("log"),
@@ -84,8 +82,7 @@ def measure_op_latencies(
     the per-invocation init cost (Figure 10 reports operation latency, not
     request latency).
     """
-    config = (config if config is not None else SystemConfig()).validate()
-    runtime = LocalRuntime(config, protocol=protocol)
+    runtime = LocalRuntime(cell_config(config).validate(), protocol=protocol)
     runtime.backend.tracer = tracer
     workload = ReadWriteMicrobench(num_keys=num_keys)
     workload.register(runtime)
@@ -112,41 +109,34 @@ def measure_op_latencies(
     return {"read": reads, "write": writes}
 
 
+@sweep_of(measure_op_latencies)
 def run_fig10(
-    config: Optional[SystemConfig] = None,
-    requests: int = 1_000,
-    num_keys: int = 2_000,
     systems: Sequence[str] = SYSTEMS,
     tracer: Optional[Tracer] = None,
     jobs: Optional[int] = None,
+    **point,
 ) -> Dict[str, ExperimentTable]:
-    """Figure 10: read/write latency of the four systems.
+    """Figure 10: read/write latency of the four systems.  Remaining
+    keywords are :func:`measure_op_latencies`'s.
 
     Each system is one independent cell, so ``jobs`` parallelises the
     per-system measurement without changing any recorded sample.
     """
-    cells = [
-        SweepCell(
-            key=("fig10", system),
-            fn=measure_op_latencies,
-            kwargs=dict(protocol=system, config=config,
-                        requests=requests, num_keys=num_keys),
-        )
-        for system in systems
-    ]
-    results = dict(
-        zip(systems, run_cells(cells, jobs=jobs, tracer=tracer))
+    grid = run_grid(
+        measure_op_latencies, dict(protocol=systems), point,
+        jobs=jobs, tracer=tracer,
     )
-
     tables: Dict[str, ExperimentTable] = {}
     for op, label in [("read", "(a) Read"), ("write", "(b) Write")]:
         table = ExperimentTable(
             f"Figure 10 {label} latency",
             ["system", "median (ms)", "p99 (ms)"],
         )
-        for system in systems:
-            recorder = results[system][op]
-            table.add_row(system, recorder.median(), recorder.p99())
+        for cell, recorders in grid:
+            recorder = recorders[op]
+            table.add_row(
+                cell["protocol"], recorder.median(), recorder.p99()
+            )
         tables[op] = table
 
     tables["read"].add_note(
@@ -156,7 +146,6 @@ def run_fig10(
     tables["write"].add_note(
         "expected shape: HM-write ~30-40% below Boki; HM-read ~= Boki"
     )
-    for note in pop_crash_notes():
-        for table in tables.values():
-            table.add_note(note)
+    for table in tables.values():
+        table.attach(grid)
     return tables

@@ -15,16 +15,16 @@ against uniformly random objects, sweeping the read ratio:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..config import SystemConfig
-from ..observe import LatencyBreakdown, Tracer, breakdown_table
+from ..observe import Tracer, breakdown_table
+from ..protocols.registry import EXACTLY_ONCE_SYSTEMS
 from ..workloads.synthetic import MixedRatioWorkload
-from .parallel import SweepCell, pop_crash_notes, run_cells
+from .parallel import cell_config, run_grid, sweep_of
 from .platform import RunResult, SimPlatform
 from .report import ExperimentTable
 
-SYSTEMS = ("boki", "halfmoon-read", "halfmoon-write")
 DEFAULT_RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
@@ -44,53 +44,40 @@ def run_overhead_point(
         read_ratio, num_keys=num_keys, ops_per_request=ops_per_request
     )
     platform = SimPlatform(
-        workload, protocol,
-        config if config is not None else SystemConfig(),
-        tracer=tracer,
+        workload, protocol, cell_config(config), tracer=tracer
     )
     return platform.run(rate_per_s, duration_ms, warmup_ms=warmup_ms)
 
 
+@sweep_of(run_overhead_point)
 def run_fig12(
     value_bytes: int = 256,
     gc_interval_ms: float = 10_000.0,
     read_ratios: Sequence[float] = DEFAULT_RATIOS,
-    systems: Sequence[str] = SYSTEMS,
+    systems: Sequence[str] = EXACTLY_ONCE_SYSTEMS,
     config: Optional[SystemConfig] = None,
-    rate_per_s: float = 60.0,
-    duration_ms: float = 30_000.0,
-    num_keys: int = 600,
     tracer: Optional[Tracer] = None,
     jobs: Optional[int] = None,
+    **point,
 ) -> ExperimentTable:
-    """One panel of Figure 12: storage vs read ratio."""
-    base = config if config is not None else SystemConfig()
-    base = base.with_value_bytes(value_bytes).with_gc_interval(
-        gc_interval_ms
-    )
+    """One panel of Figure 12: storage vs read ratio.  Remaining
+    keywords are :func:`run_overhead_point`'s."""
+    point["config"] = cell_config(config).with_value_bytes(
+        value_bytes
+    ).with_gc_interval(gc_interval_ms)
     table = ExperimentTable(
         f"Figure 12: storage overhead "
         f"(size={value_bytes}B, GC={gc_interval_ms / 1000:.0f}s)",
         ["system", "read ratio", "avg log (KB)", "avg db (KB)",
          "avg total (KB)"],
     )
-    grid = [(s, r) for s in systems for r in read_ratios]
-    cells = [
-        SweepCell(
-            key=("fig12", value_bytes, gc_interval_ms, system, ratio),
-            fn=run_overhead_point,
-            kwargs=dict(
-                protocol=system, read_ratio=ratio, config=base,
-                rate_per_s=rate_per_s, duration_ms=duration_ms,
-                num_keys=num_keys,
-            ),
-        )
-        for system, ratio in grid
-    ]
-    results = run_cells(cells, jobs=jobs, tracer=tracer)
-    for (system, ratio), result in zip(grid, results):
+    grid = run_grid(
+        run_overhead_point, dict(protocol=systems, read_ratio=read_ratios),
+        point, jobs=jobs, tracer=tracer,
+    )
+    for cell, result in grid:
         table.add_row(
-            system, ratio,
+            cell["protocol"], cell["read_ratio"],
             result.avg_log_bytes / 1024.0,
             result.avg_db_bytes / 1024.0,
             result.avg_total_bytes / 1024.0,
@@ -101,15 +88,13 @@ def run_fig12(
         "0.5; Boki above the best protocol everywhere; crossover "
         "insensitive to GC interval"
     )
-    for note in pop_crash_notes():
-        table.add_note(note)
-    return table
+    return table.attach(grid)
 
 
 def run_fig13(
     rates: Sequence[float] = (100.0, 200.0, 300.0, 400.0),
     read_ratios: Sequence[float] = DEFAULT_RATIOS,
-    systems: Sequence[str] = SYSTEMS,
+    systems: Sequence[str] = EXACTLY_ONCE_SYSTEMS,
     config: Optional[SystemConfig] = None,
     duration_ms: float = 8_000.0,
     num_keys: int = 2_000,
@@ -121,48 +106,38 @@ def run_fig13(
     The full (rate, system, ratio) grid is one cell set, so ``jobs``
     parallelises across every panel at once.
     """
-    cells = [
-        SweepCell(
-            key=("fig13", rate, system, ratio),
-            fn=run_overhead_point,
-            kwargs=dict(
-                protocol=system, read_ratio=ratio, config=config,
-                rate_per_s=rate, duration_ms=duration_ms,
-                warmup_ms=1_000.0, num_keys=num_keys,
-            ),
-        )
-        for rate in rates
-        for system in systems
-        for ratio in read_ratios
-    ]
-    results = iter(run_cells(cells, jobs=jobs, tracer=tracer))
-    tables: Dict[float, ExperimentTable] = {}
-    for rate in rates:
-        table = ExperimentTable(
+    grid = run_grid(
+        run_overhead_point,
+        dict(rate_per_s=rates, protocol=systems, read_ratio=read_ratios),
+        dict(config=config, duration_ms=duration_ms, warmup_ms=1_000.0,
+             num_keys=num_keys),
+        jobs=jobs, tracer=tracer,
+    )
+    tables: Dict[float, ExperimentTable] = {
+        rate: ExperimentTable(
             f"Figure 13: runtime overhead at {rate:.0f} requests/s",
             ["system", "read ratio", "median (ms)", "p99 (ms)"],
         )
-        for system in systems:
-            for ratio in read_ratios:
-                result = next(results)
-                table.add_row(
-                    system, ratio, result.median_ms, result.p99_ms
-                )
+        for rate in rates
+    }
+    for cell, result in grid:
+        tables[cell["rate_per_s"]].add_row(
+            cell["protocol"], cell["read_ratio"],
+            result.median_ms, result.p99_ms,
+        )
+    for table in tables.values():
         table.add_note(
             "expected shape: HM-read latency falls with read ratio, "
             "HM-write rises; crossover near 2/3 regardless of rate; both "
             "below Boki (1.2-1.5x)"
         )
-        tables[rate] = table
-    for note in pop_crash_notes():
-        for table in tables.values():
-            table.add_note(note)
+        table.attach(grid)
     return tables
 
 
 def run_latency_breakdown(
     read_ratio: float = 0.5,
-    systems: Sequence[str] = SYSTEMS,
+    systems: Sequence[str] = EXACTLY_ONCE_SYSTEMS,
     config: Optional[SystemConfig] = None,
     rate_per_s: float = 150.0,
     duration_ms: float = 8_000.0,
@@ -180,31 +155,18 @@ def run_latency_breakdown(
     Stage components sum exactly to the end-to-end latency (see
     :mod:`repro.observe.breakdown`).
     """
-    cells = [
-        SweepCell(
-            key=("breakdown", system, read_ratio),
-            fn=run_overhead_point,
-            kwargs=dict(
-                protocol=system, read_ratio=read_ratio, config=config,
-                rate_per_s=rate_per_s, duration_ms=duration_ms,
-                warmup_ms=warmup_ms, num_keys=num_keys,
-            ),
-        )
-        for system in systems
-    ]
-    results = run_cells(cells, jobs=jobs, tracer=tracer)
-    breakdowns: Dict[str, LatencyBreakdown] = {
-        system: result.breakdown
-        for system, result in zip(systems, results)
-    }
-    table = breakdown_table(
-        breakdowns,
+    grid = run_grid(
+        run_overhead_point, dict(protocol=systems),
+        dict(read_ratio=read_ratio, config=config, rate_per_s=rate_per_s,
+             duration_ms=duration_ms, warmup_ms=warmup_ms,
+             num_keys=num_keys),
+        jobs=jobs, tracer=tracer,
+    )
+    return breakdown_table(
+        {cell["protocol"]: result.breakdown for cell, result in grid},
         f"Latency breakdown (read ratio {read_ratio}, "
         f"{rate_per_s:.0f} req/s)",
-    )
-    for note in pop_crash_notes():
-        table.add_note(note)
-    return table
+    ).attach(grid)
 
 
 def crossover_ratio(

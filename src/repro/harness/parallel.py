@@ -28,24 +28,43 @@ Contract (regression-tested byte-for-byte):
   decorrelated without any ordering dependence: the derived seed is a
   pure function of ``(base_seed, key)``, never of cell position or
   worker id.
+
+Every sweep is written against one template: a *point function* whose
+signature declares the experiment's parameters, and a sweep that names
+its axes, forwards everything else to the point (:func:`sweep_of`,
+:func:`point_kwargs`) and runs the grid through :func:`run_grid`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
+import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from ..config import SystemConfig
 from ..errors import SimulationError
 from ..observe import Tracer
 
 #: Crash notes from the most recent :func:`run_cells` call (a worker
-#: process died and its cells were re-run serially).  Sweeps surface
-#: these in their report tables via :func:`pop_crash_notes`.
+#: process died and its cells were re-run serially).  :func:`run_grid`
+#: pops them onto the :class:`Grid` a sweep attaches to its table.
 _LAST_CRASH_NOTES: List[str] = []
 
 
@@ -88,6 +107,67 @@ def seed_for(base_seed: int, cell_key: Any) -> int:
         f"{base_seed}|{cell_key!r}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") % (2**31 - 1)
+
+
+def cell_config(
+    config: Optional[SystemConfig] = None,
+    seed: Optional[int] = None,
+    fault_rate: float = 0.0,
+    lease_ms: Optional[float] = None,
+) -> SystemConfig:
+    """The config a cell starts from (not yet validated).
+
+    The caller's config (or the default), reseeded when ``seed`` is
+    given, with infrastructure faults when ``fault_rate`` is positive,
+    and — when ``lease_ms`` is given — lease-based node recovery whose
+    heartbeat and detector poll are fixed fractions of the lease, so
+    detection fires within ``lease + lease/5 + lease/20`` of a crash in
+    simulated and wall-clock runs alike.
+    """
+    base = config if config is not None else SystemConfig()
+    if seed is not None:
+        base = base.with_seed(seed)
+    if fault_rate > 0.0:
+        base = base.with_fault_rate(fault_rate)
+    if lease_ms is not None:
+        base = base.with_node_recovery(
+            lease_ms=lease_ms,
+            heartbeat_interval_ms=lease_ms / 5.0,
+            detector_poll_ms=lease_ms / 20.0,
+        )
+    return base
+
+
+def sweep_of(
+    point_fn: Callable[..., Any],
+    pins: Optional[Mapping[str, Optional[str]]] = None,
+):
+    """Declare a sweep driver over ``point_fn``.
+
+    The sweep's ``**kwargs`` are ``point_fn``'s parameters, so the point
+    signature stays the one declaration of their types and defaults
+    (the CLI reads it through ``sweep.point_fn``).  ``pins`` names the
+    shared config flags the experiment sets itself, each with the sweep
+    parameter it takes the values from (``None``: a constant) — the CLI
+    rejects those, pointing at that parameter's flag, instead of
+    building a config the sweep would overwrite.
+    """
+    def declare(sweep):
+        sweep.point_fn = point_fn
+        sweep.pins = dict(pins or {})
+        return sweep
+    return declare
+
+
+def point_kwargs(
+    point_fn: Callable[..., Any], given: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """``point_fn``'s effective keyword arguments: its defaults overlaid
+    with ``given``.  A name the point does not take raises here, as the
+    call itself would have."""
+    bound = inspect.signature(point_fn).bind_partial(**given)
+    bound.apply_defaults()
+    return dict(bound.arguments)
 
 
 @dataclass(frozen=True)
@@ -147,6 +227,63 @@ def run_cells(
             tracer.absorb(child)
         results.append(result)
     return results
+
+
+@dataclass
+class Grid:
+    """What :func:`run_grid` hands back: every cell's coordinates and
+    result in grid order, plus the crash notes of the run (a pool worker
+    died and its cells were re-run serially).  Iterates as
+    ``(coords, result)`` pairs; :meth:`ExperimentTable.attach` takes the
+    results and the notes onto a report table."""
+
+    coords: List[Dict[str, Any]]
+    results: List[Any]
+    crash_notes: List[str]
+
+    def __iter__(self) -> Iterator[Tuple[Dict[str, Any], Any]]:
+        return iter(zip(self.coords, self.results))
+
+
+def run_grid(
+    fn: Callable[..., Any],
+    axes: Union[Mapping[str, Sequence[Any]], Sequence[Dict[str, Any]]],
+    shared: Optional[Mapping[str, Any]] = None,
+    jobs: Optional[int] = None,
+    tracer: Optional[Tracer] = None,
+) -> Grid:
+    """Run ``fn`` over a grid of cells.
+
+    ``axes`` maps a parameter of ``fn`` to the values it sweeps — the
+    grid is their product, first axis outermost — or, for a grid that is
+    not a product (or whose cells carry derived values such as a
+    per-cell seed), lists each cell's coordinates itself.  ``shared``
+    keyword arguments go to every cell unchanged.
+    """
+    if isinstance(axes, Mapping):
+        coords = [
+            dict(zip(axes, values))
+            for values in itertools.product(*axes.values())
+        ]
+    else:
+        coords = list(axes)
+    shared = dict(shared or {})
+    swept = sorted(set(shared) & set(coords[0])) if coords else []
+    if swept:
+        raise TypeError(
+            f"{fn.__name__}: {swept} are swept by this grid; a shared "
+            "value for them would be silently overridden"
+        )
+    cells = [
+        SweepCell(
+            key=(fn.__name__, *cell.values()),
+            fn=fn,
+            kwargs={**shared, **cell},
+        )
+        for cell in coords
+    ]
+    results = run_cells(cells, jobs=jobs, tracer=tracer)
+    return Grid(coords, results, pop_crash_notes())
 
 
 def _run_pool(

@@ -11,15 +11,16 @@ free.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..config import SystemConfig
+from ..protocols.boki import BokiProtocol
+from ..protocols.halfmoon_write import HalfmoonWriteProtocol
 from ..runtime.failures import BernoulliCrashes
 from ..runtime.local import LocalRuntime
 from ..simulation.metrics import LatencyRecorder
 from ..workloads.synthetic import MixedRatioWorkload
+from .parallel import cell_config, point_kwargs, run_grid, sweep_of
 from .report import ExperimentTable
 
 
@@ -32,8 +33,7 @@ def run_recovery_point(
     num_keys: int = 500,
 ) -> LatencyRecorder:
     """Mean latency of one system at crash rate ``f`` (direct mode)."""
-    config = (config if config is not None else SystemConfig()).validate()
-    runtime = LocalRuntime(config, protocol=protocol)
+    runtime = LocalRuntime(cell_config(config).validate(), protocol=protocol)
     runtime.crash_policy = BernoulliCrashes(
         f, runtime.backend.rng.stream("crashes"), horizon=24
     )
@@ -50,29 +50,31 @@ def run_recovery_point(
     return recorder
 
 
+@sweep_of(run_recovery_point)
 def run_recovery_sweep(
     f_values: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4),
-    read_ratio: float = 0.5,
-    systems: Sequence[str] = ("boki", "halfmoon-write"),
-    config: Optional[SystemConfig] = None,
-    requests: int = 400,
+    systems: Sequence[str] = (BokiProtocol.name, HalfmoonWriteProtocol.name),
+    jobs: Optional[int] = None,
+    **point,
 ) -> ExperimentTable:
-    """Section 7: mean latency vs per-round failure rate."""
+    """Section 7: mean latency vs per-round failure rate.  Remaining
+    keywords are :func:`run_recovery_point`'s."""
+    read_ratio = point_kwargs(run_recovery_point, point)["read_ratio"]
     table = ExperimentTable(
         f"Section 7: recovery cost (read ratio {read_ratio})",
         ["system", "f", "mean (ms)", "median (ms)", "p99 (ms)"],
     )
-    for system in systems:
-        for f in f_values:
-            recorder = run_recovery_point(
-                system, f, read_ratio, config, requests
-            )
-            table.add_row(
-                system, f, recorder.mean(), recorder.median(),
-                recorder.p99(),
-            )
+    grid = run_grid(
+        run_recovery_point, dict(protocol=systems, f=f_values), point,
+        jobs=jobs,
+    )
+    for cell, recorder in grid:
+        table.add_row(
+            cell["protocol"], cell["f"], recorder.mean(),
+            recorder.median(), recorder.p99(),
+        )
     table.add_note(
         "expected shape: Halfmoon below Boki across realistic f; the gap "
         "narrows as f grows because Halfmoon replays log-free operations"
     )
-    return table
+    return table.attach(grid)

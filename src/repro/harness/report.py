@@ -18,6 +18,20 @@ class ExperimentTable:
     headers: List[str]
     rows: List[List[Any]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: Every cell result of the sweep that produced the table, in grid
+    #: order.  Never rendered: it is how a caller reaches the full
+    #: points (breakdowns, audit counts) behind the printed rows.
+    points: List[Any] = field(
+        default_factory=list, repr=False, compare=False
+    )
+
+    def attach(self, grid) -> "ExperimentTable":
+        """Take a finished :class:`~repro.harness.parallel.Grid` onto
+        the table: its results become :attr:`points`, its crash notes
+        report notes."""
+        self.points.extend(grid.results)
+        self.notes.extend(grid.crash_notes)
+        return self
 
     def add_row(self, *values: Any) -> None:
         if len(values) != len(self.headers):

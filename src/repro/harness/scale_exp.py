@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from ..config import SystemConfig
 from ..observe import Tracer
 from ..workloads.skew import DiurnalCurve, SkewedWorkload
-from .parallel import SweepCell, pop_crash_notes, run_cells
+from .parallel import cell_config, point_kwargs, run_grid, sweep_of
 from .platform import RunResult, SimPlatform
 from .report import ExperimentTable
 
@@ -65,8 +65,7 @@ def scale_sweep_config(
     in how appends visit the sequencer.  Batch/hold/block knobs are
     taken from ``base`` (set them via ``with_storage_plane``).
     """
-    base = base if base is not None else SystemConfig()
-    config = base.with_storage_plane(
+    config = cell_config(base).with_storage_plane(
         log_shards=log_shards,
         kv_partitions=log_shards,
         backend="sharded",
@@ -122,21 +121,21 @@ def _mean_batch(stats: dict) -> float:
     return 1.0
 
 
+@sweep_of(run_scale_point, pins={
+    "storage_backend": None, "log_shards": None, "kv_partitions": None,
+    "sequencer": "sequencers",
+})
 def run_scale_sweep(
     sequencers: Sequence[str] = DEFAULT_SEQUENCERS,
     rates: Sequence[float] = DEFAULT_RATES,
-    protocol: str = "boki",
-    num_users: int = DEFAULT_USERS,
-    ops_per_request: int = 4,
-    config: Optional[SystemConfig] = None,
-    duration_ms: float = 3_000.0,
-    warmup_ms: float = 500.0,
     diurnal_base: Optional[float] = None,
     diurnal_points: int = 6,
     tracer: Optional[Tracer] = None,
     jobs: Optional[int] = None,
+    **point,
 ) -> ExperimentTable:
     """p99 + sequencer occupancy vs offered load per sequencing strategy.
+    Remaining keywords are :func:`run_scale_point`'s.
 
     ``diurnal_base`` replaces ``rates`` with ``diurnal_points`` samples
     of a day-shaped load curve around that base rate.  ``jobs`` fans the
@@ -145,32 +144,24 @@ def run_scale_sweep(
     if diurnal_base is not None:
         curve = DiurnalCurve(diurnal_base)
         rates = curve.sample_rates(diurnal_points)
+    effective = point_kwargs(run_scale_point, point)
     table = ExperimentTable(
-        f"Sequencer scaling: {protocol} under Zipf skew, "
-        f"{num_users:,} users ({ops_per_request} write+read pairs/req)",
+        f"Sequencer scaling: {effective['protocol']} under Zipf skew, "
+        f"{effective['num_users']:,} users "
+        f"({effective['ops_per_request']} write+read pairs/req)",
         ["sequencer", "rate (req/s)", "completed", "median (ms)",
          "p99 (ms)", "appends/s", "seq occupancy", "appends/visit"],
     )
-    grid = [(seq, rate) for seq in sequencers for rate in rates]
-    cells = [
-        SweepCell(
-            key=("scale", seq, "rate", rate),
-            fn=run_scale_point,
-            kwargs=dict(
-                sequencer=seq, rate_per_s=rate, protocol=protocol,
-                num_users=num_users, ops_per_request=ops_per_request,
-                config=config, duration_ms=duration_ms,
-                warmup_ms=warmup_ms,
-            ),
-        )
-        for seq, rate in grid
-    ]
-    results = run_cells(cells, jobs=jobs, tracer=tracer)
-    for (seq, rate), result in zip(grid, results):
+    grid = run_grid(
+        run_scale_point, dict(sequencer=sequencers, rate_per_s=rates),
+        point, jobs=jobs, tracer=tracer,
+    )
+    for cell, result in grid:
         stats = result.extras["sequencer"]
         table.add_row(
-            seq, rate, result.completed, result.median_ms,
-            result.p99_ms, result.extras["appends_per_s"],
+            cell["sequencer"], cell["rate_per_s"], result.completed,
+            result.median_ms, result.p99_ms,
+            result.extras["appends_per_s"],
             stats["occupancy"], _mean_batch(stats),
         )
     table.add_note(
@@ -186,6 +177,4 @@ def run_scale_sweep(
             f"{diurnal_base:.0f} req/s ({diurnal_points} points over "
             f"one simulated day)"
         )
-    for note in pop_crash_notes():
-        table.add_note(note)
-    return table
+    return table.attach(grid)

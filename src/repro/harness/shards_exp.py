@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from ..config import SystemConfig
 from ..observe import Tracer
 from ..workloads.synthetic import MixedRatioWorkload
-from .parallel import SweepCell, pop_crash_notes, run_cells
+from .parallel import cell_config, point_kwargs, run_grid, sweep_of
 from .platform import RunResult, SimPlatform
 from .report import ExperimentTable
 
@@ -54,8 +54,7 @@ def shard_sweep_config(
     per-append shard service time is raised above the default so the
     single-shard station saturates inside the sweep's rate range.
     """
-    base = base if base is not None else SystemConfig()
-    config = base.with_storage_plane(
+    config = cell_config(base).with_storage_plane(
         log_shards=shards,
         kv_partitions=kv_partitions if kv_partitions is not None else shards,
         backend="sharded",
@@ -103,50 +102,41 @@ def run_shard_point(
     return result
 
 
+@sweep_of(run_shard_point, pins={
+    "storage_backend": None, "log_shards": "shard_counts",
+    "placement": None,
+})
 def run_shard_sweep(
     shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
     rates: Sequence[float] = DEFAULT_RATES,
-    protocol: str = "boki",
-    read_ratio: float = 0.5,
-    config: Optional[SystemConfig] = None,
-    duration_ms: float = 8_000.0,
-    warmup_ms: float = 1_000.0,
-    num_keys: int = 2_000,
     tracer: Optional[Tracer] = None,
     jobs: Optional[int] = None,
+    **point,
 ) -> ExperimentTable:
-    """p50/p99 vs offered load for each log-shard count.
+    """p50/p99 vs offered load for each log-shard count.  Remaining
+    keywords are :func:`run_shard_point`'s.
 
     ``jobs`` fans the grid's cells out over a process pool; the table
     is bit-identical at every job count (each cell is self-contained).
     """
+    effective = point_kwargs(run_shard_point, point)
     table = ExperimentTable(
-        f"Storage-plane scaling: {protocol} latency vs load by log shards "
-        f"(read ratio {read_ratio})",
+        f"Storage-plane scaling: {effective['protocol']} latency vs load "
+        f"by log shards (read ratio {effective['read_ratio']})",
         ["log shards", "rate (req/s)", "median (ms)", "p99 (ms)",
          "log wait (ms/req)", "seq occupancy"],
     )
-    grid = [(shards, rate) for shards in shard_counts for rate in rates]
-    cells = [
-        SweepCell(
-            key=("shards", shards, "rate", rate),
-            fn=run_shard_point,
-            kwargs=dict(
-                shards=shards, rate_per_s=rate, protocol=protocol,
-                read_ratio=read_ratio, config=config,
-                duration_ms=duration_ms, warmup_ms=warmup_ms,
-                num_keys=num_keys,
-            ),
-        )
-        for shards, rate in grid
-    ]
-    results = run_cells(cells, jobs=jobs, tracer=tracer)
-    for (shards, rate), result in zip(grid, results):
+    grid = run_grid(
+        run_shard_point, dict(shards=shard_counts, rate_per_s=rates),
+        point, jobs=jobs, tracer=tracer,
+    )
+    for cell, result in grid:
         per_request_wait = result.extras["log_wait_ms_total"] / max(
             result.completed, 1
         )
         table.add_row(
-            shards, rate, result.median_ms, result.p99_ms,
+            cell["shards"], cell["rate_per_s"],
+            result.median_ms, result.p99_ms,
             per_request_wait,
             result.extras["sequencer"]["occupancy"],
         )
@@ -157,6 +147,4 @@ def run_shard_sweep(
         "utilisation falls; the single sequencer (the metalog) is shared "
         "by every point"
     )
-    for note in pop_crash_notes():
-        table.add_note(note)
-    return table
+    return table.attach(grid)

@@ -30,24 +30,30 @@ protocols riding through replica loss without even a rebuild.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..config import SystemConfig
 from ..observe import Tracer
+from ..protocols.registry import SYSTEMS
 from ..recovery import StorageChaosController
 from ..runtime.failures import BernoulliCrashes, NoCrashes
-from ..storageplane import storage_consistency_report
+from .audit import GroundTruth, anomaly_count, storage_anomalies
 from .failover import CounterWorkload
-from .parallel import SweepCell, pop_crash_notes, run_cells, seed_for
+from .parallel import (
+    cell_config,
+    point_kwargs,
+    run_grid,
+    seed_for,
+    sweep_of,
+)
 from .platform import RunResult, SimPlatform
 from .report import ExperimentTable
 
 #: Grid axes.  ``netsplit`` cells arm the seeded link-partition
 #: schedule instead of killing a component.
 DEFAULT_COMPONENTS = ("metalog", "shard-replica", "partition", "netsplit")
-DEFAULT_SYSTEMS = ("unsafe", "boki", "halfmoon-read", "halfmoon-write")
-EXACTLY_ONCE_SYSTEMS = ("boki", "halfmoon-read", "halfmoon-write")
 DEFAULT_REPLICATIONS = (1, 3)
 #: Sequencing strategies to chaos-test.  ``("monolith",)`` keeps the
 #: default grid (and its per-cell seeds) bit-identical to the
@@ -97,49 +103,6 @@ class StorageChaosPoint:
                 + self.chaos.get("partition_rebuilds", 0))
 
 
-def _chaos_config(
-    base: SystemConfig,
-    component: str,
-    replication: int,
-    log_shards: int,
-    kv_partitions: int,
-    duration_ms: float,
-    storage_fault_rate: float,
-    netsplit_windows: int,
-    sequencer: str = "monolith",
-) -> SystemConfig:
-    chaos: Dict[str, Any] = dict(
-        shard_error_rate=storage_fault_rate * 0.5,
-        shard_timeout_rate=storage_fault_rate * 0.5,
-        partition_error_rate=storage_fault_rate * 0.5,
-        partition_timeout_rate=storage_fault_rate * 0.5,
-    )
-    if component == "netsplit":
-        chaos.update(
-            partition_windows=netsplit_windows,
-            partition_horizon_ms=duration_ms,
-        )
-    cfg = (
-        base.with_storage_plane(
-            backend="sharded",
-            log_shards=log_shards,
-            kv_partitions=kv_partitions,
-            replication=replication,
-            sequencer=sequencer,
-        )
-        .with_storage_chaos(**chaos)
-    )
-    # A whole-component outage lasts hundreds of milliseconds while the
-    # circuit breaker fails attempts fast; with the default 1ms
-    # re-dispatch delay an invocation can burn its entire attempt
-    # budget inside the outage window.  Space attempt-level retries so
-    # the budget spans any recovery in this experiment's schedule.
-    cfg = replace(
-        cfg, failures=replace(cfg.failures, detection_delay_ms=25.0)
-    )
-    return cfg.validate()
-
-
 def run_storagechaos_point(
     protocol: str,
     component: str,
@@ -170,14 +133,36 @@ def run_storagechaos_point(
     """
     if component not in DEFAULT_COMPONENTS:
         raise ValueError(f"unknown storage component {component!r}")
-    base = config if config is not None else SystemConfig()
-    if seed is not None:
-        base = base.with_seed(seed)
-    cfg = _chaos_config(
-        base, component, replication, log_shards, kv_partitions,
-        duration_ms, storage_fault_rate, netsplit_windows,
-        sequencer=sequencer,
+    chaos: Dict[str, Any] = dict(
+        shard_error_rate=storage_fault_rate * 0.5,
+        shard_timeout_rate=storage_fault_rate * 0.5,
+        partition_error_rate=storage_fault_rate * 0.5,
+        partition_timeout_rate=storage_fault_rate * 0.5,
     )
+    if component == "netsplit":
+        chaos.update(
+            partition_windows=netsplit_windows,
+            partition_horizon_ms=duration_ms,
+        )
+    cfg = (
+        cell_config(config, seed)
+        .with_storage_plane(
+            backend="sharded",
+            log_shards=log_shards,
+            kv_partitions=kv_partitions,
+            replication=replication,
+            sequencer=sequencer,
+        )
+        .with_storage_chaos(**chaos)
+    )
+    # A whole-component outage lasts hundreds of milliseconds while the
+    # circuit breaker fails attempts fast; with the default 1ms
+    # re-dispatch delay an invocation can burn its entire attempt
+    # budget inside the outage window.  Space attempt-level retries so
+    # the budget spans any recovery in this experiment's schedule.
+    cfg = replace(
+        cfg, failures=replace(cfg.failures, detection_delay_ms=25.0)
+    ).validate()
 
     num_keys = int(rate_per_s * duration_ms / 1000.0) * 2 + 64
     workload = CounterWorkload(num_keys=num_keys, compute_ms=compute_ms)
@@ -189,13 +174,8 @@ def run_storagechaos_point(
             horizon=crash_horizon,
         )
 
-    expected: Dict[str, int] = {key: 0 for key in workload.keys}
-
-    def on_complete(request, latency_ms: float) -> None:
-        if request.func_name == "bump":
-            expected[request.input] += 1
-
-    platform.on_request_complete = on_complete
+    truth = GroundTruth(workload.keys)
+    platform.on_request_complete = truth.on_request_complete
 
     controller = StorageChaosController(platform)
     if component == "metalog":
@@ -215,10 +195,7 @@ def run_storagechaos_point(
 
     # Heal whatever is still down, then audit the plane's invariants.
     controller.heal()
-    consistency = storage_consistency_report(
-        platform.runtime.backend.plane
-    )
-    anomalies = list(consistency["anomalies"])
+    anomalies = storage_anomalies(platform.runtime.backend.plane)
 
     # Quiesce chaos for the exactly-once audit: probes observe committed
     # state, so faulting the auditor tests nothing — and a direct-mode
@@ -229,19 +206,13 @@ def run_storagechaos_point(
     platform.runtime.backend.storage_faults = None
     platform.runtime.crash_policy = NoCrashes()
 
-    # Exactly-once audit: probe every key through the protocol.
-    violations = 0
-    for key in workload.keys:
-        observed = platform.runtime.invoke("probe", key).output
-        if observed != expected[key]:
-            violations += 1
     return StorageChaosPoint(
         protocol=protocol,
         component=component,
         replication=replication,
         result=result,
-        violations=violations,
-        expected_bumps=sum(expected.values()),
+        violations=truth.violations(platform.runtime),
+        expected_bumps=truth.bumps,
         anomalies=anomalies,
         rebuild_diffs=list(controller.rebuild_diffs),
         chaos=controller.report(),
@@ -250,24 +221,22 @@ def run_storagechaos_point(
     )
 
 
+@sweep_of(run_storagechaos_point,
+          pins={"storage_backend": None, "sequencer": "sequencers"})
 def run_storagechaos_sweep(
     components: Sequence[str] = DEFAULT_COMPONENTS,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
+    systems: Sequence[str] = SYSTEMS,
     replications: Sequence[int] = DEFAULT_REPLICATIONS,
     sequencers: Sequence[str] = DEFAULT_SEQUENCERS,
-    crash_at_ms: float = 1_000.0,
-    recover_after_ms: float = 400.0,
-    rate_per_s: float = 400.0,
-    duration_ms: float = 3_000.0,
     config: Optional[SystemConfig] = None,
     seed: Optional[int] = None,
-    crash_f: float = 0.1,
-    storage_fault_rate: float = 0.01,
     tracer: Optional[Tracer] = None,
     jobs: Optional[int] = None,
+    **point,
 ) -> ExperimentTable:
     """Component × system × replication (× sequencer) grid under
-    storage chaos.
+    storage chaos.  Remaining keywords are
+    :func:`run_storagechaos_point`'s.
 
     Per-cell seeds derive through :func:`seed_for` from the sweep seed
     and the cell key, so the grid is decorrelated and — like every
@@ -276,54 +245,40 @@ def run_storagechaos_sweep(
     is byte-identical to the pre-sequencer-axis sweep; non-monolith
     cells append the strategy name to the key and draw fresh seeds.
     """
-    base_seed = seed if seed is not None else (
-        config.seed if config is not None else SystemConfig().seed
-    )
+    base_seed = cell_config(config, seed).seed
+    point["config"] = config
+    effective = point_kwargs(run_storagechaos_point, point)
     table = ExperimentTable(
         "Storage chaos: component killed at "
-        f"t={crash_at_ms:.0f}ms, recovered +{recover_after_ms:.0f}ms "
-        f"(instance crash f={crash_f})",
+        f"t={effective['crash_at_ms']:.0f}ms, recovered "
+        f"+{effective['recover_after_ms']:.0f}ms "
+        f"(instance crash f={effective['crash_f']})",
         ["system", "component", "R", "seq", "completed", "fenced",
          "rediscover", "unavail ops", "rebuilds", "anomalies",
          "violations"],
     )
-    grid = [
-        (sequencer, replication, system, component)
-        for sequencer in sequencers
-        for replication in replications
-        for system in systems
-        for component in components
-    ]
     cells = []
-    for sequencer, replication, system, component in grid:
+    for sequencer, replication, system, component in itertools.product(
+            sequencers, replications, systems, components):
         key = ("storagechaos", system, component, replication)
         if sequencer != "monolith":
             key = key + (sequencer,)
-        cells.append(SweepCell(
-            key=key,
-            fn=run_storagechaos_point,
-            kwargs=dict(
-                protocol=system, component=component,
-                replication=replication,
-                crash_at_ms=crash_at_ms,
-                recover_after_ms=recover_after_ms,
-                rate_per_s=rate_per_s, duration_ms=duration_ms,
-                config=config, seed=seed_for(base_seed, key),
-                crash_f=crash_f,
-                storage_fault_rate=storage_fault_rate,
-                sequencer=sequencer,
-            ),
+        cells.append(dict(
+            protocol=system, component=component,
+            replication=replication, sequencer=sequencer,
+            seed=seed_for(base_seed, key),
         ))
-    points = run_cells(cells, jobs=jobs, tracer=tracer)
-    for (sequencer, replication, system, component), point in zip(
-            grid, points):
+    grid = run_grid(
+        run_storagechaos_point, cells, point, jobs=jobs, tracer=tracer
+    )
+    for cell, chaos_point in grid:
         table.add_row(
-            system, component, replication, sequencer,
-            point.result.completed, point.fenced_appends,
-            point.rediscoveries, point.unavailable_ops,
-            point.rebuilds,
-            len(point.anomalies) + len(point.rebuild_diffs),
-            point.violations,
+            cell["protocol"], cell["component"], cell["replication"],
+            cell["sequencer"],
+            chaos_point.result.completed, chaos_point.fenced_appends,
+            chaos_point.rediscoveries, chaos_point.unavailable_ops,
+            chaos_point.rebuilds, anomaly_count(chaos_point),
+            chaos_point.violations,
         )
     table.add_note(
         "expected: zero violations and zero anomalies for every logged "
@@ -343,6 +298,4 @@ def run_storagechaos_sweep(
         "unavail ops = operations rejected before effect while a "
         "component was down"
     )
-    for note in pop_crash_notes():
-        table.add_note(note)
-    return table
+    return table.attach(grid)

@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 from ..config import SystemConfig
 from ..observe import Tracer, breakdown_table
 from ..workloads.synthetic import MixedRatioWorkload
+from .parallel import cell_config
 from .platform import RunResult, SimPlatform
 from .report import ExperimentTable
 
@@ -39,18 +40,12 @@ def run_trace(
 ) -> Tuple[RunResult, Optional[Tracer]]:
     """Run one DES operating point, returning the result and the tracer
     (``None`` when ``tracing=False``)."""
-    base = config if config is not None else SystemConfig()
-    if seed is not None:
-        base = base.with_seed(seed)
-    if crash_at_ms is not None:
-        # A crash without recovery would strand its orphans forever;
-        # enable lease-based detection so the trace shows the takeover.
-        base = base.with_node_recovery(
-            lease_ms=500.0,
-            heartbeat_interval_ms=100.0,
-            detector_poll_ms=25.0,
-        )
-    cfg = base.validate()
+    # A crash without recovery would strand its orphans forever; enable
+    # lease-based detection so the trace shows the takeover.
+    cfg = cell_config(
+        config, seed,
+        lease_ms=500.0 if crash_at_ms is not None else None,
+    ).validate()
     tracer = Tracer() if tracing else None
     workload = MixedRatioWorkload(read_ratio, num_keys=num_keys)
     platform = SimPlatform(workload, protocol, cfg, tracer=tracer)

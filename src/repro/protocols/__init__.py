@@ -13,8 +13,10 @@ from .boki import BokiProtocol
 from .halfmoon_read import HalfmoonReadProtocol
 from .halfmoon_write import HalfmoonWriteProtocol
 from .registry import (
+    EXACTLY_ONCE_SYSTEMS,
     PROTOCOL_CLASSES,
     SWITCHABLE_PROTOCOLS,
+    SYSTEMS,
     build_protocol,
     protocol_names,
 )
@@ -23,6 +25,7 @@ from .unsafe import UnsafeProtocol
 
 __all__ = [
     "BokiProtocol",
+    "EXACTLY_ONCE_SYSTEMS",
     "HalfmoonReadProtocol",
     "HalfmoonWriteProtocol",
     "Invoker",
@@ -30,6 +33,7 @@ __all__ = [
     "PROTOCOL_CLASSES",
     "Protocol",
     "SWITCHABLE_PROTOCOLS",
+    "SYSTEMS",
     "TransitionalProtocol",
     "UnsafeProtocol",
     "build_protocol",

@@ -21,6 +21,18 @@ PROTOCOL_CLASSES: Dict[str, Type[Protocol]] = {
     TransitionalProtocol.name: TransitionalProtocol,
 }
 
+#: The four systems every figure compares; ``unsafe`` is the control
+#: that shows an audit can fire.
+SYSTEMS = (
+    UnsafeProtocol.name,
+    BokiProtocol.name,
+    HalfmoonReadProtocol.name,
+    HalfmoonWriteProtocol.name,
+)
+
+#: The systems that promise exactly-once (every one but the control).
+EXACTLY_ONCE_SYSTEMS = SYSTEMS[1:]
+
 #: Names usable as switching targets (Section 4.7).
 SWITCHABLE_PROTOCOLS = (
     HalfmoonReadProtocol.name,
