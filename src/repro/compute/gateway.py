@@ -1,4 +1,4 @@
-"""The ``localhost`` compute backend: asyncio gateway + process pool.
+"""The ``localhost`` compute backend: asyncio gateway + worker pool.
 
 This is the live counterpart of :class:`~repro.harness.platform
 .SimPlatform`: the same protocols, the same storage plane, the same
@@ -10,9 +10,10 @@ are real.  One asyncio gateway process
   loop, exactly where a real storage service would serialize them);
   ``data_received`` decodes, serves and answers every frame of a read
   in that loop turn, against an op table closed at start-up,
-* dispatches invocations to a pool of ``spawn``-ed worker processes,
-  each running the full :class:`~repro.runtime.local.LocalRuntime`
-  stack against an RPC proxy plane, the moment a (worker, invocation)
+* dispatches invocations to a pool of worker processes (forked from
+  one template, owned by :mod:`~repro.compute.pool`), each running the
+  full :class:`~repro.runtime.local.LocalRuntime` stack against an RPC
+  proxy plane, the moment a (worker, invocation)
   pair exists; the INVOKE carries what the platform already knows about
   the instance — log frontier, attempt number, step log — so a request
   costs its protocol ops and no round trip besides,
@@ -55,15 +56,12 @@ import gc
 import json
 import os
 import signal
-import sys
 import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
-
-import multiprocessing as mp
 
 from ..config import SystemConfig
 from ..errors import UnknownOpError
@@ -99,7 +97,8 @@ from ..workloads.base import Request, Workload
 from . import rpc
 from .base import ComputePlane, register_backend
 from .chaos import KillEvent, LiveChaosController
-from .worker import WorkloadSpec, worker_main
+from .pool import WorkerPool
+from .worker import WorkloadSpec
 
 #: (target, method) → cost-kind label for wall-clock op accounting.
 _OP_KIND = {
@@ -147,6 +146,8 @@ class _WorkerSlot:
     """Gateway-side state for one worker process."""
 
     worker_id: int
+    #: The pool's :class:`~repro.compute.pool.WorkerProcess` (pid and
+    #: exit code, as the template reports them).
     process: Any
     breaker: CircuitBreaker
     writer: Optional[asyncio.Transport] = None
@@ -162,6 +163,9 @@ class _WorkerSlot:
     #: stack and is safe to dispatch to (an INVOKE before that would
     #: interleave with its setup RPCs).
     ready: bool = False
+    #: Fork request → READY, wall; and who took over after a death.
+    ready_ms: Optional[float] = None
+    replaced_by: Optional[int] = None
     #: Last storage op this worker was sent a RESULT for — the forensic
     #: anchor a SIGKILL dump names ("the worker saw up to here").
     last_acked_op: Optional[str] = None
@@ -318,6 +322,7 @@ class _GatewayConnection(asyncio.Protocol):
                 plane.telemetry_sink.apply(slot.worker_id, frame[2])
         elif kind == rpc.READY:
             slot.ready = True
+            slot.ready_ms = plane._now() - slot.spawned_at_ms
             plane._pump()
         return True
 
@@ -473,6 +478,7 @@ class LocalhostComputePlane(ComputePlane):
         self._warmup_ms = 0.0
         self._sockdir: Optional[tempfile.TemporaryDirectory] = None
         self._socket_path = ""
+        self._pool: Optional[WorkerPool] = None
         self.on_request_complete = None
 
     # -- ComputePlane ----------------------------------------------------
@@ -553,7 +559,9 @@ class LocalhostComputePlane(ComputePlane):
             lambda: _GatewayConnection(self), path=self._socket_path
         )
         self._write_discovery_file()
-        _ensure_child_pythonpath()
+        self._pool = WorkerPool(
+            loop, self.workload_spec.module, self._template_lost
+        )
         for _ in range(self.num_workers):
             self._spawn_worker()
 
@@ -611,6 +619,14 @@ class LocalhostComputePlane(ComputePlane):
         )
         if self._done_event is not None:
             self._done_event.set()
+
+    def _template_lost(self, reason: str) -> None:
+        """No template, no workers (it failed to import the workload,
+        or died mid-run): end the run now, not at the deadline."""
+        self.aborted_reason = f"worker template failed: {reason}"
+        self.flightrec.record("template-failed", error=reason)
+        self.dump_flightrecorder("template-failed", meta={"error": reason})
+        self._done_event.set()
 
     def _begin_drain(self, signame: str) -> None:
         """SIGTERM/SIGINT: stop admission, let in-flight work finish."""
@@ -722,20 +738,13 @@ class LocalhostComputePlane(ComputePlane):
         span_base = None
         if self.tracer is not None and self.telemetry:
             span_base = self.tracer.reserve_block(WORKER_SPAN_BLOCK)
-        ctx = mp.get_context("spawn")
-        process = ctx.Process(
-            target=worker_main,
-            args=(
-                self._socket_path, worker_id, worker_config,
-                self.protocol, self.workload_spec,
-                self.config.recovery.heartbeat_interval_ms,
-                self.compute_sleep_scale, self.crash_f,
-                self._t0, span_base, self.telemetry,
-            ),
-            daemon=True,
-            name=f"repro-live-worker-{worker_id}",
-        )
-        process.start()
+        process = self._pool.fork(worker_id, (
+            self._socket_path, worker_id, worker_config,
+            self.protocol, self.workload_spec,
+            self.config.recovery.heartbeat_interval_ms,
+            self.compute_sleep_scale, self.crash_f,
+            self._t0, span_base, self.telemetry,
+        ))
         slot = _WorkerSlot(
             worker_id, process,
             CircuitBreaker(
@@ -750,11 +759,11 @@ class LocalhostComputePlane(ComputePlane):
         self._slots[worker_id] = slot
         self._workers_ever += 1
         self.flightrec.record("spawn", worker=worker_id,
-                              pid=process.pid or -1,
+                              template=self._pool.pid,
                               traced=span_base is not None)
-        # The lease clock starts at HELLO, not here: spawn + interpreter
-        # start-up can exceed the lease, and a worker must not be
-        # declared dead before it had a chance to heartbeat.
+        # The lease clock starts at HELLO, not here: the template's boot
+        # can exceed the lease, and a worker must not be declared dead
+        # before it had a chance to heartbeat.
         return slot
 
     async def _shutdown_workers(self) -> None:
@@ -762,17 +771,16 @@ class LocalhostComputePlane(ComputePlane):
             # Answer any worker still parked behind the hold window
             # before telling it to shut down.
             self._coalescer.flush()
+        # The loop keeps serving meanwhile: a SIGTERMed worker's final
+        # telemetry is absorbed, one still booting is not waited out.
+        await self._pool.stop()
         for slot in self._slots.values():
-            if slot.connected:
-                # A small frame on an idle transport is sent by write()
-                # itself, so it is out before join() blocks the loop.
-                rpc.write_frame_async(slot.writer, (rpc.SHUTDOWN,))
-        deadline = time.monotonic() + 5.0
-        for slot in self._slots.values():
-            slot.process.join(max(0.1, deadline - time.monotonic()))
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(1.0)
+            if slot.writer is not None and slot.process.exitcode is None:
+                # Not reaped, so the template was lost: this EOF ends it.
+                slot.writer.close()
+        # Everything a reaped worker wrote is in its socket, EOF last.
+        while any(slot.writer is not None for slot in self._slots.values()):
+            await asyncio.sleep(0)
 
     # -- tasks -------------------------------------------------------------
 
@@ -1071,18 +1079,13 @@ class LocalhostComputePlane(ComputePlane):
     def _sigkill_worker(self, slot: _WorkerSlot, target: str,
                         method: str) -> None:
         now = self._now()
-        pid = slot.process.pid
         event = KillEvent(
-            worker_id=slot.worker_id, pid=pid or -1,
+            worker_id=slot.worker_id, pid=slot.process.pid or -1,
             instance_id=slot.busy_with or "?",
             op=f"{target}.{method}", at_ms=now,
             completed_before=len(self._completed),
         )
-        try:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
+        self._pool.signal(slot.worker_id, signal.SIGKILL)
         slot.alive = False
         slot.breaker.record_failure()
         self.chaos.record_kill(event)
@@ -1193,11 +1196,7 @@ class LocalhostComputePlane(ComputePlane):
         # Fence: a declared-dead worker must not keep running (it may be
         # wedged rather than dead; its invocation is about to be taken
         # over, so any late effect from it would race the replay).
-        try:
-            if slot.process.is_alive():
-                slot.process.kill()
-        except (OSError, ValueError):
-            pass
+        self._pool.signal(worker_id, signal.SIGKILL)
         if slot.writer is not None:
             try:
                 slot.writer.close()
@@ -1248,7 +1247,7 @@ class LocalhostComputePlane(ComputePlane):
         # Keep the pool at strength: a dead worker's replacement gets a
         # fresh id, process, breaker, and lease.
         if not self._draining and not self._done_event.is_set():
-            self._spawn_worker()
+            slot.replaced_by = self._spawn_worker().worker_id
 
     def _enqueue_orphan(self, orphan: Orphan) -> None:
         """RecoveryCoordinator redispatch hook → back into the queue."""
@@ -1298,6 +1297,8 @@ class LocalhostComputePlane(ComputePlane):
                 "killed": kill is not None,
                 "detection_ms": (kill.detection_ms
                                  if kill is not None else None),
+                "ready_ms": slot.ready_ms,
+                "replaced_by": slot.replaced_by,
                 "rpc_p50_ms": (wrt.median() if wrt is not None
                                and wrt.count else None),
                 "rpc_p99_ms": (wrt.p99() if wrt is not None
@@ -1367,9 +1368,8 @@ class LocalhostComputePlane(ComputePlane):
         )
 
     def close(self) -> None:
-        for slot in self._slots.values():
-            if slot.process.is_alive():
-                slot.process.kill()
+        if self._pool is not None:
+            self._pool.close()  # joined by run(); this is the other paths
         self._slots.clear()
         # A plane is tens of thousands of objects held in reference
         # cycles, so a caller that builds planes back to back (a sweep,
@@ -1382,22 +1382,6 @@ class LocalhostComputePlane(ComputePlane):
         # pass ~120 young passes away (a 1 000-request burst with its
         # construction and audit makes ~60).
         gc.collect()
-
-
-def _ensure_child_pythonpath() -> None:
-    """Spawn-ed children must be able to ``import repro``."""
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    parts = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    if src not in parts:
-        os.environ["PYTHONPATH"] = (
-            src + ((os.pathsep + os.environ["PYTHONPATH"])
-                   if os.environ.get("PYTHONPATH") else "")
-        )
-    # Defensive: some environments run with sys.path entries only.
-    if src not in sys.path:
-        sys.path.insert(0, src)
 
 
 register_backend("localhost", LocalhostComputePlane)

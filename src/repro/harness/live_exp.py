@@ -192,10 +192,13 @@ def run_live(systems: Sequence[str] = SYSTEMS, **point) -> ExperimentTable:
 
 def per_worker_notes(system: str, result: RunResult) -> List[str]:
     """Per-worker forensic lines for the live report: which workers
-    were killed, how fast each death was detected, and each worker's
-    RPC round-trip percentiles (from shipped telemetry)."""
+    were killed, how fast each death was detected and its replacement
+    ready, and each worker's RPC round-trip percentiles (from shipped
+    telemetry)."""
     notes: List[str] = []
-    for row in result.extras.get("per_worker", ()):
+    rows = result.extras.get("per_worker", ())
+    ready_ms = {row.get("worker"): row.get("ready_ms") for row in rows}
+    for row in rows:
         parts = [f"inv={row.get('invocations', 0)}"]
         if row.get("killed"):
             detect = row.get("detection_ms")
@@ -203,6 +206,10 @@ def per_worker_notes(system: str, result: RunResult) -> List[str]:
                 "killed, detected in "
                 + (f"{detect:.1f}ms" if detect is not None else "never")
             )
+            # The other half of the recovery: fork request -> READY.
+            ready = ready_ms.get(row.get("replaced_by"))
+            if ready is not None:
+                parts.append(f"replacement ready in {ready:.1f}ms")
         if row.get("rpc_p50_ms") is not None:
             parts.append(
                 f"rpc p50/p99 {row['rpc_p50_ms']:.2f}/"
