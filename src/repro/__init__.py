@@ -26,7 +26,6 @@ Quickstart::
 
 from .config import (
     ClusterConfig,
-    DEFAULT_CONFIG,
     FailureConfig,
     FaultConfig,
     GCConfig,
@@ -39,7 +38,6 @@ from .config import (
 )
 from .errors import (
     ConditionalAppendError,
-    ConditionFailedError,
     ConfigError,
     ConsistencyViolation,
     CrashError,
@@ -102,14 +100,12 @@ __all__ = [
     "CircuitBreaker",
     "ClusterConfig",
     "ComputeOp",
-    "ConditionFailedError",
     "ConditionalAppendError",
     "ConfigError",
     "ConsistencyViolation",
     "Context",
     "CrashError",
     "CrashOnceAtEvery",
-    "DEFAULT_CONFIG",
     "FailureConfig",
     "FaultConfig",
     "FaultDecision",

@@ -36,7 +36,7 @@ Every experiment command also parses the shared flags: ``--seed N``
 (reseed the whole run), ``--fault-rate R`` (transient infrastructure
 faults on every log/store operation; :mod:`repro.faults`), the
 storage-plane flags ``--storage-backend`` / ``--log-shards`` /
-``--kv-partitions`` / ``--placement`` (:mod:`repro.storageplane`) and
+``--kv-partitions`` (:mod:`repro.storageplane`) and
 ``--sequencer`` / ``--sequencer-batch`` / ``--sequencer-hold`` /
 ``--sequencer-block`` (:mod:`repro.storageplane.sequencer`), ``--jobs N``
 (fan a sweep's cells over N worker processes) and ``--trace-out PATH``
@@ -519,21 +519,17 @@ SHARED_FLAGS: Tuple[Flag, ...] = (
           "(Perfetto-loadable; invocation-executing commands only)",
           type=str, metavar="PATH"),
     _flag("--storage-backend", "backend",
-          "storage-plane backend (auto, single, sharded, or a "
-          "registered name; default: auto)", type=str, metavar="NAME"),
+          "storage-plane backend (auto, single or sharded; "
+          "default: auto)", type=str, metavar="NAME"),
     _flag("--log-shards", "log_shards",
           "number of log shards behind the metalog (default: 1)",
           type=int, metavar="N"),
     _flag("--kv-partitions", "kv_partitions",
           "number of KV-store hash partitions (default: 1)",
           type=int, metavar="M"),
-    _flag("--placement", "placement",
-          "tag/key placement policy for sharded planes",
-          type=str, choices=["hash", "first_seen"]),
     _flag("--sequencer", "sequencer",
-          "sequencing strategy (monolith, batched, leased-ranges, "
-          "or a registered name; default: monolith)",
-          type=str, metavar="NAME"),
+          "sequencing strategy (monolith, batched or leased-ranges; "
+          "default: monolith)", type=str, metavar="NAME"),
     _flag("--sequencer-batch", "sequencer_batch",
           "group-commit size for --sequencer batched (default: 8)",
           type=int, metavar="K"),

@@ -195,17 +195,15 @@ class ProxyLog(_ProxySubstrate):
 class ProxyPlane:
     """`StoragePlane` duck type backed by the gateway's real plane.
 
-    Topology (counts, labelling, placement policy) is fetched once at
-    connect time.  ``hash`` placement is a CRC-32 any component can
-    compute, so routes are computed here: no RPC, and no memo for the
-    per-instance step-log tags to grow.  ``first_seen`` is stateful, so
-    each new key costs one routing RPC ever — placement never changes.
+    Topology (counts, labelling) is fetched once at connect time.
+    Placement is a CRC-32 any component can compute, so routes are
+    computed here: no RPC, and no memo for the per-instance step-log
+    tags to grow.
     """
 
     name = "proxy"
 
     def __init__(self, conn: GatewayConnection):
-        self._conn = conn
         self.log = ProxyLog(conn)
         self.kv = _ProxySubstrate(conn, "kv")
         self.mv = _ProxySubstrate(conn, "mv")
@@ -214,26 +212,12 @@ class ProxyPlane:
         self.num_log_shards = int(topo.get("log_shards", 1))
         self.num_kv_partitions = int(topo.get("kv_partitions", 1))
         self.labelled = bool(topo.get("labelled", False))
-        self._hashed = topo.get("placement") == "hash"
-        self._asked: Dict[Tuple[str, str], int] = {}
-
-    def _ask(self, method: str, key: str) -> int:
-        route = self._asked.get((method, key))
-        if route is None:
-            route = self._asked[method, key] = self._conn.call(
-                "plane", method, (key,), {}
-            )
-        return route
 
     def log_shard_of(self, tag: str) -> int:
-        if self._hashed:
-            return stable_hash(tag) % self.num_log_shards
-        return self._ask("log_shard_of", tag)
+        return stable_hash(tag) % self.num_log_shards
 
     def kv_partition_of(self, key: str) -> int:
-        if self._hashed:
-            return stable_hash(base_key(key)) % self.num_kv_partitions
-        return self._ask("kv_partition_of", key)
+        return stable_hash(base_key(key)) % self.num_kv_partitions
 
     def describe(self) -> Dict[str, Any]:
         return dict(self._describe)

@@ -147,7 +147,6 @@ class ClusterConfig:
     function_nodes: int = 8
     workers_per_node: int = 8
     storage_nodes: int = 3
-    log_cache_hit_ratio: float = 0.96
     #: Optional queueing model of the logging layer itself: every append
     #: passes through the sequencer and one of ``storage_nodes`` shards,
     #: each a FIFO station with the given per-append service times.  Off
@@ -169,8 +168,6 @@ class ClusterConfig:
             raise ConfigError("workers_per_node must be positive")
         if self.storage_nodes <= 0:
             raise ConfigError("storage_nodes must be positive")
-        if not 0.0 <= self.log_cache_hit_ratio <= 1.0:
-            raise ConfigError("log_cache_hit_ratio must be in [0, 1]")
         if self.sequencer_service_ms < 0 or self.log_shard_service_ms < 0:
             raise ConfigError("log-layer service times must be >= 0")
         if self.store_partition_service_ms < 0:
@@ -204,14 +201,11 @@ class StorageSizeConfig:
     build_storage_plane` constructs:
 
     * ``backend`` — ``"auto"`` (default; ``single`` at a 1×1 topology,
-      ``sharded`` otherwise), ``"single"``, ``"sharded"``, or any name
-      plugged in via :func:`repro.storageplane.register_backend`;
+      ``sharded`` otherwise), ``"single"`` or ``"sharded"``;
     * ``log_shards`` — number of log storage shards behind the metalog
-      sequencer (tag sub-streams are routed deterministically);
+      sequencer (tag sub-streams are routed by a stable CRC-32 hash);
     * ``kv_partitions`` — number of hash partitions of the external
       store (versions co-locate with their base key);
-    * ``placement`` — routing policy, ``"hash"`` (stable CRC-32) or
-      ``"first_seen"`` (deterministic round-robin);
     * ``replication`` — log-shard replica count.  At 1 (the default and
       the paper-faithful configuration; see EXPERIMENTS.md) each shard
       holds a single copy of its sub-stream indexes and a lost shard is
@@ -230,13 +224,11 @@ class StorageSizeConfig:
     bit-identical to the pre-plane substrates.
     """
 
-    key_bytes: int = 8
     value_bytes: int = 256
     meta_bytes: int = 48
     backend: str = "auto"
     log_shards: int = 1
     kv_partitions: int = 1
-    placement: str = "hash"
     replication: int = 1
     sequencer: str = "monolith"
     sequencer_batch: int = 8
@@ -244,7 +236,7 @@ class StorageSizeConfig:
     sequencer_block: int = 64
 
     def validate(self) -> None:
-        if min(self.key_bytes, self.value_bytes, self.meta_bytes) <= 0:
+        if min(self.value_bytes, self.meta_bytes) <= 0:
             raise ConfigError("storage sizes must be positive")
         if self.log_shards <= 0:
             raise ConfigError("log_shards must be positive")
@@ -252,10 +244,6 @@ class StorageSizeConfig:
             raise ConfigError("kv_partitions must be positive")
         if self.replication <= 0:
             raise ConfigError("replication must be positive")
-        if self.placement not in ("hash", "first_seen"):
-            raise ConfigError(
-                "placement must be 'hash' or 'first_seen'"
-            )
         if not self.backend:
             raise ConfigError("backend must be a non-empty name")
         # Registry membership is checked at plane-build time (the
@@ -272,21 +260,18 @@ class StorageSizeConfig:
 
 @dataclass(frozen=True)
 class FailureConfig:
-    """Crash-injection policy for SSF instances.
+    """How the runtime reacts to a crashed SSF attempt.
 
-    ``crash_probability`` is evaluated at every operation boundary of a
-    fresh (non-replay) attempt; replays run crash-free by default so that
-    experiments terminate.  ``max_retries`` bounds re-execution.
+    ``max_retries`` bounds re-execution and ``detection_delay_ms`` is
+    the gap before the next attempt starts.  *Which* attempts crash is
+    not configuration: a run installs a
+    :class:`~repro.runtime.failures.CrashPolicy` on its runtime.
     """
 
-    crash_probability: float = 0.0
-    crash_on_replay: bool = False
     max_retries: int = 64
     detection_delay_ms: float = 1.0
 
     def validate(self) -> None:
-        if not 0.0 <= self.crash_probability < 1.0:
-            raise ConfigError("crash_probability must be in [0, 1)")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.detection_delay_ms < 0:
@@ -309,15 +294,14 @@ class RecoveryConfig:
     heartbeat_interval_ms + detector_poll_ms)``.  Orphaned SSFs are then
     re-dispatched to surviving nodes, where the normal protocol replay
     paths (symmetric replay vs. log-free re-execution) take over.  A
-    crashed node rejoins ``restart_delay_ms`` after the crash when
-    ``restart_enabled`` — with empty worker slots and a cold cache.
+    crashed node rejoins ``restart_delay_ms`` after the crash, with
+    empty worker slots and a cold cache.
     """
 
     enabled: bool = False
     lease_ms: float = 1_000.0
     heartbeat_interval_ms: float = 200.0
     detector_poll_ms: float = 50.0
-    restart_enabled: bool = True
     restart_delay_ms: float = 8_000.0
 
     def validate(self) -> None:
@@ -480,8 +464,7 @@ class ResilienceConfig:
     ``breaker_cooldown_ops`` operations and degraded modes kick in:
     cache-resident ``logReadPrev``/``logReadNext`` results are served
     from the node-local record cache (``degraded_log_reads``) and
-    opportunistic background appends become droppable best-effort work
-    (``drop_background_appends``).
+    opportunistic background appends become droppable best-effort work.
     """
 
     max_attempts: int = 4
@@ -495,7 +478,6 @@ class ResilienceConfig:
     breaker_failure_threshold: int = 5
     breaker_cooldown_ops: int = 50
     degraded_log_reads: bool = True
-    drop_background_appends: bool = True
     #: Fenced-epoch handling (``FencedEpochError``): the caller refreshes
     #: its cached metalog leader epoch at a fixed ``rediscovery_ms`` cost
     #: and retries immediately — *not* the blind exponential-backoff
@@ -542,7 +524,6 @@ class ProtocolConfig:
 
     align_write_logging_with_boki: bool = True
     preserve_consecutive_write_order: bool = False
-    linearizable_ops: bool = False
     #: Section 7's recovery speed-up: asynchronously checkpoint the
     #: results of log-free reads so re-execution recovers them from the
     #: (cached) checkpoint stream instead of replaying version lookups.
@@ -596,7 +577,6 @@ class SystemConfig:
         log_shards: Optional[int] = None,
         kv_partitions: Optional[int] = None,
         backend: Optional[str] = None,
-        placement: Optional[str] = None,
         replication: Optional[int] = None,
         sequencer: Optional[str] = None,
         sequencer_batch: Optional[int] = None,
@@ -612,8 +592,6 @@ class SystemConfig:
             overrides["kv_partitions"] = kv_partitions
         if backend is not None:
             overrides["backend"] = backend
-        if placement is not None:
-            overrides["placement"] = placement
         if replication is not None:
             overrides["replication"] = replication
         if sequencer is not None:
@@ -631,11 +609,6 @@ class SystemConfig:
         overrides.setdefault("enabled", True)
         return replace(
             self, storage_chaos=replace(self.storage_chaos, **overrides)
-        )
-
-    def with_crash_probability(self, p: float) -> "SystemConfig":
-        return replace(
-            self, failures=replace(self.failures, crash_probability=p)
         )
 
     def with_fault_rate(self, rate: float, scope: str = "all",
@@ -657,6 +630,3 @@ class SystemConfig:
         return replace(
             self, recovery=replace(self.recovery, **overrides)
         )
-
-
-DEFAULT_CONFIG = SystemConfig()

@@ -55,14 +55,6 @@ class KeyMissingError(StoreError):
     """The requested key (or key version) does not exist."""
 
 
-class ConditionFailedError(StoreError):
-    """A conditional update's predicate evaluated to false.
-
-    Halfmoon-write relies on this outcome for idempotence, so callers treat
-    it as a normal, expected result rather than a fault.
-    """
-
-
 class ServiceFaultError(ReproError):
     """An infrastructure service (shared log or store) misbehaved.
 

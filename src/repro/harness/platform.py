@@ -50,7 +50,6 @@ from ..runtime.services import Cost, InstanceServices
 from ..simulation.kernel import Interrupt, Simulator
 from ..simulation.metrics import (
     LatencyRecorder,
-    ThroughputMeter,
     TimeSeries,
     TimeWeightedGauge,
 )
@@ -102,10 +101,6 @@ class RunResult:
     metrics: Dict[str, Dict[str, Any]] = field(repr=False,
                                                default_factory=dict)
 
-    @property
-    def avg_total_mb(self) -> float:
-        return self.avg_total_bytes / (1024.0 * 1024.0)
-
 
 class SimPlatform:
     """One simulated deployment running one workload under one protocol."""
@@ -153,9 +148,6 @@ class SimPlatform:
         )
         self.latency_series = metrics.register(
             "latency_over_time", TimeSeries("latency-over-time")
-        )
-        self.throughput = metrics.register(
-            "completions", ThroughputMeter()
         )
         self.breakdown = LatencyBreakdown(protocol)
         self.crashed_attempts = 0
@@ -231,10 +223,6 @@ class SimPlatform:
                 storage_cfg.sequencer_block,
             )
         self._seq_visits = 0
-        if cluster_cfg.model_log_contention:
-            metrics.probe(
-                "sequencer_occupancy", lambda: self.sequencer_stats()
-            )
         num_stations = (plane.num_log_shards if plane.labelled
                         else self.config.cluster.storage_nodes)
         self._shard_next_free = [0.0] * num_stations
@@ -432,7 +420,6 @@ class SimPlatform:
             else:
                 if arrival_ms >= self._warmup_ms:
                     self.latencies.record(latency)
-                    self.throughput.record(self.sim.now)
                     self.breakdown.record(stages)
                 self.latency_series.record(self.sim.now, latency)
             if self.on_request_complete is not None:
@@ -524,12 +511,9 @@ class SimPlatform:
         self.runtime.backend.drop_node_cache(
             node_id, self.workers.num_nodes
         )
-        recovery = self.config.recovery
-        if recovery.restart_enabled:
-            delay = (restart_after_ms if restart_after_ms is not None
-                     else recovery.restart_delay_ms)
-            self.at(self.sim.now + delay,
-                    lambda: self.restart_node(node_id))
+        delay = (restart_after_ms if restart_after_ms is not None
+                 else self.config.recovery.restart_delay_ms)
+        self.at(self.sim.now + delay, lambda: self.restart_node(node_id))
 
     def restart_node(self, node_id: int) -> None:
         """Bring a crashed node back with empty workers and a cold cache."""
@@ -672,8 +656,7 @@ class SimPlatform:
                 )
         return svc.trace.drain() + extra_wait
 
-    def sequencer_stats(self, now_ms: Optional[float] = None
-                        ) -> Dict[str, Any]:
+    def sequencer_stats(self) -> Dict[str, Any]:
         """Sequencer-station occupancy and batching statistics.
 
         ``occupancy`` is service-busy time over elapsed simulated time —
@@ -682,7 +665,7 @@ class SimPlatform:
         batched pays one per flushed batch; leased pays one per block
         refill.
         """
-        now = self.sim.now if now_ms is None else float(now_ms)
+        now = self.sim.now
         service = self.config.cluster.sequencer_service_ms
         station = self._seq_station
         stats: Dict[str, Any] = {

@@ -43,7 +43,6 @@ def shard_sweep_config(
     kv_partitions: Optional[int] = None,
     log_shard_service_ms: float = 0.1,
     store_partition_service_ms: float = 0.05,
-    placement: str = "hash",
 ) -> SystemConfig:
     """The sweep's operating point for one shard count.
 
@@ -58,7 +57,6 @@ def shard_sweep_config(
         log_shards=shards,
         kv_partitions=kv_partitions if kv_partitions is not None else shards,
         backend="sharded",
-        placement=placement,
     )
     return replace(
         config,
@@ -104,7 +102,6 @@ def run_shard_point(
 
 @sweep_of(run_shard_point, pins={
     "storage_backend": None, "log_shards": "shard_counts",
-    "placement": None,
 })
 def run_shard_sweep(
     shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,

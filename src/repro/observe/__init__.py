@@ -40,7 +40,6 @@ from .registry import MetricsRegistry
 from .tracing import (
     CAT_ATTEMPT,
     CAT_INVOCATION,
-    CAT_PLATFORM,
     CAT_QUEUE,
     CAT_RECOVERY,
     CAT_SERVICE,
@@ -53,7 +52,6 @@ from .tracing import (
 __all__ = [
     "CAT_ATTEMPT",
     "CAT_INVOCATION",
-    "CAT_PLATFORM",
     "CAT_QUEUE",
     "CAT_RECOVERY",
     "CAT_SERVICE",

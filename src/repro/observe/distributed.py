@@ -56,9 +56,6 @@ from .tracing import Span, Tracer
 #: spans per worker is far beyond any live run this harness drives.
 WORKER_SPAN_BLOCK = 1 << 20
 
-#: A trace context on the wire: ``(trace_id, parent_span_id)``.
-TraceContext = Tuple[str, Optional[int]]
-
 #: One span on the wire: ``(trace_id, span_id, parent_id, name,
 #: category, start_ms, end_ms_or_None, args, events)`` with events as
 #: ``(name, ts_ms, args)`` tuples.
@@ -235,12 +232,9 @@ class TelemetrySink:
         self._worker_metrics: Dict[int, Dict[tuple, Any]] = {}
         #: worker id → recent flight-recorder events (bounded).
         self.worker_flightrec: Dict[int, List[Dict[str, Any]]] = {}
-        #: worker id → last batch ``now_ms`` (the merge horizon input).
-        self.last_now_ms: Dict[int, float] = {}
 
     def apply(self, worker_id: int, batch: Dict[str, Any]) -> None:
         self.batches += 1
-        self.last_now_ms[worker_id] = float(batch.get("now_ms", 0.0))
         if self.tracer is not None and batch.get("spans"):
             self.spans_absorbed += absorb_wire_spans(
                 self.tracer, batch["spans"]
@@ -293,7 +287,7 @@ class TelemetrySink:
                 )
             metric.points.extend(payload)
 
-    # -- fleet-level merges ----------------------------------------------
+    # -- per-worker reads -------------------------------------------------
 
     def workers(self) -> List[int]:
         return sorted(self._worker_metrics)
@@ -325,23 +319,4 @@ class TelemetrySink:
             metric = self.worker_metric(worker_id, name)
             if isinstance(metric, ThroughputMeter):
                 out = out.merged(metric, horizon_ms=horizon_ms)
-        return out
-
-    def merged_gauge(self, name: str,
-                     horizon_ms: Optional[float] = None
-                     ) -> TimeWeightedGauge:
-        out = TimeWeightedGauge(name)
-        first = True
-        for worker_id in self.workers():
-            metric = self.worker_metric(worker_id, name)
-            if isinstance(metric, TimeWeightedGauge):
-                if first:
-                    out = metric.merged(
-                        TimeWeightedGauge(name,
-                                          metric._start_time),
-                        horizon_ms=horizon_ms,
-                    )
-                    first = False
-                else:
-                    out = out.merged(metric, horizon_ms=horizon_ms)
         return out

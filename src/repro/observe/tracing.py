@@ -45,8 +45,6 @@ CAT_ATTEMPT = "attempt"
 CAT_SERVICE = "service"
 #: Recovery machinery: orphaning, lease expiry, takeover re-dispatch.
 CAT_RECOVERY = "recovery"
-#: Platform-global events (node crashes, restarts, GC cycles).
-CAT_PLATFORM = "platform"
 
 #: Lane used by :meth:`Tracer.instant` events that belong to no single
 #: invocation (node crashes, lease-detector verdicts).

@@ -32,7 +32,7 @@ from typing import (
 
 from ..config import ProtocolConfig
 from ..errors import ConditionalAppendError, ProtocolError
-from ..tags import instance_tag, object_tag
+from ..tags import instance_tag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.env import Env
@@ -232,8 +232,3 @@ class LoggedProtocol(Protocol):
             svc, env, extra_tags=(), data={"op": "sync"}
         )
         env.advance_cursor(seqnum)
-
-
-def object_write_tag(key: str) -> str:
-    """Tag that places a commit record in the object's write log."""
-    return object_tag(key)

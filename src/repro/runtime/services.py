@@ -22,7 +22,6 @@ through :class:`InstanceServices`, which
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -93,21 +92,6 @@ class Cost:
     #: (refresh the cached metalog epoch), instead of backoff.
     LEADER_REDISCOVERY = "leader_rediscovery"
 
-    ALL = (
-        LOG_APPEND,
-        LOG_APPEND_OVERLAPPED,
-        LOG_APPEND_CONTROL,
-        LOG_APPEND_BACKGROUND,
-        LOG_READ,
-        DB_READ,
-        DB_READ_VERSION,
-        DB_WRITE,
-        DB_WRITE_VERSION,
-        DB_COND_WRITE,
-        INVOKE_OVERHEAD,
-        COMPUTE,
-    )
-
     #: Kinds that represent a logging operation (for log-overhead counts).
     LOGGING_KINDS = frozenset(
         {LOG_APPEND, LOG_APPEND_OVERLAPPED, LOG_APPEND_CONTROL,
@@ -140,8 +124,9 @@ class LatencyProvider:
     """Maps cost kinds to calibrated latency distributions."""
 
     def __init__(self, config: SystemConfig, cache: RecordCache):
+        # ``cache`` is unread (``ServiceBackend.charge_log_read`` owns
+        # the hit/miss choice); benchmarks/e2e passes it and is frozen.
         lat = config.latency
-        self._cache = cache
         db_read = LogNormalLatency(lat.db_read_median_ms, lat.db_read_p99_ms)
         db_write = LogNormalLatency(
             lat.db_write_median_ms, lat.db_write_p99_ms
@@ -180,25 +165,8 @@ class LatencyProvider:
     def sample(self, kind: str, rng: np.random.Generator) -> float:
         return self._models[kind].sample(rng)
 
-    def sample_log_read(
-        self, seqnum: Optional[int], rng: np.random.Generator,
-        shard: int = 0,
-    ) -> float:
-        """Log reads hit the function-node cache or pay a storage trip."""
-        if seqnum is None or self._cache.lookup(seqnum, shard):
-            return self._log_read_hit.sample(rng)
-        return self._log_read_miss.sample(rng)
-
     def mean(self, kind: str) -> float:
         return self._models[kind].mean()
-
-    def samplers(self) -> Dict[str, Callable]:
-        """Compiled per-kind samplers (hot path; see ``compiled()``)."""
-        return {k: model.compiled() for k, model in self._models.items()}
-
-    def log_read_samplers(self):
-        """Compiled (cache-hit, cache-miss) log-read samplers."""
-        return self._log_read_hit.compiled(), self._log_read_miss.compiled()
 
     def batched_samplers(self, rng, chunk: Optional[int] = None):
         """Zero-arg samplers drawing from one shared per-stream batch.
@@ -206,24 +174,14 @@ class LatencyProvider:
         Returns ``(samplers_by_kind, log_read_hit, log_read_miss)`` with
         every closure fed by a single :class:`NormalDrawBatch` over
         ``rng`` — refills consume the stream exactly as the scalar
-        draws would, so seeded results are unchanged — or ``None`` when
-        any model on the stream consumes something other than 0-or-1
-        standard normals per draw (then nothing on the stream may be
-        batched, and the caller keeps the scalar path).
+        draws of :meth:`sample` would, so seeded results are unchanged.
         """
         batch = (NormalDrawBatch(rng) if chunk is None
                  else NormalDrawBatch(rng, chunk))
-        samplers: Dict[str, Callable] = {}
-        for kind, model in self._models.items():
-            sampler = model.batched_sampler(batch)
-            if sampler is None:
-                return None
-            samplers[kind] = sampler
-        hit = self._log_read_hit.batched_sampler(batch)
-        miss = self._log_read_miss.batched_sampler(batch)
-        if hit is None or miss is None:
-            return None
-        return samplers, hit, miss
+        samplers = {kind: model.batched_sampler(batch)
+                    for kind, model in self._models.items()}
+        return (samplers, self._log_read_hit.batched_sampler(batch),
+                self._log_read_miss.batched_sampler(batch))
 
 
 #: A placement label carried by a cost-trace entry: ``("shard", i)``
@@ -334,25 +292,13 @@ class ServiceBackend:
         #: served from one batch over the stream.
         self._uuid_halves = IntegerDrawBatch(self._uuid_rng, 1 << 32)
         self._jitter_rng = self.rng.stream("retry-jitter")
-        #: Compiled per-kind samplers: the charge path draws through
-        #: zero-arg closures instead of walking model objects per op.
-        #: When every model on the stream is batchable they share one
-        #: NormalDrawBatch (vectorised refills, same draw sequence);
-        #: otherwise each closure falls back to a scalar draw.  Both
-        #: forms consume the shared latency stream exactly as the
-        #: models' ``sample`` would.
-        batched = self.latency.batched_samplers(self._latency_rng)
-        if batched is not None:
-            self._samplers, self._lr_hit, self._lr_miss = batched
-        else:
-            rng = self._latency_rng
-            self._samplers = {
-                kind: partial(f, rng)
-                for kind, f in self.latency.samplers().items()
-            }
-            hit, miss = self.latency.log_read_samplers()
-            self._lr_hit = partial(hit, rng)
-            self._lr_miss = partial(miss, rng)
+        #: Per-kind samplers: the charge path draws through zero-arg
+        #: closures instead of walking model objects per op.  They
+        #: share one NormalDrawBatch (vectorised refills) and consume
+        #: the latency stream exactly as the models' ``sample`` would.
+        self._samplers, self._lr_hit, self._lr_miss = (
+            self.latency.batched_samplers(self._latency_rng)
+        )
         #: Placement labels are pure functions of the routing key (the
         #: router memoizes routes; placement tuples memoize the tuple
         #: allocation too, one per key instead of one per op).
@@ -374,53 +320,9 @@ class ServiceBackend:
             if hasattr(self.log, "metalog"):
                 from ..storageplane.fencing import EpochView
                 self.epoch_view = EpochView(self.log.metalog)
-        self._register_component_metrics()
-
-    def _register_component_metrics(self) -> None:
-        """Expose substrate state in the registry via snapshot probes."""
-        for service, breaker in self.breakers.items():
-            self.metrics.probe(
-                "circuit_breaker",
-                lambda b=breaker: {"state": b.state, "trips": b.trips},
-                service=service,
-            )
+        # Snapshot probes: component state that *is* the metric.
         self.metrics.probe("record_cache", self._record_cache_stats)
-        self.metrics.probe(
-            "shared_log",
-            lambda: {
-                "bytes": self.log.storage_bytes(),
-                "tail_seqnum": self.log.tail_seqnum,
-            },
-        )
-        self.metrics.probe(
-            "kv_store", lambda: {"bytes": self.kv.storage_bytes()}
-        )
         self.metrics.probe("storage_plane", self.plane.describe)
-        # Sequencing strategy stats (flushes, batch sizes, leased/
-        # invalidated blocks).  Only registered when a non-default
-        # strategy is selected so monolith snapshots stay byte-stable.
-        # The isinstance check matters: a worker-side RPC proxy log
-        # synthesizes *callables* for unknown attributes, and the stats
-        # belong to the gateway that owns the real sequencer anyway.
-        from ..storageplane.sequencer import Sequencer
-
-        sequencer = getattr(self.log, "sequencer", None)
-        if isinstance(sequencer, Sequencer) and sequencer.name != "monolith":
-            self.metrics.probe(
-                "sequencer_batch_size", sequencer.stats,
-                strategy=sequencer.name,
-            )
-        self.metrics.probe(
-            "fault_injector",
-            lambda: {
-                "enabled": self.faults.enabled,
-                "injected": dict(self.faults.injected),
-            },
-        )
-        if self.storage_faults is not None:
-            self.metrics.probe(
-                "storage_fault_injector", self._storage_fault_stats
-            )
 
     def _record_cache_stats(self) -> Dict[str, Any]:
         return {
@@ -428,15 +330,6 @@ class ServiceBackend:
             "hits": self.cache.hits,
             "misses": self.cache.misses,
             "hit_ratio": self.cache.hit_ratio,
-        }
-
-    def _storage_fault_stats(self) -> Dict[str, Any]:
-        return {
-            "enabled": self.storage_faults.enabled,
-            "injected": dict(self.storage_faults.injected),
-            "link_windows": len(self.storage_faults.schedule),
-            "epoch": (self.epoch_view.epoch
-                      if self.epoch_view is not None else None),
         }
 
     # -- helpers used by InstanceServices -------------------------------
@@ -462,8 +355,8 @@ class ServiceBackend:
                         factor: float = 1.0,
                         placement: Placement = None) -> float:
         shard = placement[1] if placement is not None else 0
-        # Inlined ``LatencyProvider.sample_log_read``: same cache lookup
-        # (hit/miss stats included), same stream consumption.
+        # Log reads hit the function-node cache or pay a storage trip
+        # (the lookup keeps the hit/miss stats).
         if seqnum is None or self.cache.lookup(seqnum, shard):
             ms = self._lr_hit() * factor
         else:
@@ -785,7 +678,7 @@ class InstanceServices:
         resilience = backend.config.resilience
         droppable = kind == Cost.LOG_APPEND_BACKGROUND
         if breaker.consult():
-            if droppable and resilience.drop_background_appends:
+            if droppable:
                 backend.counters.add("background_appends_dropped")
                 return None, None, "dropped-by-breaker"
             if degradable and resilience.degraded_log_reads:

@@ -103,9 +103,6 @@ class ProtocolRouter:
         self.protocol(protocol_name)
         self._object_overrides[key] = protocol_name
 
-    def object_assignment(self, key: str) -> Optional[str]:
-        return self._object_overrides.get(key)
-
     def protocol_for(self, svc: InstanceServices, env: Env,
                      key: str) -> Protocol:
         """Resolve the protocol governing ``key`` for this invocation."""

@@ -50,9 +50,6 @@ class _Stream:
     def next_offset(self) -> int:
         return self.trimmed_count + len(self.seqnums)
 
-    def offset_of_index(self, index: int) -> int:
-        return self.trimmed_count + index
-
     def index_of_offset(self, offset: int) -> int:
         return offset - self.trimmed_count
 

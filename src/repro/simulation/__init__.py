@@ -9,7 +9,6 @@ from .latency import (
     EmpiricalLatency,
     LatencyModel,
     LogNormalLatency,
-    MixtureLatency,
     NormalDrawBatch,
     ScaledLatency,
     UniformLatency,
@@ -48,7 +47,6 @@ __all__ = [
     "LatencyRecorder",
     "LatencySummary",
     "LogNormalLatency",
-    "MixtureLatency",
     "NodeWorkerPool",
     "NormalDrawBatch",
     "Process",

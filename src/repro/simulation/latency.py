@@ -13,14 +13,11 @@ where ``z99 = Phi^-1(0.99) ~= 2.3263``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
-
-#: A compiled sampler: draws one service time from a generator.
-Sampler = Callable[[np.random.Generator], float]
 
 #: A batched sampler: draws one service time from a shared
 #: :class:`NormalDrawBatch` (no per-call generator argument).
@@ -47,10 +44,8 @@ class NormalDrawBatch:
     (pinned by ``tests/simulation/test_batched_draws.py``).
 
     The correctness contract is exclusivity: every consumer of the
-    underlying stream must draw through this batch.  A stream that also
-    serves uniform/integer draws cannot be batched (the refill would
-    reorder consumption); ``LatencyProvider.batched_samplers`` refuses
-    to batch such configurations and callers fall back to scalar draws.
+    underlying stream must draw through this batch (a refill would
+    reorder consumption against a scalar draw from the same stream).
     """
 
     __slots__ = ("rng", "chunk", "_buf", "_pos", "refills")
@@ -92,29 +87,16 @@ class LatencyModel:
         """Return this distribution with all mass scaled by ``factor``."""
         return ScaledLatency(self, factor)
 
-    def compiled(self) -> Sampler:
-        """Return a ``fn(rng) -> float`` closure equivalent to ``sample``.
+    def batched_sampler(self, batch: NormalDrawBatch) -> BatchedSampler:
+        """Return a zero-arg sampler drawing through ``batch``.
 
-        Compiled samplers hoist distribution parameters out of the per-op
-        path (no attribute walks, no wrapper-object dispatch).  Every
-        implementation must consume the generator stream exactly as its
-        ``sample`` does, so swapping a compiled sampler in never perturbs
-        seeded results.  Closures are intentionally not cached on the
-        instance: models stay picklable for process fan-out.
+        It must consume the stream exactly as ``sample`` does — one
+        standard normal per draw, or nothing at all — so the scalar
+        ``sample`` stays the reference the batched draws are pinned to.
+        Closures are intentionally not cached on the instance: models
+        stay picklable for process fan-out.
         """
-        return self.sample
-
-    def batched_sampler(self, batch: NormalDrawBatch
-                        ) -> Optional[BatchedSampler]:
-        """Return a zero-arg sampler drawing through ``batch``, or None.
-
-        Only distributions whose ``sample`` consumes *exactly one
-        standard normal* (or nothing at all) from the stream can be fed
-        from a shared batch; anything else returns ``None`` and the
-        whole stream stays on scalar draws (see
-        ``LatencyProvider.batched_samplers``).
-        """
-        return None
+        raise NotImplementedError
 
 
 class ConstantLatency(LatencyModel):
@@ -130,10 +112,6 @@ class ConstantLatency(LatencyModel):
 
     def mean(self) -> float:
         return self.value_ms
-
-    def compiled(self) -> Sampler:
-        value = self.value_ms
-        return lambda rng: value
 
     def batched_sampler(self, batch: NormalDrawBatch) -> BatchedSampler:
         value = self.value_ms
@@ -174,13 +152,6 @@ class LogNormalLatency(LatencyModel):
 
     def mean(self) -> float:
         return math.exp(self._mu + self._sigma ** 2 / 2.0)
-
-    def compiled(self) -> Sampler:
-        if self._sigma == 0.0:
-            median = self.median_ms
-            return lambda rng: median
-        mu, sigma = self._mu, self._sigma
-        return lambda rng: float(rng.lognormal(mu, sigma))
 
     def batched_sampler(self, batch: NormalDrawBatch) -> BatchedSampler:
         if self._sigma == 0.0:
@@ -239,10 +210,6 @@ class UniformLatency(LatencyModel):
     def mean(self) -> float:
         return (self.low_ms + self.high_ms) / 2.0
 
-    def compiled(self) -> Sampler:
-        low, high = self.low_ms, self.high_ms
-        return lambda rng: float(rng.uniform(low, high))
-
 
 class EmpiricalLatency(LatencyModel):
     """Resamples from a fixed set of observed latencies."""
@@ -261,10 +228,6 @@ class EmpiricalLatency(LatencyModel):
     def mean(self) -> float:
         return float(self._samples.mean())
 
-    def compiled(self) -> Sampler:
-        samples, n = self._samples, len(self._samples)
-        return lambda rng: float(samples[rng.integers(0, n)])
-
 
 class ScaledLatency(LatencyModel):
     """A base distribution with all mass multiplied by a factor."""
@@ -281,51 +244,6 @@ class ScaledLatency(LatencyModel):
     def mean(self) -> float:
         return self.base.mean() * self.factor
 
-    def compiled(self) -> Sampler:
-        base, factor = self.base.compiled(), self.factor
-        return lambda rng: base(rng) * factor
-
-    def batched_sampler(self, batch: NormalDrawBatch
-                        ) -> Optional[BatchedSampler]:
-        inner = self.base.batched_sampler(batch)
-        if inner is None:
-            return None
-        factor = self.factor
+    def batched_sampler(self, batch: NormalDrawBatch) -> BatchedSampler:
+        inner, factor = self.base.batched_sampler(batch), self.factor
         return lambda: inner() * factor
-
-
-class MixtureLatency(LatencyModel):
-    """Two-component mixture, e.g. cache hit vs. miss paths."""
-
-    def __init__(
-        self,
-        primary: LatencyModel,
-        secondary: LatencyModel,
-        primary_probability: float,
-    ):
-        if not 0.0 <= primary_probability <= 1.0:
-            raise ConfigError("primary_probability must be in [0, 1]")
-        self.primary = primary
-        self.secondary = secondary
-        self.primary_probability = float(primary_probability)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        if rng.random() < self.primary_probability:
-            return self.primary.sample(rng)
-        return self.secondary.sample(rng)
-
-    def mean(self) -> float:
-        p = self.primary_probability
-        return p * self.primary.mean() + (1.0 - p) * self.secondary.mean()
-
-    def compiled(self) -> Sampler:
-        primary = self.primary.compiled()
-        secondary = self.secondary.compiled()
-        p = self.primary_probability
-
-        def draw(rng: np.random.Generator) -> float:
-            if rng.random() < p:
-                return primary(rng)
-            return secondary(rng)
-
-        return draw

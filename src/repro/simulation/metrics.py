@@ -191,43 +191,6 @@ class TimeWeightedGauge:
             return self._value
         return area / elapsed
 
-    def area_until(self, now_ms: float) -> float:
-        """Integrated value·time up to ``now_ms`` (≥ the last update)."""
-        if now_ms < self._last_time:
-            raise SimulationError(
-                f"gauge {self.name!r}: area_until({now_ms}) precedes "
-                f"last update at {self._last_time}"
-            )
-        return self._area + self._value * (now_ms - self._last_time)
-
-    def merged(self, other: "TimeWeightedGauge",
-               horizon_ms: Optional[float] = None
-               ) -> "TimeWeightedGauge":
-        """Combine two gauges over one shared *merge horizon*.
-
-        Wall-clock snapshots from different workers stop updating at
-        different instants; summing their individual ``time_average``
-        values would weight each worker's area by its own window,
-        over-counting whichever tail window the other never observed.
-        The merge instead integrates both gauges to a single horizon —
-        ``horizon_ms``, clamped up so no gauge's already-integrated
-        area is rewound (history before the last update is not
-        recoverable) and defaulting to the later of the two last
-        updates — then divides once by the shared elapsed window, so
-        ``merged.time_average()`` is the true combined average.
-        """
-        horizon = max(self._last_time, other._last_time)
-        if horizon_ms is not None:
-            horizon = max(horizon, float(horizon_ms))
-        start = min(self._start_time, other._start_time)
-        out = TimeWeightedGauge(self.name, start)
-        out._area = self.area_until(horizon) + other.area_until(horizon)
-        out._last_time = horizon
-        out._value = self._value + other._value
-        # Upper bound: the components' maxima need not have coincided.
-        out._max_value = self._max_value + other._max_value
-        return out
-
 
 class ThroughputMeter:
     """Counts completions and reports a rate per second.

@@ -3,7 +3,7 @@
 The runtime binds to :class:`StoragePlane`, never to concrete
 substrates; :func:`build_storage_plane` selects the backend from
 :class:`~repro.config.StorageSizeConfig` (``backend`` / ``log_shards``
-/ ``kv_partitions`` / ``placement`` / ``replication``).  ``single``
+/ ``kv_partitions`` / ``replication``).  ``single``
 (the default at a 1×1 topology) is the paper-faithful configuration and
 bit-identical to the pre-plane code; ``sharded`` scales the log into a
 :class:`Metalog` + N :class:`LogShard` s and the store into M hash
@@ -27,10 +27,9 @@ from .plane import (
     SingleNodePlane,
     available_backends,
     build_storage_plane,
-    register_backend,
 )
 from .replication import ShardReplicaSet
-from .routing import PLACEMENT_POLICIES, Router, base_key, stable_hash
+from .routing import Router, base_key, stable_hash
 from .sequencer import (
     BatchedSequencer,
     LeasedBlock,
@@ -39,7 +38,6 @@ from .sequencer import (
     Sequencer,
     available_sequencers,
     build_sequencer,
-    register_sequencer,
 )
 from .sharded_log import LogShard, ShardedLog
 
@@ -53,7 +51,6 @@ __all__ = [
     "LogShard",
     "Metalog",
     "MonolithSequencer",
-    "PLACEMENT_POLICIES",
     "PartitionedKV",
     "Router",
     "Sequencer",
@@ -68,8 +65,6 @@ __all__ = [
     "build_sequencer",
     "build_storage_plane",
     "diff_partition_snapshots",
-    "register_backend",
-    "register_sequencer",
     "stable_hash",
     "storage_consistency_report",
 ]

@@ -214,10 +214,6 @@ class Metalog:
         self._tag_refs[seqnum] = refs
         return False
 
-    @property
-    def live_reference_count(self) -> int:
-        return len(self._tag_refs)
-
     def reference_counts(self) -> Dict[int, int]:
         return dict(self._tag_refs)
 

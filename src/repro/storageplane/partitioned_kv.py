@@ -44,10 +44,9 @@ class PartitionedKV:
     def __init__(
         self,
         partitions: int = 1,
-        placement: str = "hash",
         durability: bool = False,
     ):
-        self.router = Router(partitions, placement)
+        self.router = Router(partitions)
         self._partitions = [KVStore() for _ in range(partitions)]
         #: Running sum of the partitions' bytes: every mutation goes
         #: through this facade, which adds the touched partition's delta.

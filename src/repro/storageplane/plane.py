@@ -1,4 +1,4 @@
-"""Concrete storage planes and the config-driven backend registry.
+"""Concrete storage planes and the config-driven backend table.
 
 Two built-in backends:
 
@@ -14,11 +14,9 @@ Two built-in backends:
 
 ``backend="auto"`` (the default) picks ``single`` when the topology is
 1×1 and ``sharded`` otherwise, so existing configs never change
-behaviour and setting ``log_shards=4`` alone is enough to shard.
-
-Future backends (e.g. a process-external store) plug in through
-:func:`register_backend` without touching the runtime: the service
-layer binds only to :class:`~repro.storageplane.base.StoragePlane`.
+behaviour and setting ``log_shards=4`` alone is enough to shard.  The
+service layer binds only to :class:`~repro.storageplane.base.
+StoragePlane`.
 """
 
 from __future__ import annotations
@@ -66,12 +64,9 @@ class ShardedPlane(StoragePlane):
 
     def __init__(self, config: "SystemConfig"):
         storage = config.storage
-        chaos = getattr(config, "storage_chaos", None)
-        chaos_on = bool(chaos is not None and chaos.enabled)
         self._log = ShardedLog(
             meta_bytes=storage.meta_bytes,
             shards=storage.log_shards,
-            placement=storage.placement,
             replication=storage.replication,
             sequencer=storage.sequencer,
             # The storage config carries the strategy knobs
@@ -80,10 +75,9 @@ class ShardedPlane(StoragePlane):
         )
         self._kv = PartitionedKV(
             partitions=storage.kv_partitions,
-            placement=storage.placement,
             # Partition-loss recovery needs the redo journal; only pay
             # for it when storage chaos can actually lose a partition.
-            durability=chaos_on,
+            durability=config.storage_chaos.enabled,
         )
         self._mv = MultiVersionStore(self._kv)
 
@@ -119,7 +113,6 @@ class ShardedPlane(StoragePlane):
 
     def describe(self) -> Dict:
         info = super().describe()
-        info["placement"] = self._log.router.placement
         info["shard_bytes"] = [
             self._log.shard_bytes(i) for i in range(self._log.num_shards)
         ]
@@ -140,22 +133,13 @@ class ShardedPlane(StoragePlane):
 
 
 # ---------------------------------------------------------------------------
-# Backend registry
+# Backend table
 # ---------------------------------------------------------------------------
 
-PlaneFactory = Callable[["SystemConfig"], StoragePlane]
-
-_BACKENDS: Dict[str, PlaneFactory] = {
+_BACKENDS: Dict[str, Callable[["SystemConfig"], StoragePlane]] = {
     "single": SingleNodePlane,
     "sharded": ShardedPlane,
 }
-
-
-def register_backend(name: str, factory: PlaneFactory) -> None:
-    """Plug in a storage-plane backend selectable via config."""
-    if name in ("auto",):
-        raise ConfigError("'auto' is reserved for backend selection")
-    _BACKENDS[name] = factory
 
 
 def available_backends() -> List[str]:
@@ -167,7 +151,6 @@ def build_storage_plane(config: "SystemConfig") -> StoragePlane:
     storage = config.storage
     name = storage.backend
     if name == "auto":
-        chaos = getattr(config, "storage_chaos", None)
         # Storage chaos needs the sharded plane's crash/rebuild surface
         # even at a 1×1 topology; without it, 1×1 stays on the seed
         # substrates bit-exactly.
@@ -176,7 +159,7 @@ def build_storage_plane(config: "SystemConfig") -> StoragePlane:
             and storage.kv_partitions == 1
             and storage.replication == 1
             and storage.sequencer == "monolith"
-            and not (chaos is not None and chaos.enabled)
+            and not config.storage_chaos.enabled
         )
         name = "single" if plain else "sharded"
     factory = _BACKENDS.get(name)

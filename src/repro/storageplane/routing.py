@@ -12,14 +12,9 @@ every version of an object — and its single-version LATEST slot — lives
 in one partition, which is what lets a future real backend serve a
 ``DBWrite`` + version install as a single-partition transaction.
 
-Two placement policies are provided:
-
-* ``hash`` (default): CRC-32 modulo the shard count.  Stateless, so any
-  component can compute a route without talking to the router.
-* ``first_seen``: round-robin in first-routing order.  Stateful but
-  deterministic (direct mode and the DES route in the same order for the
-  same seed); spreads a small number of hot streams perfectly evenly,
-  which the hash policy only achieves in expectation.
+Placement is CRC-32 modulo the shard count: stateless, so any component
+(a live worker's proxy plane, say) can compute a route without talking
+to the router.
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ from ..errors import ConfigError
 #: (mirrors :data:`repro.store.versioned._SEPARATOR`).
 _VERSION_SEPARATOR = "@"
 
-PLACEMENT_POLICIES = ("hash", "first_seen")
-
 
 def stable_hash(text: str) -> int:
     """Process-independent 32-bit hash of a routing key."""
@@ -47,24 +40,16 @@ def base_key(key: str) -> str:
 
 
 class Router:
-    """Maps routing keys onto ``[0, shards)`` under a placement policy."""
+    """Maps routing keys onto ``[0, shards)`` by stable hash."""
 
-    def __init__(self, shards: int, placement: str = "hash"):
+    def __init__(self, shards: int):
         if shards <= 0:
             raise ConfigError("shard count must be positive")
-        if placement not in PLACEMENT_POLICIES:
-            raise ConfigError(
-                f"unknown placement policy {placement!r}; "
-                f"choose from {PLACEMENT_POLICIES}"
-            )
         self.shards = shards
-        self.placement = placement
-        self._first_seen: Dict[str, int] = {}
-        #: Route memo.  Placement is pure (``hash``) or append-only
-        #: (``first_seen``), so a computed route never changes and the
-        #: CRC can be skipped on every repeat routing of a key.  The key
-        #: universe is bounded by the workload (tags + store keys), so
-        #: the memo is too.
+        #: Route memo.  Placement is pure, so a computed route never
+        #: changes and the CRC can be skipped on every repeat routing
+        #: of a key.  The key universe is bounded by the workload (tags
+        #: + store keys), so the memo is too.
         self._routes: Dict[str, int] = {}
         self._store_routes: Dict[str, int] = {}
 
@@ -72,16 +57,9 @@ class Router:
         shard = self._routes.get(key)
         if shard is not None:
             return shard
-        if self.shards == 1:
-            shard = 0
-        elif self.placement == "hash":
-            shard = stable_hash(key) % self.shards
-        else:
-            shard = self._first_seen.get(key)
-            if shard is None:
-                shard = len(self._first_seen) % self.shards
-                self._first_seen[key] = shard
-        self._routes[key] = shard
+        shard = self._routes[key] = (
+            0 if self.shards == 1 else stable_hash(key) % self.shards
+        )
         return shard
 
     def route_store_key(self, key: str) -> int:

@@ -5,8 +5,8 @@ every append still funnels through one global :class:`Metalog` cursor.
 This module makes that policy pluggable.  A :class:`Sequencer` wraps the
 metalog's two ordering duties — ``assign`` (allocate the next position
 in the global total order) and ``commit`` (advance the replicated
-committed tail once the install reached the shards) — behind a registry
-(:func:`register_sequencer` / :func:`build_sequencer`) selected by
+committed tail once the install reached the shards) — behind a closed
+table (:func:`build_sequencer`) selected by
 ``StorageSizeConfig.sequencer``:
 
 * ``monolith`` — today's behaviour, a straight passthrough to
@@ -55,7 +55,6 @@ __all__ = [
     "Sequencer",
     "available_sequencers",
     "build_sequencer",
-    "register_sequencer",
 ]
 
 
@@ -265,7 +264,7 @@ class LeasedRangeSequencer(Sequencer):
 
 
 # ---------------------------------------------------------------------------
-# Strategy registry
+# Strategy table
 # ---------------------------------------------------------------------------
 
 #: Factory signature: ``(metalog, storage_config) -> Sequencer`` where
@@ -283,11 +282,6 @@ _SEQUENCERS: Dict[str, SequencerFactory] = {
         metalog, block=getattr(storage, "sequencer_block", 64)
     ),
 }
-
-
-def register_sequencer(name: str, factory: SequencerFactory) -> None:
-    """Plug in a sequencing strategy selectable via config."""
-    _SEQUENCERS[name] = factory
 
 
 def available_sequencers() -> List[str]:

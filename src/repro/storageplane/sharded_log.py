@@ -81,12 +81,6 @@ class LogShard:
     def stream(self, tag: str) -> Optional[_Stream]:
         return self.streams.get(tag)
 
-    def stream_or_create(self, tag: str) -> _Stream:
-        stream = self.streams.get(tag)
-        if stream is None:
-            stream = self.streams[tag] = _Stream()
-        return stream
-
 
 class ShardedLog:
     """Drop-in ``SharedLog`` replacement routing tags across N shards."""
@@ -96,7 +90,6 @@ class ShardedLog:
         meta_bytes: int = 48,
         first_seqnum: int = 1,
         shards: int = 1,
-        placement: str = "hash",
         replication: int = 1,
         sequencer: str = "monolith",
         sequencer_options: Optional[Any] = None,
@@ -109,7 +102,7 @@ class ShardedLog:
         self.sequencer = build_sequencer(
             sequencer, self.metalog, sequencer_options
         )
-        self.router = Router(shards, placement)
+        self.router = Router(shards)
         #: Bound route method: placement is consulted on every append,
         #: read, and trim, so skip the extra dispatch layer.
         self._route = self.router.route

@@ -43,10 +43,9 @@ from repro.tags import instance_tag
 from repro.workloads.base import Request
 
 
-def _config(placement="hash", seed=1106):
+def _config(seed=1106):
     return SystemConfig(seed=seed).with_storage_plane(
         backend="sharded", log_shards=2, kv_partitions=2,
-        placement=placement,
     )
 
 
@@ -66,9 +65,9 @@ class CountingConnection:
         return result
 
 
-def _worker_stack(placement="hash", protocol="boki"):
+def _worker_stack(protocol="boki"):
     """(gateway backend, counting connection, worker runtime)."""
-    config = _config(placement)
+    config = _config()
     real = ServiceBackend(config)
     gateway_runtime = LocalRuntime(config, protocol=protocol, backend=real)
     workload = CounterWorkload(num_keys=16, compute_ms=0.0)
@@ -130,8 +129,9 @@ def _routing_keys(count=1000):
 
 
 def test_hash_routing_is_local_and_agrees_with_the_gateway_plane():
-    real, conn, _ = _worker_stack("hash")
+    real, conn, _ = _worker_stack()
     proxy = ProxyPlane(conn)
+    held = dict(vars(proxy))
     conn.ops.clear()
     tags, keys = _routing_keys()
     for tag in tags:
@@ -143,22 +143,7 @@ def test_hash_routing_is_local_and_agrees_with_the_gateway_plane():
     # No RPC, and nothing retained per key (per-instance step-log tags
     # would otherwise grow a memo for the life of the worker).
     assert conn.ops == []
-    assert proxy._asked == {}
-
-
-def test_first_seen_routing_still_asks_the_gateway_once_per_key():
-    real, conn, _ = _worker_stack("first_seen")
-    proxy = ProxyPlane(conn)
-    conn.ops.clear()
-    tags, keys = _routing_keys(50)
-    for _ in range(2):  # second pass is served from the memo
-        for tag in tags:
-            assert proxy.log_shard_of(tag) == real.plane.log_shard_of(tag)
-        for key in keys:
-            assert (proxy.kv_partition_of(key)
-                    == real.plane.kv_partition_of(key))
-    assert conn.ops.count("plane.log_shard_of") == len(set(tags))
-    assert conn.ops.count("plane.kv_partition_of") == len(set(keys))
+    assert vars(proxy) == held
 
 
 # -- (d) a stale INVOKE frontier is safe -------------------------------------

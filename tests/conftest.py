@@ -2,13 +2,32 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro import LocalRuntime, SystemConfig
 from repro.config import ClusterConfig, FailureConfig, GCConfig
 
 PROTOCOLS = ("boki", "halfmoon-read", "halfmoon-write")
 ALL_SYSTEMS = ("unsafe",) + PROTOCOLS
+
+
+def package_modules():
+    """``(path relative to src/repro, parsed module)`` of every source
+    file — what the tooling guards walk."""
+    package_dir = pathlib.Path(repro.__file__).parent
+    for path in sorted(package_dir.rglob("*.py")):
+        yield (path.relative_to(package_dir).as_posix(),
+               ast.parse(path.read_text()))
+
+
+def call_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(
+        func, "attr", None)
 
 
 @pytest.fixture

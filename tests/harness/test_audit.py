@@ -11,12 +11,10 @@ of the template can grow back unnoticed.
 """
 
 import ast
-import pathlib
 from types import SimpleNamespace
 
 import pytest
 
-import repro
 from repro.harness import (
     audit_failures,
     audit_verdict,
@@ -27,8 +25,7 @@ from repro.harness import (
 )
 from repro.harness.audit import GroundTruth
 from repro.harness.report import ExperimentTable
-
-PACKAGE_DIR = pathlib.Path(repro.__file__).parent
+from tests.conftest import call_name, package_modules
 
 
 def point(protocol, violations=0, **fields):
@@ -251,41 +248,29 @@ class TestRunGrid:
 # ----------------------------------------------------------------------
 
 
-def _modules():
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        yield (path.relative_to(PACKAGE_DIR).as_posix(),
-               ast.parse(path.read_text()))
-
-
-def _call_name(call):
-    func = call.func
-    return func.id if isinstance(func, ast.Name) else getattr(
-        func, "attr", None)
-
-
 def test_sweep_cells_are_built_only_by_the_executor():
     sites = [
-        path for path, tree in _modules() for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and _call_name(node) == "SweepCell"
+        path for path, tree in package_modules() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and call_name(node) == "SweepCell"
     ]
     assert sites == ["harness/parallel.py"]
 
 
 def test_crash_notes_are_popped_only_by_run_grid():
     sites = [
-        path for path, tree in _modules() for node in ast.walk(tree)
+        path for path, tree in package_modules() for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and _call_name(node) == "pop_crash_notes"
+        and call_name(node) == "pop_crash_notes"
     ]
     assert sites == ["harness/parallel.py"]
 
 
 def test_only_the_audit_probes_and_counts():
     probes, counts = [], []
-    for path, tree in _modules():
+    for path, tree in package_modules():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
-                    and _call_name(node) == "invoke" and node.args
+                    and call_name(node) == "invoke" and node.args
                     and isinstance(node.args[0], ast.Constant)
                     and node.args[0].value == "probe"):
                 probes.append(path)
@@ -301,7 +286,7 @@ def test_no_system_tuple_outside_the_registry():
     """The compared systems are two constants beside
     ``PROTOCOL_CLASSES``; a literal copy would drift from them."""
     offenders = []
-    for path, tree in _modules():
+    for path, tree in package_modules():
         if not (path.startswith("harness/") or path == "cli.py"):
             continue
         for node in ast.walk(tree):

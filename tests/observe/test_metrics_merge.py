@@ -1,78 +1,19 @@
 """Merge-horizon semantics for wall-clock metric merges.
 
-Per-worker gauges and throughput meters stop updating at different
-instants; these tests pin the invariant that merging integrates both
-operands to ONE shared horizon before dividing — the naive "sum the
-per-worker averages" answer is demonstrably wrong on the same inputs.
+Per-worker throughput meters stop updating at different instants;
+these tests pin the invariant that merging extends both operands to ONE
+shared horizon before dividing — the naive "sum the per-worker rates"
+answer is demonstrably wrong on the same inputs.
 """
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.simulation.metrics import (
     Counter,
     LatencyRecorder,
     ThroughputMeter,
     TimeSeries,
-    TimeWeightedGauge,
 )
-
-
-# -- TimeWeightedGauge ----------------------------------------------------
-
-
-def test_gauge_merge_integrates_to_shared_horizon():
-    a = TimeWeightedGauge("busy", start_time_ms=0.0)
-    a.set(100.0, 0.0)
-    b = TimeWeightedGauge("busy", start_time_ms=0.0)
-    b.set(50.0, 0.0)
-    b.set(70.0, 400.0)
-
-    merged = a.merged(b, horizon_ms=800.0)
-    # A contributes 100 * 800; B contributes 50*400 + 70*400.
-    assert merged.time_average() == pytest.approx(
-        (100.0 * 800.0 + 50.0 * 400.0 + 70.0 * 400.0) / 800.0
-    )
-    assert merged.time_average() == pytest.approx(160.0)
-    # The naive answer — each worker averaged over its own window —
-    # gives 100 + 50 = 150: B's tail (70 from 400ms on) is lost.
-    naive = a.time_average() + b.time_average(400.0)
-    assert naive == pytest.approx(150.0)
-    assert merged.time_average() != pytest.approx(naive)
-
-
-def test_gauge_merge_horizon_clamps_up_never_rewinds():
-    a = TimeWeightedGauge("g")
-    a.set(10.0, 100.0)
-    b = TimeWeightedGauge("g")
-    b.set(20.0, 400.0)
-    # A horizon before b's last update cannot rewind integrated area:
-    # the effective horizon is the later of the two last updates.
-    merged = a.merged(b, horizon_ms=50.0)
-    assert merged._last_time == 400.0
-    same = a.merged(b)  # default horizon = later last update
-    assert merged.time_average() == pytest.approx(same.time_average())
-
-
-def test_gauge_merge_sums_value_and_bounds_max():
-    a = TimeWeightedGauge("g")
-    a.set(3.0, 0.0)
-    a.set(1.0, 10.0)
-    b = TimeWeightedGauge("g")
-    b.set(4.0, 5.0)
-    merged = a.merged(b, horizon_ms=20.0)
-    assert merged.value == 1.0 + 4.0
-    # Upper bound: the component maxima need not have coincided.
-    assert merged.max_value == 3.0 + 4.0
-
-
-def test_gauge_area_until_rejects_time_travel():
-    g = TimeWeightedGauge("g")
-    g.set(1.0, 100.0)
-    assert g.area_until(100.0) == pytest.approx(0.0)
-    assert g.area_until(150.0) == pytest.approx(50.0)
-    with pytest.raises(SimulationError):
-        g.area_until(99.0)
 
 
 # -- ThroughputMeter ------------------------------------------------------

@@ -19,12 +19,7 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.runtime.services import LatencyProvider, RecordCache
 from repro.simulation import NormalDrawBatch
-from repro.simulation.latency import (
-    ConstantLatency,
-    LogNormalLatency,
-    MixtureLatency,
-    UniformLatency,
-)
+from repro.simulation.latency import ConstantLatency, LogNormalLatency
 
 SEED = 20260808
 
@@ -91,17 +86,6 @@ def test_degenerate_models_consume_no_draws():
     )
 
 
-def test_unbatchable_models_return_none():
-    batch = NormalDrawBatch(np.random.default_rng(SEED))
-    uniform = UniformLatency(1.0, 2.0)
-    assert uniform.batched_sampler(batch) is None
-    # ScaledLatency propagates the refusal rather than batching around
-    # an unbatchable base.
-    assert uniform.scaled(2.0).batched_sampler(batch) is None
-    mixture = MixtureLatency(ConstantLatency(1.0), ConstantLatency(2.0), 0.5)
-    assert mixture.batched_sampler(batch) is None
-
-
 def test_invalid_chunk_rejected():
     with pytest.raises(ConfigError):
         NormalDrawBatch(np.random.default_rng(SEED), chunk=0)
@@ -114,9 +98,9 @@ def test_provider_batched_samplers_match_scalar_provider():
     # many refill boundaries.
     config = SystemConfig(seed=17)
     provider = LatencyProvider(config, RecordCache())
-    result = provider.batched_samplers(np.random.default_rng(SEED), chunk=3)
-    assert result is not None
-    samplers, hit, miss = result
+    samplers, hit, miss = provider.batched_samplers(
+        np.random.default_rng(SEED), chunk=3
+    )
     scalar_provider = LatencyProvider(config, RecordCache())
     scalar = np.random.default_rng(SEED)
     kinds = sorted(samplers)

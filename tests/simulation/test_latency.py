@@ -8,7 +8,6 @@ from repro.simulation import (
     ConstantLatency,
     EmpiricalLatency,
     LogNormalLatency,
-    MixtureLatency,
     UniformLatency,
 )
 
@@ -97,19 +96,3 @@ def test_empirical_resamples_only_observed(rng):
 def test_empirical_requires_samples():
     with pytest.raises(ConfigError):
         EmpiricalLatency([])
-
-
-def test_mixture_mean_and_bounds(rng):
-    model = MixtureLatency(
-        ConstantLatency(1.0), ConstantLatency(10.0),
-        primary_probability=0.9,
-    )
-    assert model.mean() == pytest.approx(0.9 * 1.0 + 0.1 * 10.0)
-    samples = [model.sample(rng) for _ in range(5_000)]
-    fraction_primary = sum(1 for s in samples if s == 1.0) / len(samples)
-    assert fraction_primary == pytest.approx(0.9, abs=0.02)
-
-
-def test_mixture_validation():
-    with pytest.raises(ConfigError):
-        MixtureLatency(ConstantLatency(1), ConstantLatency(2), 1.5)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.harness import SimPlatform, run_overhead_point
+from repro.runtime import BernoulliCrashes
 from repro.workloads import MixedRatioWorkload
 
 
@@ -16,10 +17,14 @@ def _sharded_1x1(config: SystemConfig) -> SystemConfig:
     )
 
 
-def _run(config, protocol="halfmoon-read", rate=120.0):
+def _run(config, protocol="halfmoon-read", rate=120.0, crash_f=0.0):
     platform = SimPlatform(
         MixedRatioWorkload(0.5, num_keys=300), protocol, config
     )
+    if crash_f > 0.0:
+        platform.runtime.crash_policy = BernoulliCrashes(
+            crash_f, platform.runtime.backend.rng.stream("golden-crashes")
+        )
     result = platform.run(rate, 2_500.0, warmup_ms=500.0)
     return platform, result
 
@@ -45,9 +50,10 @@ def test_des_run_bit_identical_at_1x1(protocol):
 
 
 def test_gc_and_crash_paths_bit_identical_at_1x1():
-    config = SystemConfig(seed=13).with_crash_probability(0.15)
-    _, r_single = _run(config)
-    _, r_sharded = _run(_sharded_1x1(config))
+    config = SystemConfig(seed=13)
+    _, r_single = _run(config, crash_f=0.15)
+    _, r_sharded = _run(_sharded_1x1(config), crash_f=0.15)
+    assert r_single.crashed_attempts > 0
     assert r_single.crashed_attempts == r_sharded.crashed_attempts
     assert r_single.median_ms == r_sharded.median_ms
     assert r_single.counters == r_sharded.counters

@@ -1,4 +1,4 @@
-"""StoragePlane selection, the backend registry, and the architectural
+"""StoragePlane selection, the closed backend table, and the architectural
 invariant that protocol code never binds to a concrete storage class."""
 
 import ast
@@ -10,17 +10,12 @@ import repro.protocols as protocols_pkg
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.runtime import ServiceBackend
-from repro.sharedlog import SharedLog
 from repro.storageplane import (
     ShardedPlane,
     SingleNodePlane,
-    StoragePlane,
     available_backends,
     build_storage_plane,
-    register_backend,
 )
-from repro.storageplane.plane import _BACKENDS
-from repro.store import KVStore
 
 
 def test_auto_selects_single_at_1x1():
@@ -52,40 +47,9 @@ def test_explicit_backend_overrides_auto():
 
 def test_unknown_backend_rejected():
     config = SystemConfig().with_storage_plane(backend="bogus")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="sharded.*single"):
         build_storage_plane(config)
-
-
-def test_register_backend_plugs_into_config_selection():
-    class TinyPlane(StoragePlane):
-        name = "tiny"
-
-        def __init__(self, config):
-            self._log = SharedLog()
-            self._kv = KVStore()
-
-        @property
-        def log(self):
-            return self._log
-
-        @property
-        def kv(self):
-            return self._kv
-
-        @property
-        def mv(self):
-            return None
-
-    register_backend("tiny", TinyPlane)
-    try:
-        config = SystemConfig().with_storage_plane(backend="tiny")
-        plane = build_storage_plane(config)
-        assert plane.name == "tiny"
-        assert "tiny" in available_backends()
-        with pytest.raises(ConfigError):
-            register_backend("auto", TinyPlane)
-    finally:
-        _BACKENDS.pop("tiny", None)
+    assert available_backends() == ["sharded", "single"]
 
 
 def test_describe_snapshots_topology():

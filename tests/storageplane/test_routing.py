@@ -1,10 +1,9 @@
-"""Deterministic placement: stable hashing, base-key colocation,
-placement policies."""
+"""Deterministic placement: stable hashing, base-key colocation."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.storageplane import PLACEMENT_POLICIES, Router, base_key, stable_hash
+from repro.storageplane import Router, base_key, stable_hash
 
 
 def test_stable_hash_is_process_independent():
@@ -45,18 +44,6 @@ def test_versions_colocate_with_their_object():
         assert router.route_store_key(f"account:42@{version}") == home
 
 
-def test_first_seen_round_robins_deterministically():
-    router = Router(3, placement="first_seen")
-    tags = [f"t{i}" for i in range(7)]
-    first = [router.route(t) for t in tags]
-    assert first == [0, 1, 2, 0, 1, 2, 0]
-    # Idempotent: repeat routes keep their assignment.
-    assert [router.route(t) for t in tags] == first
-
-
 def test_invalid_router_configs_rejected():
     with pytest.raises(ConfigError):
         Router(0)
-    with pytest.raises(ConfigError):
-        Router(2, placement="nope")
-    assert PLACEMENT_POLICIES == ("hash", "first_seen")

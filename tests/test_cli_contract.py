@@ -38,7 +38,6 @@ SHARED_FLAGS = {
     "--storage-backend": ("str", None, None, None),
     "--log-shards": ("int", None, None, None),
     "--kv-partitions": ("int", None, None, None),
-    "--placement": ("str", None, None, ["hash", "first_seen"]),
     "--sequencer": ("str", None, None, None),
     "--sequencer-batch": ("int", None, None, None),
     "--sequencer-hold": ("float", None, None, None),
@@ -220,8 +219,9 @@ CONFIG_FLAGS = {
                           lambda c: c.storage.backend == "sharded"),
     "--log-shards": ("4", lambda c: c.storage.log_shards == 4),
     "--kv-partitions": ("4", lambda c: c.storage.kv_partitions == 4),
-    "--placement": ("first_seen",
-                    lambda c: c.storage.placement == "first_seen"),
+    # Removed with the ``first_seen`` policy: rejected by name, like any
+    # flag no command declares — never accepted and ignored.
+    "--placement": ("first_seen", None),
     "--sequencer": ("batched", lambda c: c.storage.sequencer == "batched"),
     "--sequencer-batch": ("3", lambda c: c.storage.sequencer_batch == 3),
     "--sequencer-hold": ("0.5",
@@ -275,6 +275,13 @@ def test_shared_flag_is_honoured_or_rejected(validated, capsys, command,
                                              flag):
     value, holds = CONFIG_FLAGS[flag]
     argv = _single_cell(command, flag, value)
+    if flag == "--placement":
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert ("unrecognized arguments: --placement first_seen"
+                in capsys.readouterr().err)
+        return
     hint = REJECTED.get((command, flag))
     if hint is not None:
         with pytest.raises(SystemExit) as exit_info:

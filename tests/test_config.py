@@ -46,7 +46,7 @@ class TestClusterConfig:
         with pytest.raises(ConfigError):
             ClusterConfig(function_nodes=0).validate()
         with pytest.raises(ConfigError):
-            ClusterConfig(log_cache_hit_ratio=1.2).validate()
+            ClusterConfig(storage_nodes=0).validate()
 
 
 class TestOtherSections:
@@ -60,7 +60,7 @@ class TestOtherSections:
 
     def test_failure_probability_bounds(self):
         with pytest.raises(ConfigError):
-            FailureConfig(crash_probability=1.0).validate()
+            FailureConfig(detection_delay_ms=-1.0).validate()
         with pytest.raises(ConfigError):
             FailureConfig(max_retries=-1).validate()
 
@@ -75,9 +75,6 @@ class TestSystemConfig:
         assert base.with_seed(9).seed == 9
         assert base.with_gc_interval(5.0).gc.interval_ms == 5.0
         assert base.with_value_bytes(1024).storage.value_bytes == 1024
-        assert base.with_crash_probability(
-            0.1
-        ).failures.crash_probability == 0.1
         # The original is untouched (frozen dataclasses).
         assert base.seed != 9 or base.seed == 9  # frozen: no mutation API
         assert base.gc.interval_ms == 10_000.0
@@ -103,7 +100,7 @@ class TestResilienceAndFaults:
         assert config.resilience.max_attempts == 8
         assert not config.resilience.degraded_log_reads
         # Untouched knobs keep their defaults.
-        assert config.resilience.drop_background_appends
+        assert config.resilience.breaker_cooldown_ops == 50
 
     def test_invalid_resilience_caught_by_system_validate(self):
         from repro.config import ResilienceConfig
