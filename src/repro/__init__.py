@@ -24,135 +24,33 @@ Quickstart::
     assert result.output == 5
 """
 
-from .config import (
-    ClusterConfig,
-    FailureConfig,
-    FaultConfig,
-    GCConfig,
-    LatencyConfig,
-    ProtocolConfig,
-    RecoveryConfig,
-    ResilienceConfig,
-    StorageSizeConfig,
-    SystemConfig,
-)
-from .errors import (
-    ConditionalAppendError,
-    ConfigError,
-    ConsistencyViolation,
-    CrashError,
-    InvocationError,
-    KeyMissingError,
-    LogError,
-    PermanentServiceError,
-    ProtocolError,
-    ReproError,
-    RetriesExhaustedError,
-    ServiceFaultError,
-    ServiceTimeoutError,
-    ServiceUnavailableError,
-    SimulationError,
-    StoreError,
-    SwitchError,
-    TransientServiceError,
-    TrimmedError,
-)
-from .faults import (
-    CircuitBreaker,
-    FaultDecision,
-    FaultInjector,
-    RetryPolicy,
-)
-from .protocols import (
-    BokiProtocol,
-    HalfmoonReadProtocol,
-    HalfmoonWriteProtocol,
-    Protocol,
-    TransitionalProtocol,
-    UnsafeProtocol,
-    build_protocol,
-    protocol_names,
-)
-from .runtime import (
-    BernoulliCrashes,
-    ComputeOp,
-    Context,
-    CrashOnceAtEvery,
-    InvocationResult,
-    InvokeOp,
-    LocalRuntime,
-    NoCrashes,
-    ReadOp,
-    ScriptedCrashes,
-    Session,
-    SyncOp,
-    TxnOp,
-    WriteOp,
-)
-from .sharedlog import LogRecord, SharedLog
-from .store import KVStore, MultiVersionStore
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ("ProtocolConfig", "SystemConfig"),
+    ".errors": ("RetriesExhaustedError",),
+    ".runtime": (
+        "BernoulliCrashes", "ComputeOp", "CrashOnceAtEvery", "InvokeOp",
+        "LocalRuntime", "ReadOp", "ScriptedCrashes", "SyncOp", "TxnOp",
+        "WriteOp",
+    ),
+})
 
 __version__ = "1.0.0"
 
 __all__ = [
     "BernoulliCrashes",
-    "BokiProtocol",
-    "CircuitBreaker",
-    "ClusterConfig",
     "ComputeOp",
-    "ConditionalAppendError",
-    "ConfigError",
-    "ConsistencyViolation",
-    "Context",
-    "CrashError",
     "CrashOnceAtEvery",
-    "FailureConfig",
-    "FaultConfig",
-    "FaultDecision",
-    "FaultInjector",
-    "GCConfig",
-    "HalfmoonReadProtocol",
-    "HalfmoonWriteProtocol",
-    "InvocationError",
-    "InvocationResult",
     "InvokeOp",
-    "KVStore",
-    "KeyMissingError",
-    "LatencyConfig",
     "LocalRuntime",
-    "LogError",
-    "LogRecord",
-    "MultiVersionStore",
-    "NoCrashes",
-    "Protocol",
     "ProtocolConfig",
-    "RecoveryConfig",
-    "PermanentServiceError",
-    "ProtocolError",
     "ReadOp",
-    "ReproError",
-    "ResilienceConfig",
     "RetriesExhaustedError",
-    "RetryPolicy",
     "ScriptedCrashes",
-    "ServiceFaultError",
-    "ServiceTimeoutError",
-    "ServiceUnavailableError",
-    "Session",
-    "SharedLog",
-    "SimulationError",
-    "StorageSizeConfig",
-    "StoreError",
-    "SwitchError",
     "SyncOp",
     "SystemConfig",
     "TxnOp",
-    "TransientServiceError",
-    "TransitionalProtocol",
-    "TrimmedError",
-    "UnsafeProtocol",
     "WriteOp",
-    "build_protocol",
-    "protocol_names",
     "__version__",
 ]

@@ -27,10 +27,12 @@ Commands map one-to-one onto the experiment harness::
     python -m repro advise --read-ratio 0.8 --rate 300
 
 Each command is one row of :data:`COMMANDS`: the harness driver it
-calls and, per flag, the driver parameter the flag feeds.  A flag's
-type, default and ``nargs`` are read from that parameter's declaration,
-so a default is written once, in the harness (DESIGN.md,
-"Per-experiment index", has the rule).
+calls, named ``"package.module:function"`` and imported when the
+command runs — ``python -m repro table1`` loads ``harness.micro``, not
+the sixteen other drivers — and, per flag, the driver parameter the flag
+feeds.  A flag's type, default and ``nargs`` are read from that
+parameter's declaration, so a default is written once, in the harness
+(DESIGN.md, "Per-experiment index", has the rule).
 
 Every experiment command also parses the shared flags: ``--seed N``
 (reseed the whole run), ``--fault-rate R`` (transient infrastructure
@@ -59,62 +61,43 @@ Each command prints the same table the corresponding benchmark saves.
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import os
 import signal
 import sys
 import typing
 from collections import abc
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from .analysis import ProtocolAdvisor, WorkloadProfile
-from .compute.status import top_loop
+from . import analysis, harness, observe
 from .config import SystemConfig
 from .errors import ConfigError
-from .harness import (
-    APP_FACTORIES,
-    PROFILE_TARGETS,
-    SweepInterrupted,
-    audit_verdict,
-    default_jobs,
-    profile_report,
-    run_brownout_comparison,
-    run_chaos_sweep,
-    run_failover_sweep,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_latency_breakdown,
-    run_live,
-    run_recovery_sweep,
-    run_scale_sweep,
-    run_shard_sweep,
-    run_storagechaos_sweep,
-    run_table1,
-    run_trace,
-    trace_breakdown_table,
-    trace_summary_table,
-)
-from .harness.parallel import cell_config
-from .harness.profile_exp import SORT_KEYS
-from .harness.scale_exp import DEFAULT_SEQUENCERS
-from .harness.storagechaos import DEFAULT_COMPONENTS
-from .observe import (
-    Tracer,
-    breakdown_table,
-    write_chrome_trace,
-    write_prom_text,
-)
-from .protocols.registry import SYSTEMS
+from .harness.parallel import SweepInterrupted, cell_config, default_jobs
+
+
+def _resolve(ref: str) -> Any:
+    """The object a ``"package.module:name"`` reference names, imported
+    now."""
+    module, _, name = ref.partition(":")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 class Flag(NamedTuple):
     """One flag of a command: its spelling, the driver parameter it
     feeds (``None``: only the command's ``render`` reads it) and its
     help.  ``spec`` overrides what the parameter would derive — the
-    deliberate CLI defaults of the paper figures, ``choices``,
+    deliberate CLI defaults of the paper figures, ``choices`` (a
+    :func:`_resolve` reference to the table whose keys they are),
     ``metavar``.  A ``--no-…`` spelling passes ``False`` when given."""
 
     spelling: str
@@ -172,8 +155,10 @@ def _argument_spec(flag: Flag,
     else:
         spec = dict(type=hint, default=default)
     if flag.param == "protocol":
-        spec["choices"] = list(SYSTEMS)
+        spec["choices"] = "protocols.registry:SYSTEMS"
     spec.update(flag.spec)
+    if "choices" in spec:
+        spec["choices"] = list(_resolve(spec["choices"]))
     return spec
 
 
@@ -203,8 +188,8 @@ def _call(fn: Callable[..., Any], shared: Dict[str, Any], **kwargs: Any):
     return fn(**kwargs)
 
 
-def _write_trace(tracer: Tracer, path: str) -> None:
-    trace_json = write_chrome_trace(tracer, path)
+def _write_trace(tracer: Any, path: str) -> None:
+    trace_json = observe.write_chrome_trace(tracer, path)
     print(
         f"trace written to {path} "
         f"({trace_json['otherData']['spans']} spans, "
@@ -221,7 +206,7 @@ def _render_fig13(tables, args, shared) -> None:
     # Where the milliseconds go at the first swept rate: the mechanism
     # behind the crossover the tables above show.
     _print_result(_call(
-        run_latency_breakdown, shared,
+        harness.run_latency_breakdown, shared,
         rate_per_s=args.rates[0], duration_ms=args.duration,
     ))
 
@@ -231,13 +216,13 @@ def _render_chaos(table, args, shared) -> None:
     print()
     # Cells run in the order the rates were given, so each system's
     # last point is the one kept.
-    _print_result(breakdown_table(
+    _print_result(observe.breakdown_table(
         {point.protocol: point.breakdown for point in table.points},
         f"Latency breakdown at fault rate {max(args.fault_rates)}",
     ))
     if args.brownout:
         print()
-        _print_result(_call(run_brownout_comparison, shared))
+        _print_result(_call(harness.run_brownout_comparison, shared))
 
 
 def _render_failover(table, args, shared) -> None:
@@ -248,7 +233,7 @@ def _render_failover(table, args, shared) -> None:
     breakdowns: Dict[str, Any] = {}
     for point in table.points:
         breakdowns.setdefault(point.protocol, point.result.breakdown)
-    _print_result(breakdown_table(
+    _print_result(observe.breakdown_table(
         breakdowns, f"Latency breakdown at lease {args.leases[0]:.0f}ms"
     ))
 
@@ -258,15 +243,15 @@ def _render_live(table, args, shared) -> None:
     if args.prom_out is not None:
         for point in table.points:
             path = f"{args.prom_out}.{point.protocol}"
-            write_prom_text(point.result.metrics, path)
+            observe.write_prom_text(point.result.metrics, path)
             print(f"prometheus snapshot written to {path}")
 
 
 def _render_trace(outcome, args, shared) -> None:
     result, run_tracer = outcome
-    _print_result(trace_summary_table(result))
+    _print_result(harness.trace_summary_table(result))
     print()
-    _print_result(trace_breakdown_table(result))
+    _print_result(harness.trace_breakdown_table(result))
     out = args.out if args.out is not None else args.trace_out
     if run_tracer is not None and out is not None:
         _write_trace(run_tracer, out)
@@ -274,8 +259,9 @@ def _render_trace(outcome, args, shared) -> None:
 
 def _advise(read_ratio: float, arrival_rate_per_s: float = 100.0,
             value_bytes: int = 256) -> str:
-    recommendation = ProtocolAdvisor(value_bytes=value_bytes).recommend(
-        WorkloadProfile(
+    advisor = analysis.ProtocolAdvisor(value_bytes=value_bytes)
+    recommendation = advisor.recommend(
+        analysis.WorkloadProfile(
             p_read=read_ratio,
             p_write=1.0 - read_ratio,
             arrival_rate_per_s=arrival_rate_per_s,
@@ -287,7 +273,8 @@ def _advise(read_ratio: float, arrival_rate_per_s: float = 100.0,
 
 class Command(NamedTuple):
     help: str
-    driver: Callable[..., Any]
+    #: A :func:`_resolve` reference.
+    driver: str
     flags: Tuple[Flag, ...]
     #: ``render(result, args, shared)`` prints the driver's result and
     #: may return the exit code.
@@ -303,36 +290,39 @@ class Command(NamedTuple):
 #: ``table1 --samples``, ``fig10 --requests``, ``fig11``/``fig12
 #: --duration``, ``fig13 --rates``, ``recovery --requests``.
 COMMANDS: Dict[str, Command] = {
-    "table1": Command("primitive op latencies", run_table1, (
+    "table1": Command("primitive op latencies", "harness.micro:run_table1", (
         _flag("--samples", "samples", default=10_000),
     )),
-    "fig10": Command("read/write latency, 4 systems", run_fig10, (
-        _flag("--requests", "requests", default=1_500),
-        _flag("--keys", "num_keys"),
-    ), _render_fig10),
-    "fig11": Command("apps: latency vs throughput", run_fig11, (
-        _flag("--apps", "apps", choices=list(APP_FACTORIES)),
+    "fig10": Command(
+        "read/write latency, 4 systems", "harness.micro:run_fig10", (
+            _flag("--requests", "requests", default=1_500),
+            _flag("--keys", "num_keys"),
+        ), _render_fig10),
+    "fig11": Command("apps: latency vs throughput", "harness.apps:run_fig11", (
+        _flag("--apps", "apps", choices="harness.apps:APP_FACTORIES"),
         _flag("--duration", "duration_ms", default=5_000.0),
     )),
-    "fig12": Command("storage vs read ratio", run_fig12, (
+    "fig12": Command("storage vs read ratio", "harness.overhead:run_fig12", (
         _flag("--size", "value_bytes"),
         _flag("--gc", "gc_interval_ms"),
         _flag("--duration", "duration_ms", default=25_000.0),
     )),
-    "fig13": Command("latency vs read ratio", run_fig13, (
+    "fig13": Command("latency vs read ratio", "harness.overhead:run_fig13", (
         _flag("--rates", "rates", default=[150.0, 350.0]),
         _flag("--duration", "duration_ms"),
     ), _render_fig13),
-    "fig14": Command("protocol switching delay", run_fig14, (
-        _flag("--rates", "rates"),
-    )),
-    "recovery": Command("cost under failures", run_recovery_sweep, (
-        _flag("--f", "f_values"),
-        _flag("--requests", "requests", default=300),
-    )),
+    "fig14": Command(
+        "protocol switching delay", "harness.switching_exp:run_fig14", (
+            _flag("--rates", "rates"),
+        )),
+    "recovery": Command(
+        "cost under failures", "harness.recovery_exp:run_recovery_sweep", (
+            _flag("--f", "f_values"),
+            _flag("--requests", "requests", default=300),
+        )),
     "chaos": Command(
         "crashes × infra faults: goodput, p99, exactly-once audit",
-        run_chaos_sweep, (
+        "harness.chaos:run_chaos_sweep", (
             _flag("--fault-rates", "fault_rates"),
             _flag("--requests", "requests"),
             _flag("--crash-f", "crash_f"),
@@ -343,7 +333,7 @@ COMMANDS: Dict[str, Command] = {
     "failover": Command(
         "node crash under load: lease detection, orphan takeover, "
         "exactly-once audit",
-        run_failover_sweep, (
+        "harness.failover:run_failover_sweep", (
             _flag("--leases", "lease_values",
                   "lease durations (ms) to sweep"),
             _flag("--crash-at", "crash_at_ms",
@@ -357,10 +347,10 @@ COMMANDS: Dict[str, Command] = {
         "storage components killed under load: metalog failover, "
         "shard loss, partition rebuild; exactly-once + "
         "consistency audits",
-        run_storagechaos_sweep, (
+        "harness.storagechaos:run_storagechaos_sweep", (
             _flag("--components", "components",
                   "storage components to kill (one cell each)",
-                  choices=list(DEFAULT_COMPONENTS)),
+                  choices="harness.storagechaos:DEFAULT_COMPONENTS"),
             _flag("--systems", "systems", "protocols to sweep"),
             _flag("--replications", "replications",
                   "log-shard replication factors to sweep "
@@ -370,7 +360,7 @@ COMMANDS: Dict[str, Command] = {
                   "default keeps the historical grid; add "
                   "batched/leased-ranges to prove group commit and "
                   "leased blocks survive failover)",
-                  choices=list(DEFAULT_SEQUENCERS)),
+                  choices="harness.scale_exp:DEFAULT_SEQUENCERS"),
             _flag("--crash-at", "crash_at_ms",
                   "simulated time (ms) of the kill"),
             _flag("--recover-after", "recover_after_ms",
@@ -384,7 +374,7 @@ COMMANDS: Dict[str, Command] = {
         ), audited=True),
     "trace": Command(
         "one traced DES run: latency breakdown + Chrome trace export",
-        run_trace, (
+        "harness.trace_exp:run_trace", (
             _flag("--protocol", "protocol"),
             _flag("--rate", "rate_per_s",
                   "offered load (requests per second)"),
@@ -405,7 +395,7 @@ COMMANDS: Dict[str, Command] = {
         ), _render_trace),
     "shards": Command(
         "storage-plane scaling: p99 vs load by log-shard count",
-        run_shard_sweep, (
+        "harness.shards_exp:run_shard_sweep", (
             _flag("--shards", "shard_counts", "log-shard counts to sweep"),
             _flag("--rates", "rates",
                   "offered loads (requests per second)"),
@@ -416,7 +406,7 @@ COMMANDS: Dict[str, Command] = {
     "scale": Command(
         "sequencer scaling: p99 + sequencer occupancy vs offered "
         "load per sequencing strategy, Zipf-skewed users",
-        run_scale_sweep, (
+        "harness.scale_exp:run_scale_sweep", (
             _flag("--sequencers", "sequencers",
                   "sequencing strategies to sweep"),
             _flag("--rates", "rates",
@@ -437,7 +427,7 @@ COMMANDS: Dict[str, Command] = {
         "live compute plane: real worker processes over a unix "
         "socket, seeded mid-invocation SIGKILLs, wall-clock lease "
         "recovery, exactly-once audit (exits nonzero on failure)",
-        run_live, (
+        "harness.live_exp:run_live", (
             _flag("--workers", "workers", "worker processes in the pool"),
             _flag("--kills", "kills",
                   "mid-invocation SIGKILLs to deliver"),
@@ -476,7 +466,7 @@ COMMANDS: Dict[str, Command] = {
     "top": Command(
         "poll a running live gateway's STATUS endpoint and render "
         "run state (workers, chaos, latency) until it exits",
-        top_loop, (
+        "compute.status:top_loop", (
             _flag("--gateway", "target",
                   "gateway socket, discovery file, or the "
                   "--flightrec-dir of the run (default: results/)",
@@ -487,12 +477,13 @@ COMMANDS: Dict[str, Command] = {
         ), lambda exit_code, args, shared: exit_code),
     "profile": Command(
         "cProfile hotspot report for one canonical cell",
-        profile_report, (
-            _flag("--target", "target", choices=list(PROFILE_TARGETS)),
+        "harness.profile_exp:profile_report", (
+            _flag("--target", "target",
+                  choices="harness.profile_exp:PROFILE_TARGETS"),
             _flag("--top", "top", "number of hotspots to print"),
-            _flag("--sort", "sort", choices=list(SORT_KEYS)),
+            _flag("--sort", "sort", choices="harness.profile_exp:SORT_KEYS"),
         )),
-    "advise": Command("recommend a protocol", _advise, (
+    "advise": Command("recommend a protocol", "cli:_advise", (
         _flag("--read-ratio", "read_ratio"),
         _flag("--rate", "arrival_rate_per_s"),
         _flag("--value-bytes", "value_bytes"),
@@ -542,7 +533,14 @@ SHARED_FLAGS: Tuple[Flag, ...] = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(
+    argv: Optional[Sequence[str]] = None
+) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Deriving a command's flags imports its
+    driver, so it is done for the command ``argv`` names and, when it
+    names none (``--help``, a misspelling, no ``argv`` at all), for
+    every command."""
+    named = argv[0] if argv and argv[0] in COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Halfmoon (SOSP 2023) reproduction experiments",
@@ -552,7 +550,10 @@ def _build_parser() -> argparse.ArgumentParser:
         common.add_argument(flag.spelling, help=flag.help, **flag.spec)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        parameters = _parameters(command.driver)
+        if named not in (None, name):
+            sub.add_parser(name, help=command.help)
+            continue
+        parameters = _parameters(_resolve(command.driver))
         subparser = sub.add_parser(
             name, help=command.help,
             parents=[common] if "config" in parameters else [],
@@ -576,7 +577,7 @@ def _rejection(name: str, command: Command,
     if name == "jobs":
         return (None if "jobs" in parameters
                 else "it does not fan cells over a pool")
-    pins = getattr(command.driver, "pins", {})
+    pins = getattr(_resolve(command.driver), "pins", {})
     if name not in pins:
         return None
     if pins[name] is None:
@@ -669,10 +670,12 @@ def _sigterm_to_interrupt(signum, frame):
 
 
 def _dispatch(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     command = COMMANDS[args.command]
-    parameters = _parameters(command.driver)
+    driver = _resolve(command.driver)
+    parameters = _parameters(driver)
 
     kwargs: Dict[str, Any] = {}
     for flag in command.flags:
@@ -705,12 +708,12 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         if shared.get("jobs") is None:
             shared["jobs"] = default_jobs()
         if args.trace_out is not None and "tracer" in parameters:
-            shared["tracer"] = Tracer()
+            shared["tracer"] = observe.Tracer()
 
-    result = _call(command.driver, shared, **kwargs)
+    result = _call(driver, shared, **kwargs)
     exit_code = command.render(result, args, shared)
     if command.audited:
-        exit_code, verdict = audit_verdict(result.points)
+        exit_code, verdict = harness.audit_verdict(result.points)
         print("\n".join(verdict))
     if "tracer" in shared:
         _write_trace(shared["tracer"], args.trace_out)

@@ -8,21 +8,24 @@ the DES (:class:`~repro.harness.platform.SimPlatform`, wrapped
 bit-identically), the ``localhost`` backend is an asyncio gateway plus
 a pool of real worker processes with SIGKILL chaos and wall-clock
 lease-based recovery (:mod:`repro.compute.gateway`).  Backends are
-selected by name through the same registry pattern the storage plane
-uses; the ``live`` experiment (:mod:`repro.harness.live_exp`) runs the
-exactly-once audit against the localhost plane.
+selected by name from a table like the storage plane's, each imported
+when first built (:func:`build_compute_plane`); the ``live`` experiment
+(:mod:`repro.harness.live_exp`) runs the exactly-once audit against the
+localhost plane.
 """
 
-from .base import (
-    ComputePlane,
-    available_backends,
-    build_compute_plane,
-    register_backend,
-)
-from .chaos import ELIGIBLE_WRITE_OPS, KillEvent, LiveChaosController
-from .gateway import LocalhostComputePlane
-from .sim import SimComputePlane
-from .worker import WorkloadSpec
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": (
+        "ComputePlane", "available_backends", "build_compute_plane",
+        "register_backend",
+    ),
+    ".chaos": ("ELIGIBLE_WRITE_OPS", "KillEvent", "LiveChaosController"),
+    ".gateway": ("LocalhostComputePlane",),
+    ".sim": ("SimComputePlane",),
+    ".worker": ("WorkloadSpec",),
+})
 
 __all__ = [
     "ComputePlane",

@@ -5,9 +5,11 @@ The storage side of the reproduction became pluggable in PR 4
 *execution* side, modeled on Lithops' execution modes (localhost /
 serverless / standalone): a :class:`ComputePlane` is one deployment
 shape that can drive a workload under a protocol and produce the
-standard :class:`~repro.harness.platform.RunResult`, and a registry
-maps backend names to constructors so harnesses and the CLI select the
-plane by name.
+standard :class:`~repro.harness.platform.RunResult`, and a table maps
+backend names to constructors so harnesses and the CLI select the plane
+by name.  The table names each shipped backend's module, imported when
+that backend is first built: choosing ``sim`` never loads the asyncio
+gateway, and nothing depends on which modules happen to be imported.
 
 Two backends ship here:
 
@@ -28,7 +30,8 @@ through :func:`register_backend` without touching callers.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Optional, Tuple
+from importlib import import_module
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..config import SystemConfig
 from ..errors import ConfigError
@@ -78,11 +81,17 @@ class ComputePlane(ABC):
 #: **backend_kwargs) -> ComputePlane``
 PlaneFactory = Callable[..., ComputePlane]
 
-_BACKENDS: Dict[str, PlaneFactory] = {}
+#: ``name -> (submodule, class)`` for the shipped backends, closed like
+#: the storage plane's; :func:`register_backend` writes factories into it.
+_BACKENDS: Dict[str, Union[PlaneFactory, Tuple[str, str]]] = {
+    "localhost": (".gateway", "LocalhostComputePlane"),
+    "sim": (".sim", "SimComputePlane"),
+}
 
 
 def register_backend(name: str, factory: PlaneFactory) -> None:
-    """Register a compute backend under ``name`` (last wins)."""
+    """Register a compute backend under ``name`` (last wins, also over
+    a shipped one)."""
     _BACKENDS[name] = factory
 
 
@@ -107,6 +116,9 @@ def build_compute_plane(
             f"unknown compute backend {backend!r}; "
             f"available: {', '.join(available_backends())}"
         ) from None
+    if isinstance(factory, tuple):
+        submodule, name = factory
+        factory = getattr(import_module(submodule, __package__), name)
     return factory(
         workload, protocol, config=config,
         enable_switching=enable_switching, tracer=tracer, **kwargs,

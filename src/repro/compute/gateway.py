@@ -95,7 +95,7 @@ from ..simulation.rng import derive_seed
 from ..tags import instance_tag
 from ..workloads.base import Request, Workload
 from . import rpc
-from .base import ComputePlane, register_backend
+from .base import ComputePlane
 from .chaos import KillEvent, LiveChaosController
 from .pool import WorkerPool
 from .worker import WorkloadSpec
@@ -1383,5 +1383,3 @@ class LocalhostComputePlane(ComputePlane):
         # construction and audit makes ~60).
         gc.collect()
 
-
-register_backend("localhost", LocalhostComputePlane)

@@ -4,13 +4,14 @@
 
     runner (gateway) --spawn--> template --os.fork()--> worker k
 
-Booting a worker is interpreter start-up plus importing numpy and all
-of ``repro`` (~0.4 CPU-s); the live plane used to pay that once per
+Booting a worker is interpreter start-up plus importing numpy and the
+runtime (~0.2 s); the live plane used to pay that once per
 worker and again for every takeover replacement.  It is now paid once
 per plane: the gateway ``spawn``-s one single-threaded *template*
-process that imports what :func:`~repro.compute.worker.worker_main`
-needs plus the workload's module, freezes its heap, and then serves
-three verbs from the gateway over a pipe —
+process that imports every module a worker executes (this module's
+imports, :data:`PREFORK_IMAGE` and the workload's module — a worker
+imports nothing), freezes its heap, and then serves three verbs from
+the gateway over a pipe —
 
 ``("fork", worker_id, worker_main args)``
     ``os.fork()``; the child closes the pipe and runs ``worker_main``
@@ -47,6 +48,11 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from .worker import worker_main
 
+#: What a worker runs that importing ``worker.py`` does not load:
+#: numpy's generators (numpy imports that subpackage on first use, which
+#: would be each worker's first ``default_rng``) and the one runtime
+#: module ``runtime/local.py`` imports inside a function.
+PREFORK_IMAGE = ("numpy.random", "repro.runtime.transactions")
 #: After ``stop``: how long SIGTERMed workers get before SIGKILL.
 STOP_GRACE_S = 2.0
 #: How long the gateway waits for a stopping template before killing it.
@@ -156,11 +162,16 @@ def template_main(control: Any, module: str) -> None:
     """Entry point of the template (the one ``spawn`` target).  Never
     starts a thread: it forks.
 
-    Unpickling this function imported ``repro`` and with it everything
-    ``worker_main`` imports when called; ``module`` is the workload's.
+    Unpickling this function imported this module, so ``worker.py``
+    and what it imports; the rest of the image is named here, before
+    the freeze — an import after ``os.fork()`` is paid once per worker
+    and per takeover replacement, on pages the freeze does not cover.
+    ``module`` is the workload's.
     """
     # The gateway owns the drain on Ctrl-C; workers inherit the ignore.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for name in PREFORK_IMAGE:
+        importlib.import_module(name)
     try:
         importlib.import_module(module)
     except Exception as exc:

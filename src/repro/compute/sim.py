@@ -2,7 +2,7 @@
 
 :class:`SimComputePlane` forwards its constructor arguments verbatim to
 :class:`~repro.harness.platform.SimPlatform` and delegates everything
-else, so selecting ``sim`` through the registry is bit-identical to
+else, so selecting ``sim`` by name is bit-identical to
 constructing the platform directly (the regression test in
 ``tests/compute/test_sim_identity.py`` diffs the two on the fig10
 golden cell).  Keeping the wrapper free of any extra seeded draws or
@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional
 from ..config import SystemConfig
 from ..observe import Tracer
 from ..workloads.base import Workload
-from .base import ComputePlane, register_backend
+from .base import ComputePlane
 
 
 class SimComputePlane(ComputePlane):
@@ -69,5 +69,3 @@ class SimComputePlane(ComputePlane):
         # nothing the DES platform exposes.
         return getattr(self.platform, name)
 
-
-register_backend("sim", SimComputePlane)

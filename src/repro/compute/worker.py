@@ -36,6 +36,9 @@ from ..observe.distributed import (
 from ..observe.flightrec import FlightRecorder
 from ..observe.registry import MetricsRegistry
 from ..observe.tracing import CAT_ATTEMPT
+from ..runtime.failures import BernoulliCrashes
+from ..runtime.local import LocalRuntime
+from ..runtime.services import ServiceBackend
 from ..tags import instance_tag
 from . import rpc
 from .proxy import GatewayConnection, ProxyPlane
@@ -102,10 +105,6 @@ def worker_main(
     shipping on the heartbeat cadence.  All three default off, so an
     unobserved run sends exactly the pre-existing frames.
     """
-    from ..runtime.failures import BernoulliCrashes
-    from ..runtime.local import LocalRuntime
-    from ..runtime.services import ServiceBackend
-
     signal.signal(signal.SIGTERM, _raise_system_exit)
 
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

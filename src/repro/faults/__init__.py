@@ -21,20 +21,19 @@ The wiring lives in :class:`repro.runtime.services.InstanceServices`,
 so every protocol inherits resilience without changes.
 """
 
-from .breaker import BreakerState, CircuitBreaker
-from .injector import (
-    FAULT_ERROR,
-    FAULT_GRAY,
-    FAULT_TIMEOUT,
-    FaultDecision,
-    FaultInjector,
-)
-from .retry import RetryPolicy
-from .storage import (
-    LinkPartitionSchedule,
-    LinkWindow,
-    StorageFaultInjector,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".breaker": ("BreakerState", "CircuitBreaker"),
+    ".injector": (
+        "FAULT_ERROR", "FAULT_GRAY", "FAULT_TIMEOUT", "FaultDecision",
+        "FaultInjector",
+    ),
+    ".retry": ("RetryPolicy",),
+    ".storage": (
+        "LinkPartitionSchedule", "LinkWindow", "StorageFaultInjector",
+    ),
+})
 
 __all__ = [
     "BreakerState",

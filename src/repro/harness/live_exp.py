@@ -26,8 +26,8 @@ from ..compute.worker import WorkloadSpec
 from ..config import SystemConfig
 from ..observe import Tracer
 from ..protocols.registry import PROTOCOL_CLASSES, SYSTEMS
+from ..workloads.counter import CounterWorkload
 from .audit import GroundTruth, anomaly_count, storage_anomalies
-from .failover import CounterWorkload
 from .parallel import cell_config, point_kwargs, seed_for, sweep_of
 from .platform import RunResult
 from .report import ExperimentTable
@@ -88,7 +88,7 @@ def run_live_point(
     )
     workload = CounterWorkload(**workload_kwargs)
     spec = WorkloadSpec(
-        module="repro.harness.failover",
+        module="repro.workloads.counter",
         qualname="CounterWorkload",
         kwargs=workload_kwargs,
     )

@@ -42,8 +42,6 @@ import inspect
 import itertools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -299,6 +297,12 @@ def _run_pool(
     bit-identical to the serial path.  ``KeyboardInterrupt`` drains
     in-flight cells and raises :class:`SweepInterrupted` with progress.
     """
+    # Imported where a pool is built: ``concurrent.futures.process``
+    # loads multiprocessing, subprocess and tempfile, which a serial
+    # sweep — and every process that only imports a driver — never uses.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     outputs: List[Optional[Tuple[Any, Any]]] = [None] * len(tasks)
     done = [False] * len(tasks)
     broken: Optional[str] = None

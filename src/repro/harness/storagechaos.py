@@ -39,8 +39,8 @@ from ..observe import Tracer
 from ..protocols.registry import SYSTEMS
 from ..recovery import StorageChaosController
 from ..runtime.failures import BernoulliCrashes, NoCrashes
+from ..workloads.counter import CounterWorkload
 from .audit import GroundTruth, anomaly_count, storage_anomalies
-from .failover import CounterWorkload
 from .parallel import (
     cell_config,
     point_kwargs,

@@ -19,35 +19,25 @@
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and metric names.
 """
 
-from .breakdown import (
-    STAGES,
-    LatencyBreakdown,
-    breakdown_table,
-    stage_of,
-)
-from .distributed import (
-    ParentRef,
-    TelemetrySink,
-    WorkerTelemetry,
-    absorb_wire_spans,
-    make_worker_tracer,
-    spans_to_wire,
-)
-from .export import chrome_trace, chrome_trace_events, write_chrome_trace
-from .flightrec import FlightRecorder, read_flightrec
-from .prom import lint_prom_text, prom_text, write_prom_text
-from .registry import MetricsRegistry
-from .tracing import (
-    CAT_ATTEMPT,
-    CAT_INVOCATION,
-    CAT_QUEUE,
-    CAT_RECOVERY,
-    CAT_SERVICE,
-    PLATFORM_TRACE_ID,
-    Span,
-    SpanEvent,
-    Tracer,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".breakdown": (
+        "STAGES", "LatencyBreakdown", "breakdown_table", "stage_of",
+    ),
+    ".distributed": (
+        "ParentRef", "TelemetrySink", "WorkerTelemetry", "absorb_wire_spans",
+        "make_worker_tracer", "spans_to_wire",
+    ),
+    ".export": ("chrome_trace", "chrome_trace_events", "write_chrome_trace"),
+    ".flightrec": ("FlightRecorder", "read_flightrec"),
+    ".prom": ("lint_prom_text", "prom_text", "write_prom_text"),
+    ".registry": ("MetricsRegistry",),
+    ".tracing": (
+        "CAT_ATTEMPT", "CAT_INVOCATION", "CAT_QUEUE", "CAT_RECOVERY",
+        "CAT_SERVICE", "PLATFORM_TRACE_ID", "Span", "SpanEvent", "Tracer",
+    ),
+})
 
 __all__ = [
     "CAT_ATTEMPT",

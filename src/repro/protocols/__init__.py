@@ -8,20 +8,20 @@
   versioning schemas during a protocol switch (Section 5.2).
 """
 
-from .base import Invoker, LoggedProtocol, Protocol
-from .boki import BokiProtocol
-from .halfmoon_read import HalfmoonReadProtocol
-from .halfmoon_write import HalfmoonWriteProtocol
-from .registry import (
-    EXACTLY_ONCE_SYSTEMS,
-    PROTOCOL_CLASSES,
-    SWITCHABLE_PROTOCOLS,
-    SYSTEMS,
-    build_protocol,
-    protocol_names,
-)
-from .transitional import TransitionalProtocol
-from .unsafe import UnsafeProtocol
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": ("Invoker", "LoggedProtocol", "Protocol"),
+    ".boki": ("BokiProtocol",),
+    ".halfmoon_read": ("HalfmoonReadProtocol",),
+    ".halfmoon_write": ("HalfmoonWriteProtocol",),
+    ".registry": (
+        "EXACTLY_ONCE_SYSTEMS", "PROTOCOL_CLASSES", "SWITCHABLE_PROTOCOLS",
+        "SYSTEMS", "build_protocol", "protocol_names",
+    ),
+    ".transitional": ("TransitionalProtocol",),
+    ".unsafe": ("UnsafeProtocol",),
+})
 
 __all__ = [
     "BokiProtocol",

@@ -25,9 +25,13 @@ loss and journal replay, driven as timed DES events and audited by the
 ``storagechaos`` experiment in :mod:`repro.harness.storagechaos`.
 """
 
-from .coordinator import Orphan, RecoveryCoordinator
-from .lease import LeaseManager, LeaseTable
-from .storage import STORAGE_COMPONENTS, StorageChaosController
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".coordinator": ("Orphan", "RecoveryCoordinator"),
+    ".lease": ("LeaseManager", "LeaseTable"),
+    ".storage": ("STORAGE_COMPONENTS", "StorageChaosController"),
+})
 
 __all__ = [
     "LeaseManager",

@@ -6,8 +6,12 @@ Exposes the five log APIs from Figure 3 of the paper — ``append``
 function-node record cache that gives cached log reads their low latency.
 """
 
-from .cache import RecordCache
-from .log import SharedLog
-from .record import LogRecord
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cache": ("RecordCache",),
+    ".log": ("SharedLog",),
+    ".record": ("LogRecord",),
+})
 
 __all__ = ["LogRecord", "RecordCache", "SharedLog"]

@@ -2,27 +2,23 @@
 and measurement primitives.
 """
 
+from .._lazy import lazy_exports
 from ..errors import ConfigError
-from .kernel import Event, Interrupt, Process, Simulator, Timeout
-from .latency import (
-    ConstantLatency,
-    EmpiricalLatency,
-    LatencyModel,
-    LogNormalLatency,
-    NormalDrawBatch,
-    ScaledLatency,
-    UniformLatency,
-)
-from .metrics import (
-    Counter,
-    LatencyRecorder,
-    LatencySummary,
-    ThroughputMeter,
-    TimeSeries,
-    TimeWeightedGauge,
-)
-from .resources import NodeWorkerPool, Resource, WorkerGrant
-from .rng import RngRegistry, derive_seed
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".kernel": ("Event", "Interrupt", "Process", "Simulator", "Timeout"),
+    ".latency": (
+        "ConstantLatency", "EmpiricalLatency", "LatencyModel",
+        "LogNormalLatency", "NormalDrawBatch", "ScaledLatency",
+        "UniformLatency",
+    ),
+    ".metrics": (
+        "Counter", "LatencyRecorder", "LatencySummary", "ThroughputMeter",
+        "TimeSeries", "TimeWeightedGauge",
+    ),
+    ".resources": ("NodeWorkerPool", "Resource", "WorkerGrant"),
+    ".rng": ("RngRegistry", "derive_seed"),
+})
 
 
 def select_kernel(name: str) -> str:

@@ -17,29 +17,27 @@ log at R=1, partitions rebuild from their redo journal, and
 :func:`storage_consistency_report` audits the invariants afterwards.
 """
 
-from .audit import diff_partition_snapshots, storage_consistency_report
-from .base import GENESIS_VERSION, StoragePlane
-from .fencing import EpochView, Lease
-from .metalog import Metalog
-from .partitioned_kv import PartitionedKV
-from .plane import (
-    ShardedPlane,
-    SingleNodePlane,
-    available_backends,
-    build_storage_plane,
-)
-from .replication import ShardReplicaSet
-from .routing import Router, base_key, stable_hash
-from .sequencer import (
-    BatchedSequencer,
-    LeasedBlock,
-    LeasedRangeSequencer,
-    MonolithSequencer,
-    Sequencer,
-    available_sequencers,
-    build_sequencer,
-)
-from .sharded_log import LogShard, ShardedLog
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".audit": ("diff_partition_snapshots", "storage_consistency_report"),
+    ".base": ("GENESIS_VERSION", "StoragePlane"),
+    ".fencing": ("EpochView", "Lease"),
+    ".metalog": ("Metalog",),
+    ".partitioned_kv": ("PartitionedKV",),
+    ".plane": (
+        "ShardedPlane", "SingleNodePlane", "available_backends",
+        "build_storage_plane",
+    ),
+    ".replication": ("ShardReplicaSet",),
+    ".routing": ("Router", "base_key", "stable_hash"),
+    ".sequencer": (
+        "BatchedSequencer", "LeasedBlock", "LeasedRangeSequencer",
+        "MonolithSequencer", "Sequencer", "available_sequencers",
+        "build_sequencer",
+    ),
+    ".sharded_log": ("LogShard", "ShardedLog"),
+})
 
 __all__ = [
     "GENESIS_VERSION",

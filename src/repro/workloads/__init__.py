@@ -2,18 +2,20 @@
 application workloads of Section 6.2.
 """
 
-from .base import Request, Workload, ZipfSampler
-from .generator import Phase, PhasedSchedule, PoissonArrivals
-from .movie import MovieReviewWorkload
-from .retwis import RetwisWorkload
-from .skew import DiurnalCurve, SkewedWorkload, skew_touch_ssf
-from .synthetic import (
-    MixedRatioWorkload,
-    ReadWriteMicrobench,
-    mixed_ssf,
-    rw_microbench_ssf,
-)
-from .travel import TravelReservationWorkload
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": ("Request", "Workload", "ZipfSampler"),
+    ".generator": ("Phase", "PhasedSchedule", "PoissonArrivals"),
+    ".movie": ("MovieReviewWorkload",),
+    ".retwis": ("RetwisWorkload",),
+    ".skew": ("DiurnalCurve", "SkewedWorkload", "skew_touch_ssf"),
+    ".synthetic": (
+        "MixedRatioWorkload", "ReadWriteMicrobench", "mixed_ssf",
+        "rw_microbench_ssf",
+    ),
+    ".travel": ("TravelReservationWorkload",),
+})
 
 __all__ = [
     "DiurnalCurve",
