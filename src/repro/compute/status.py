@@ -9,7 +9,7 @@ shutdown — so ``repro top`` pointed at the directory finds whatever
 run is live right now.
 
 The client is deliberately dependency-free and synchronous: connect,
-ask, render, sleep, repeat.  One socket is reused across polls; a
+ask, render, sleep, repeat.  Each poll opens its own connection; a
 gateway that goes away mid-poll ends the loop cleanly rather than
 stack-tracing over the operator's terminal.
 """
@@ -26,6 +26,18 @@ from . import rpc
 
 #: Discovery file a gateway publishes in its flight-recorder directory.
 DISCOVERY_FILENAME = "live-gateway.json"
+
+
+def publish_gateway(directory: str, socket_path: str, protocol: str) -> str:
+    """Write the discovery file for a gateway listening on
+    ``socket_path``; returns its path (the gateway removes it on
+    shutdown)."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, DISCOVERY_FILENAME)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"socket": socket_path, "pid": os.getpid(),
+                   "protocol": protocol}, f)
+    return path
 
 
 def resolve_gateway(target: str) -> str:

@@ -13,8 +13,7 @@ measured, not assumed, exactly as in the DES.
 The worker deliberately reuses ``LocalRuntime.invoke`` unmodified: the
 instance-crash retry loop, protocol init/replay, and the
 retry/breaker resilience machinery are the system under test.  Compute
-ops sleep real wall time (scaled by the spec) so invocations overlap
-across the pool — true concurrency, serialized only at the gateway's
+ops sleep real wall time so invocations overlap across the pool — true concurrency, serialized only at the gateway's
 storage service like a real deployment.
 """
 
@@ -89,7 +88,6 @@ def worker_main(
     protocol: str,
     workload_spec: WorkloadSpec,
     heartbeat_interval_ms: float,
-    compute_sleep_scale: float = 1.0,
     crash_f: float = 0.0,
     t0: Optional[float] = None,
     span_base: Optional[int] = None,
@@ -151,10 +149,7 @@ def worker_main(
     plane = ProxyPlane(conn)
     backend = ServiceBackend(config, plane=plane)
     runtime = LocalRuntime(config, protocol=protocol, backend=backend)
-    if compute_sleep_scale > 0:
-        runtime.compute_sleep_fn = (
-            lambda ms: time.sleep(ms * compute_sleep_scale / 1000.0)
-        )
+    runtime.compute_sleep_fn = lambda ms: time.sleep(ms / 1000.0)
     if crash_f > 0:
         # Worker-side instance crashes (soft failures absorbed by the
         # in-process retry loop), composable with the gateway's hard
@@ -218,6 +213,7 @@ def worker_main(
                     result.attempts,
                     result.cost_by_kind,
                     wall_ms,
+                    result.faulted_attempts,
                 )
                 flightrec.record("done", instance=instance_id,
                                  attempts=result.attempts,

@@ -32,9 +32,9 @@ orphans to surviving nodes, where protocol replay finishes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from ..compute.base import ComputePlane, RunResult
 from ..config import SystemConfig
 from ..errors import CrashError
 from ..observe import (
@@ -61,49 +61,11 @@ from ..simulation.resources import (
 from ..workloads.base import Request, Workload
 
 
-@dataclass
-class RunResult:
-    """Metrics from one simulated run."""
+class SimPlatform(ComputePlane):
+    """One simulated deployment running one workload under one protocol
+    (the ``sim`` compute backend)."""
 
-    protocol: str
-    workload: str
-    offered_rate_per_s: float
-    duration_ms: float
-    completed: int
-    crashed_attempts: int
-    #: Attempts abandoned because a substrate blew its retry budget.
-    faulted_attempts: int
-    median_ms: float
-    p99_ms: float
-    mean_ms: float
-    throughput_per_s: float
-    avg_log_bytes: float
-    avg_db_bytes: float
-    avg_total_bytes: float
-    latency_series: TimeSeries = field(repr=False, default=None)
-    counters: Dict[str, int] = field(repr=False, default_factory=dict)
-    #: Total simulated milliseconds spent per cost kind (log appends,
-    #: store reads, ...), for overhead breakdowns.
-    time_by_kind: Dict[str, float] = field(repr=False,
-                                           default_factory=dict)
-    extras: Dict[str, Any] = field(repr=False, default_factory=dict)
-    #: Node-failure accounting (zero unless the run crashed nodes).
-    node_crashes: int = 0
-    orphaned_invocations: int = 0
-    recovered_orphans: int = 0
-    detection_ms: LatencyRecorder = field(repr=False, default=None)
-    takeover_ms: LatencyRecorder = field(repr=False, default=None)
-    #: Per-request latency decomposition (post-warmup completions);
-    #: stage vectors sum exactly to end-to-end latency.
-    breakdown: LatencyBreakdown = field(repr=False, default=None)
-    #: ``MetricsRegistry.snapshot()`` of the backend registry at the
-    #: end of the run — every component's metrics in one namespace.
-    metrics: Dict[str, Dict[str, Any]] = field(repr=False,
-                                               default_factory=dict)
-
-
-class SimPlatform:
-    """One simulated deployment running one workload under one protocol."""
+    name = "sim"
 
     def __init__(
         self,

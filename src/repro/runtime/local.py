@@ -56,6 +56,9 @@ class InvocationResult:
     #: synthetic ``failure_detection`` segment after a lost attempt);
     #: the values sum exactly to ``latency_ms``.
     cost_by_kind: Dict[str, float] = field(default_factory=dict)
+    #: How many of the lost attempts were lost to a ``ServiceFaultError``
+    #: (the rest to a crash).
+    faulted_attempts: int = 0
 
 
 def _absorb(cost_by_kind: Dict[str, float], svc: InstanceServices) -> None:
@@ -486,6 +489,7 @@ class LocalRuntime:
         # Milliseconds of the lost attempts and their detection delays;
         # the attempt in progress (``svc``) still holds its own.
         spent = 0.0
+        faulted_attempts = 0
         svc: Optional[InstanceServices] = None
 
         def now() -> float:
@@ -512,6 +516,7 @@ class LocalRuntime:
                     + pause.detection_ms
                 )
                 if isinstance(pause.cause, ServiceFaultError):
+                    faulted_attempts += 1
                     self.backend.counters.add(
                         "attempts_lost_to_service_faults"
                     )
@@ -530,6 +535,7 @@ class LocalRuntime:
             latency_ms=spent + svc.trace.total_ms(),
             attempts=attempts,
             cost_by_kind=cost_by_kind,
+            faulted_attempts=faulted_attempts,
         )
 
     # ------------------------------------------------------------------

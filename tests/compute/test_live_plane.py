@@ -12,11 +12,11 @@ and counts what crosses the gateway's socket: the frame budget through
 the real INVOKE path, and the attempt carried across a SIGKILL.
 """
 
-import asyncio
 import gc
 import socket
 import sys
 import threading
+import time
 import types
 
 import numpy as np
@@ -24,16 +24,18 @@ import pytest
 
 from repro import LocalRuntime, SystemConfig
 from repro.compute import WorkloadSpec, build_compute_plane, rpc
-from repro.compute.gateway import (
-    LocalhostComputePlane,
+from repro.compute.dispatch import Dispatcher, _WorkerSlot
+from repro.compute.frames import (
+    FrameHandlers,
+    FrameServer,
     _build_op_table,
-    _WorkerSlot,
+    send_invoke,
 )
 from repro.compute.proxy import GatewayConnection, ProxyLog, ProxyPlane
 from repro.errors import UnknownOpError
-from repro.faults import CircuitBreaker
 from repro.harness import CounterWorkload
 from repro.harness.live_exp import run_live_point
+from repro.observe.flightrec import FlightRecorder
 from repro.recovery import Orphan
 from repro.runtime.failures import BernoulliCrashes, ScriptedCrashes
 from repro.runtime.ops import ComputeOp
@@ -216,60 +218,63 @@ def _gateway(**plane_kwargs):
     )
 
 
-def _idle_gateway(breaker=None):
-    """A gateway plane with one fake, connected, idle worker slot."""
-    plane = _gateway()
-    slot = _WorkerSlot(0, None, breaker or CircuitBreaker("worker-0"),
-                       writer=_Transport(), ready=True)
-    plane._slots[0] = slot
-    return plane, slot
+def _clock():
+    t0 = time.monotonic()
+    return lambda: (time.monotonic() - t0) * 1000.0
 
 
-# -- (e) the poller is what re-opens a cooled-down breaker -------------------
+def _idle_slot():
+    """A fake worker slot: connected, ready, idle."""
+    return _WorkerSlot(0, None, writer=_Transport(), ready=True)
 
 
-def test_poller_dispatches_to_a_cooled_down_worker_with_no_other_event():
-    breaker = CircuitBreaker("worker-0", failure_threshold=1,
-                             cooldown_ops=4)
-    breaker.record_failure()
-    assert breaker.is_open
-    plane, slot = _idle_gateway(breaker)
-    plane._admit(Request("bump", "c0"), plane._now())
-    # The admit pumped, found only an open breaker, and left it queued.
-    assert slot.writer.frames == [] and len(plane._queue) == 1
+def _idle_dispatcher():
+    """A dispatcher with one idle slot — no plane, no loop, no socket."""
+    config = _config()
+    backend = ServiceBackend(config)
+    runtime = LocalRuntime(config, protocol="boki", backend=backend)
+    now = _clock()
+    dispatcher = Dispatcher(
+        backend, runtime, now, None, FlightRecorder("gateway", now),
+        send_invoke, lambda request, latency_ms: None,
+    )
+    slot = dispatcher.slots[0] = _idle_slot()
+    return dispatcher, slot
 
-    async def scenario():
-        poller = asyncio.ensure_future(plane._dispatch_task())
-        for _ in range(400):
-            await asyncio.sleep(0.005)
-            if slot.writer.frames:
-                break
-        poller.cancel()
 
-    asyncio.run(scenario())
-    (frame,) = slot.writer.frames
-    assert frame[0] == rpc.INVOKE and frame[2:4] == ("bump", "c0")
-    assert frame[4] == plane.backend.log.next_seqnum  # the frontier field
-    assert slot.busy_with == frame[1] and not plane._queue
+def _frame_server():
+    """A frame server whose handlers do nothing and kill nothing."""
+    now = _clock()
+    return FrameServer(
+        ServiceBackend(_config()), now, None,
+        FlightRecorder("gateway", now),
+        FrameHandlers(
+            hello=lambda worker_id, transport: None,
+            renew=lambda slot: None, ready=lambda slot: None,
+            done=lambda slot, instance_id, ok, payload: None,
+            served=lambda slot, target, method, kind, wall_ms, ok: True,
+            status=dict, dump=lambda trigger, meta=None: None,
+        ),
+    )
 
 
 # -- (f) the op surface is closed --------------------------------------------
 
 
-def _serve_ops(plane, slot, sock):
+def _serve_ops(frames, slot, sock):
     """Gateway side of a socketpair: execute every OP frame."""
     slot.writer.write = sock.sendall
     while True:
         frame = rpc.recv_frame(sock)
         if frame is None:
             return
-        plane._execute_op(slot, frame)
+        frames.execute_op(slot, frame)
 
 
 def test_unknown_op_error_round_trip():
-    plane, slot = _idle_gateway()
+    frames, slot = _frame_server(), _idle_slot()
     ours, theirs = socket.socketpair()
-    server = threading.Thread(target=_serve_ops, args=(plane, slot, theirs))
+    server = threading.Thread(target=_serve_ops, args=(frames, slot, theirs))
     server.start()
     try:
         log = ProxyLog(GatewayConnection(ours))
@@ -291,7 +296,7 @@ def test_unknown_op_error_round_trip():
         ours.close()
         server.join(5.0)
         theirs.close()
-    refused = [e for e in plane.flightrec.events()
+    refused = [e for e in frames.flightrec.events()
                if e["kind"] == "unknown-op"]
     assert [e["op"] for e in refused] == [
         "log.no_such_op", "log._shards", "os.system",
@@ -318,14 +323,12 @@ def test_close_collects_dropped_planes_and_restarts_the_gc_schedule():
 
     gc.disable()  # only close() may collect while this test runs
     try:
-        dropped, _ = _idle_gateway()
+        dropped = _gateway()
         ghost = weakref.ref(dropped.backend)
-        del dropped, _
+        del dropped
         # A plane is cyclic: dropping the last name frees nothing.
         assert ghost() is not None
-        plane, _ = _idle_gateway()
-        plane._slots.clear()  # the fake slot has no process to kill
-        plane.close()
+        _gateway().close()
         assert ghost() is None
         # Every generation restarted: no full pass is due for ~120
         # young passes, longer than a burst's whole life.
@@ -417,12 +420,12 @@ def test_in_worker_replay_reads_the_step_log_over_the_wire():
 
 
 def test_dispatch_sends_attempt_and_step_log_and_books_the_read():
-    plane, slot = _idle_gateway()
-    plane._admit(Request("bump", "c0"), plane._now())
+    dispatcher, slot = _idle_dispatcher()
+    dispatcher.admit(Request("bump", "c0"), 0.0)
     (first,) = slot.writer.frames
     instance_id = first[1]
-    assert first[4:] == (plane.backend.log.next_seqnum, 1, [])
-    inv = plane._inflight[instance_id]
+    assert first[4:] == (dispatcher.backend.log.next_seqnum, 1, [])
+    inv = dispatcher.inflight[instance_id]
     # A log_read stage (the breakdown still sums), not an OP frame.
     assert inv.stages["log_read"] == inv.ops_wall_ms > 0.0
     assert inv.rpc_ops == 0
@@ -430,19 +433,18 @@ def test_dispatch_sends_attempt_and_step_log_and_books_the_read():
     # carries the next attempt number and the orphan's records.
     tag = instance_tag(instance_id)
     for step in range(2):
-        plane.backend.log.append([tag], {"op": "x", "step": step})
-    slot.busy_with = None
-    plane._enqueue_orphan(Orphan(instance_id, inv.request, inv.arrival_ms,
-                                 next_attempt=2, node_id=0,
-                                 orphaned_at_ms=plane._now()))
+        dispatcher.backend.log.append([tag], {"op": "x", "step": step})
+    assert dispatcher.strand(slot, 1.0) is inv
+    dispatcher.requeue(Orphan(instance_id, inv.request, inv.arrival_ms,
+                              next_attempt=2, node_id=0, orphaned_at_ms=1.0))
     second = slot.writer.frames[1]
     assert second[:4] == first[:4] and second[5] == 2
     assert [r["step"] for r in second[6]] == [0, 1]
     # The replacement reports absolute attempt numbers: it was sent
     # attempt 2 and finished on attempt 3, one loss inside the worker.
-    plane._handle_done(slot, (rpc.DONE, 0, instance_id, True, (1, 3, {}, 0.5)))
-    assert plane.crashed_attempts == 1
-    assert plane.rpc_ops_per_req == 0.0
+    dispatcher.handle_done(slot, instance_id, True, (1, 3, {}, 0.5, 0))
+    assert dispatcher.crashed_attempts == 1
+    assert dispatcher.rpc_ops_per_req == 0.0
 
 
 def test_zero_length_compute_does_not_sleep():
@@ -476,28 +478,28 @@ def wire(monkeypatch):
     (by instance) and every DONE's attempt count, in a real run."""
     seen = types.SimpleNamespace(invokes=[], ops={}, attempts={})
     write = rpc.write_frame_async
-    execute = LocalhostComputePlane._execute_op
-    done = LocalhostComputePlane._handle_done
+    execute = FrameServer.execute_op
+    done = Dispatcher.handle_done
 
     def spy_write(writer, frame, max_bytes=None):
         if frame[0] == rpc.INVOKE:
             seen.invokes.append(frame)
         write(writer, frame, max_bytes)
 
-    def spy_execute(plane, slot, frame):
+    def spy_execute(frames, slot, frame):
         seen.ops.setdefault(slot.busy_with, []).append(
             (slot.worker_id, f"{frame[2]}.{frame[3]}")
         )
-        return execute(plane, slot, frame)
+        return execute(frames, slot, frame)
 
-    def spy_done(plane, slot, frame):
-        if frame[3]:
-            seen.attempts[frame[2]] = frame[4][1]
-        done(plane, slot, frame)
+    def spy_done(dispatcher, slot, instance_id, ok, payload):
+        if ok:
+            seen.attempts[instance_id] = payload[1]
+        done(dispatcher, slot, instance_id, ok, payload)
 
     monkeypatch.setattr(rpc, "write_frame_async", spy_write)
-    monkeypatch.setattr(LocalhostComputePlane, "_execute_op", spy_execute)
-    monkeypatch.setattr(LocalhostComputePlane, "_handle_done", spy_done)
+    monkeypatch.setattr(FrameServer, "execute_op", spy_execute)
+    monkeypatch.setattr(Dispatcher, "handle_done", spy_done)
     return seen
 
 
@@ -566,6 +568,32 @@ def test_takeover_carries_the_attempt_and_the_orphans_step_log(wire):
     assert result.crashed_attempts == 0
 
 
+@live
+def test_service_faults_are_booked_as_faulted_not_crashed():
+    # No crash policy and no kill: every lost attempt is a service fault.
+    point = run_live_point("boki", workers=2, kills=0, requests=300,
+                           seed=11, fault_rate=0.3, compute_ms=0.0)
+    result = point.result
+    assert result.completed == 300
+    assert (point.violations, point.consistency_anomalies) == (0, [])
+    assert result.crashed_attempts == 0 and result.faulted_attempts > 0
+
+
+@live
+def test_batched_sequencer_run_commits_through_the_coalescer():
+    config = SystemConfig().with_storage_plane(
+        sequencer="batched", sequencer_batch=4, sequencer_hold_ms=2.0)
+    point = run_live_point("boki", workers=2, kills=1, requests=80, seed=7,
+                           config=config)
+    result = point.result
+    assert result.completed == 80 and point.kills_delivered == 1
+    assert (point.violations, point.consistency_anomalies) == (0, [])
+    coalescer = result.extras["append_coalescer"]
+    appends = result.metrics["op_wall_ms{kind=log_append}"]["count"]
+    assert coalescer["flushes"] > 0
+    assert coalescer["coalesced"] == appends > 80
+
+
 class _NoProcess:
     """A spawned worker that never connects."""
 
@@ -600,8 +628,8 @@ def test_run_freezes_the_plane_and_always_unfreezes(monkeypatch):
     plane = _gateway(deadline_s=0.05)
     monkeypatch.setattr(
         plane, "_spawn_worker",
-        lambda: plane._slots.update({9: _WorkerSlot(
-            9, _NoProcess(), CircuitBreaker("worker-9"))}),
+        lambda: plane.dispatcher.slots.update(
+            {9: _WorkerSlot(9, _NoProcess())}),
     )
     peak = []
     freeze = gc.freeze

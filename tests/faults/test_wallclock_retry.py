@@ -1,13 +1,13 @@
-"""RetryPolicy under the live compute plane's wall-clock dispatcher.
+"""RetryPolicy's backoff schedule, as any clock would pay it.
 
-The localhost gateway reuses :class:`RetryPolicy` for real sleeps: the
-backoff schedule that is *charged* under the DES is *slept* under the
-live plane.  These tests pin the two properties that reuse depends on:
+A live worker runs the same ``ServiceBackend`` resilience path as the
+DES, so the schedule is drawn the same way whatever the clock.  These
+tests pin the two properties that depends on:
 
-* determinism — the jitter stream is seeded, so a sim run and a live run
-  with the same root seed draw the identical backoff sequence;
+* determinism — the jitter stream is seeded, so two runs with the same
+  root seed draw the identical backoff sequence;
 * boundedness — no single backoff exceeds ``max_backoff * (1 + jitter)``,
-  so a live dispatcher can never over-sleep its retry budget.
+  so the worst-case schedule fits the per-op deadline.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.simulation.rng import RngRegistry
 def policy_and_stream(seed):
     config = SystemConfig().with_seed(seed).validate()
     policy = RetryPolicy.from_config(config.resilience)
-    # Same derivation the gateway uses for its dispatch retry jitter.
+    # Streams are derived by name from the root seed.
     return policy, RngRegistry(config.seed).stream("live-dispatch")
 
 
@@ -51,9 +51,9 @@ def test_backoff_sequence_differs_across_seeds():
 
 
 def test_backoff_never_exceeds_jittered_cap():
-    # The live dispatcher sleeps backoff_ms for real; an unbounded draw
-    # would stall a worker slot.  Every attempt — far past the point the
-    # exponential curve saturates — stays under the jittered cap.
+    # An unbounded draw would stall whoever pays the backoff.  Every
+    # attempt — far past the point the exponential curve saturates —
+    # stays under the jittered cap.
     policy = RetryPolicy(
         max_attempts=5, base_backoff_ms=1.0, backoff_multiplier=3.0,
         max_backoff_ms=8.0, jitter_fraction=0.2,
@@ -84,8 +84,8 @@ def test_attempt_is_one_based():
 def test_worst_case_sleep_fits_op_deadline():
     # The default config's full retry walk (every attempt times out,
     # every backoff draws maximal jitter) must fit inside the op
-    # deadline — otherwise the live gateway would blow its deadline by
-    # construction rather than by observed slowness.
+    # deadline — otherwise an op would blow its deadline by construction
+    # rather than by observed slowness.
     policy = RetryPolicy.from_config(SystemConfig().validate().resilience)
     worst = 0.0
     for attempt in range(1, policy.max_attempts + 1):

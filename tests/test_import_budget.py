@@ -207,13 +207,12 @@ def test_no_package_init_imports_a_submodule():
 _BACKEND_SCRIPT = """
 import json, sys
 from repro.compute import build_compute_plane
-from repro.compute.base import register_backend
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.workloads.counter import CounterWorkload
 
 report = {"preloaded": sorted(
-    m for m in ("repro.compute.gateway", "repro.compute.sim")
+    m for m in ("repro.compute.gateway", "repro.harness.platform")
     if m in sys.modules)}
 kwargs = dict(num_keys=8, compute_ms=0.0)
 sim = build_compute_plane("sim", CounterWorkload(**kwargs), "boki")
@@ -233,9 +232,6 @@ try:
     build_compute_plane("lambda", CounterWorkload(**kwargs), "boki")
 except ConfigError as exc:
     report["unknown"] = str(exc)
-register_backend("sim", lambda *args, **kwargs: "registered")
-report["registered"] = build_compute_plane(
-    "sim", CounterWorkload(**kwargs), "boki")
 print(json.dumps(report))
 """
 
@@ -243,10 +239,9 @@ print(json.dumps(report))
 def test_backends_resolve_without_their_modules_imported_first():
     assert _fresh(_BACKEND_SCRIPT) == {
         "preloaded": [],
-        "sim": "SimComputePlane",
+        "sim": "SimPlatform",
         "gateway_after_sim": False,
         "localhost": "LocalhostComputePlane",
         "unknown": ("unknown compute backend 'lambda'; "
                     "available: localhost, sim"),
-        "registered": "registered",
     }
