@@ -4,9 +4,14 @@ Every package under ``repro`` is a table resolved on first attribute
 access (``repro/_lazy.py``), so an entry point pays for what it names.
 Each budget case runs in a fresh interpreter — ``sys.modules`` here
 already holds whatever the rest of the suite imported — and prints the
-modules it ended up with.  The last cases pin what only worked as a side
-effect of importing everything: the compute backend table and the live
-worker's pre-fork image.
+modules it ended up with.  The child starts from the start-up set of a
+clean interpreter: ``-S`` with ``import site`` as its first statement
+leaves the same 32 modules as a fresh venv, and the site directories
+reach it on ``PYTHONPATH``, so no ``.pth`` import line, ``sitecustomize``
+or ``usercustomize`` of the machine is booked to an entry point.  The
+last cases pin what only worked as a side effect of importing
+everything: the compute backend table and the live worker's pre-fork
+image.
 """
 
 import ast
@@ -14,6 +19,7 @@ import importlib
 import json
 import os
 import pathlib
+import site
 import subprocess
 import sys
 
@@ -35,11 +41,18 @@ REP_SIM_APPS = ("from repro import SystemConfig; "
                 "from repro.harness import APP_FACTORIES, SimPlatform")
 
 
+#: ``src``, then the site directories that ``-S`` leaves off ``sys.path``.
+_CHILD_PATH = [str(PACKAGE_DIR.parent), *site.getsitepackages()]
+if site.ENABLE_USER_SITE:
+    _CHILD_PATH.append(site.getusersitepackages())
+
+
 def _fresh(code, *argv):
-    """Run ``code`` in a new interpreter; its last stdout line, parsed."""
+    """Run ``code`` in a new interpreter started without the site hooks;
+    its last stdout line, parsed."""
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)),
+        [sys.executable, "-S", "-c", f"import site\n{code}", *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(_CHILD_PATH)),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
