@@ -42,13 +42,15 @@ storage-plane flags ``--storage-backend`` / ``--log-shards`` /
 ``--sequencer`` / ``--sequencer-batch`` / ``--sequencer-hold`` /
 ``--sequencer-block`` (:mod:`repro.storageplane.sequencer`), ``--jobs N``
 (fan a sweep's cells over N worker processes) and ``--trace-out PATH``
-(write a Perfetto-loadable Chrome trace of the run).  The defaults —
-1×1 ``auto`` topology, ``monolith`` sequencer, any job count, tracing
-on or off — print bit-identical tables.  A command honours a shared
-flag or exits 2 naming it, never drops it: ``chaos --fault-rate`` (use
-``--fault-rates``), ``storagechaos --storage-backend`` (it picks its
-own), ``table1 --jobs`` (no pool), ``table1 --trace-out`` (no
-tracer).
+(write a Perfetto-loadable Chrome trace of the run).  Every run uses
+the one storage plane; ``--storage-backend`` takes ``auto`` (placement
+labels unless the topology is the plain 1×1 testbed) or ``sharded``
+(labels always).  The defaults — 1×1 ``auto`` topology, ``monolith``
+sequencer, any job count, tracing on or off — print bit-identical
+tables.  A command honours a shared flag or exits 2 naming it, never
+drops it: ``chaos --fault-rate`` (use ``--fault-rates``),
+``storagechaos --storage-backend`` (it picks its own), ``table1
+--jobs`` (no pool), ``table1 --trace-out`` (no tracer).
 
 ``chaos``, ``failover``, ``storagechaos`` and ``live`` end with the
 verdict of the exactly-once audit (:mod:`repro.harness.audit`):
@@ -510,7 +512,8 @@ SHARED_FLAGS: Tuple[Flag, ...] = (
           "(Perfetto-loadable; invocation-executing commands only)",
           type=str, metavar="PATH"),
     _flag("--storage-backend", "backend",
-          "storage-plane backend (auto, single or sharded; "
+          "storage-plane placement labels: auto (unlabelled only at "
+          "the plain 1x1 topology) or sharded (always labelled; "
           "default: auto)", type=str, metavar="NAME"),
     _flag("--log-shards", "log_shards",
           "number of log shards behind the metalog (default: 1)",

@@ -20,9 +20,11 @@ violation the audit exists to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
 
 #: (target, method) pairs a kill may fire on — user-visible KV writes.
 #: ``mv.write_version`` is halfmoon-read's write path (versioned store

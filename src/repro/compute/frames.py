@@ -252,12 +252,11 @@ class FrameServer:
         )
         self.telemetry = TelemetrySink(tracer, metrics)
         self._frame_errors = metrics.counters("rpc_frame_errors")
-        # Group commit, active only when the storage plane actually
-        # runs a batched sequencer (sharded backend).
+        # Group commit, active only when the storage plane runs a
+        # batched sequencer.
         self.coalescer: Optional[_AppendCoalescer] = None
         storage = backend.config.storage
-        if (storage.sequencer == "batched"
-                and hasattr(backend.log, "sequencer")):
+        if storage.sequencer == "batched":
             self.coalescer = _AppendCoalescer(
                 self.execute_op, backend.log,
                 storage.sequencer_batch, storage.sequencer_hold_ms,

@@ -197,11 +197,15 @@ class StorageSizeConfig:
     ``meta_bytes`` is the size of a log record's metadata (seqnum, tags,
     step/op fields); Section 4.1 notes this fits in a few dozen bytes.
 
-    The plane fields select the backend :func:`repro.storageplane.
-    build_storage_plane` constructs:
+    The plane fields describe the one storage plane
+    :func:`repro.storageplane.build_storage_plane` constructs (a metalog
+    sequencer, log shards and KV partitions):
 
-    * ``backend`` — ``"auto"`` (default; ``single`` at a 1×1 topology,
-      ``sharded`` otherwise), ``"single"`` or ``"sharded"``;
+    * ``backend`` — ``"auto"`` (default) or ``"sharded"``.  Both build
+      the same plane; the choice is whether operations carry
+      ``shard=`` / ``partition=`` placement labels.  ``auto`` labels
+      them unless the topology is the paper's plain 1×1 testbed (see
+      :mod:`repro.storageplane.plane`); ``sharded`` always labels them;
     * ``log_shards`` — number of log storage shards behind the metalog
       sequencer (tag sub-streams are routed by a stable CRC-32 hash);
     * ``kv_partitions`` — number of hash partitions of the external
@@ -214,14 +218,14 @@ class StorageSizeConfig:
       survivor;
     * ``sequencer`` — sequencing strategy over the metalog (see
       :mod:`repro.storageplane.sequencer`): ``"monolith"`` (the paper's
-      single global cursor, bit-identical to the pre-refactor code),
+      single global cursor),
       ``"batched"`` (group commit: one sequencer commit per
       ``sequencer_batch`` appends, held at most ``sequencer_hold_ms``),
       or ``"leased-ranges"`` (epoch-leased blocks of
       ``sequencer_block`` seqnums, fenced on failover).
 
-    The default 1×1 topology is the paper-faithful configuration and is
-    bit-identical to the pre-plane substrates.
+    The default, unlabelled 1×1 topology is the paper-faithful
+    configuration.
     """
 
     value_bytes: int = 256
@@ -244,10 +248,13 @@ class StorageSizeConfig:
             raise ConfigError("kv_partitions must be positive")
         if self.replication <= 0:
             raise ConfigError("replication must be positive")
-        if not self.backend:
-            raise ConfigError("backend must be a non-empty name")
-        # Registry membership is checked at plane-build time (the
-        # registry lives in repro.storageplane); here only shape.
+        if self.backend not in ("auto", "sharded"):
+            raise ConfigError(
+                f"unknown storage backend {self.backend!r}; "
+                "available: auto, sharded"
+            )
+        # Sequencer membership is checked at plane-build time (the
+        # table lives in repro.storageplane); here only shape.
         if not self.sequencer:
             raise ConfigError("sequencer must be a non-empty name")
         if self.sequencer_batch <= 0:

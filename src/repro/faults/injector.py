@@ -16,11 +16,12 @@ instance between an effect and its commit record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from ..config import FaultConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: The substrate returned an error reply (request dropped, no effect).
 FAULT_ERROR = "error"

@@ -14,10 +14,12 @@ visible in DES-mode latency plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..config import ResilienceConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass(frozen=True)

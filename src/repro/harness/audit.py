@@ -5,10 +5,19 @@ simulator, ``live`` on real processes — drives counters whose correct
 final value is computable by construction: each *completed* ``bump``
 adds one to its key.  After the run every key is probed through the
 protocol (a fresh invocation observes committed state) and compared
-against that ground truth.  The two anomaly classes of a recovery bug
-both show as a mismatch: a lost orphan leaves its key short, and a
-replay that blindly re-applies a write that had already landed leaves
-it long.
+against that ground truth.  A lost orphan shows as a mismatch: its
+key is left short.  A duplicated ``bump`` shows only where the replay
+recomputes the value from a fresh read: a replay that re-reads and
+re-applies an increment that had already landed leaves the key long.
+
+What the audit cannot see: a replay that blindly re-applies a write
+whose value was computed from a *logged* read.  Under Halfmoon-write
+``bump``'s read is logged, so the replay reads the same ``v`` and writes
+the same ``v+1`` again — the final value is right even if the
+conditional write that makes the re-apply idempotent (Section 4.2) is
+replaced by an unconditional one.  That bug is caught by the protocol
+unit tests, not by this audit; a blind-write workload would be needed
+to show it end to end.
 
 The experiments differ in what they break and where the code runs; the
 audit is this module, and :func:`audit_failures` is the one verdict

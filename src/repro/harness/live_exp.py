@@ -74,9 +74,12 @@ def run_live_point(
     file) — ``None`` keeps the run artifact-free.  ``max_inflight``
     arms gateway admission control (default: unbounded).
     """
+    # The live plane labels placement at every topology, like the
+    # other drivers that take their own shard counts.
     cfg = cell_config(config, seed, fault_rate, lease_ms).with_storage_plane(
-        backend="sharded" if log_shards * kv_partitions > 1 else "single",
-        log_shards=log_shards, kv_partitions=kv_partitions,
+        backend="sharded",
+        log_shards=log_shards,
+        kv_partitions=kv_partitions,
     )
     # Per-protocol child seed (parallel-sweep convention): cells are
     # independent, reproducible, and distinct.

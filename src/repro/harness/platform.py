@@ -210,7 +210,7 @@ class SimPlatform(ComputePlane):
             TimeWeightedGauge("db-bytes", 0.0, self._db_bytes()),
             store="db",
         )
-        # Per-shard / per-partition bytes (sharded planes only, so the
+        # Per-shard / per-partition bytes (labelled planes only, so the
         # default topology's metric set is unchanged): current value,
         # read when the snapshot is taken.
         placements = (

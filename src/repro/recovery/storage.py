@@ -42,19 +42,13 @@ STORAGE_COMPONENTS = ("metalog", "shard-replica", "partition", "netsplit")
 class StorageChaosController:
     """Schedules storage-component crashes and recoveries on a platform.
 
-    Construct with a :class:`~repro.harness.platform.SimPlatform` whose
-    backend runs the *sharded* plane (a plain ``SharedLog`` has nothing
-    to kill); ``schedule_*`` before ``platform.run``; call :meth:`heal`
-    after the drain and before any consistency audit.
+    Construct with a :class:`~repro.harness.platform.SimPlatform`;
+    ``schedule_*`` before ``platform.run``; call :meth:`heal` after the
+    drain and before any consistency audit.
     """
 
     def __init__(self, platform):
         backend = platform.runtime.backend
-        if not hasattr(backend.log, "metalog"):
-            raise ValueError(
-                "storage chaos needs the sharded plane; configure "
-                "with_storage_plane(backend='sharded', ...)"
-            )
         self.platform = platform
         self.backend = backend
         self.log = backend.log

@@ -18,12 +18,13 @@ Three policies cover the experiments:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import CrashError
 from .services import FaultHook
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class CrashPolicy:

@@ -45,10 +45,10 @@ class GCStats:
     versions_deleted: int = 0
     last_safe_seqnum: int = 0
     #: Per-shard trim frontier after the latest scan, straight from the
-    #: metalog (sharded planes only; empty on the single-node plane).
-    #: Trims advance each shard's frontier independently — the
-    #: regression tests pin that a trim on shard A never moves (or
-    #: drops records behind) shard B's frontier.
+    #: metalog (shards that never trimmed are absent).  Trims advance
+    #: each shard's frontier independently — the regression tests pin
+    #: that a trim on shard A never moves (or drops records behind)
+    #: shard B's frontier.
     shard_frontiers: Dict[int, int] = field(default_factory=dict)
     #: Durable-KV bookkeeping (storage-chaos runs only): checkpoints
     #: taken and redo-journal entries truncated by them.  Journals stay
@@ -114,15 +114,13 @@ class GarbageCollector:
             horizon = records[marked - 1].seqnum
             self.stats.write_log_records_trimmed += log.trim(tag, horizon)
 
-        # Sharded planes: publish where each shard's reclamation horizon
-        # now sits (the metalog owns the authoritative frontiers).
-        frontiers = getattr(log, "shard_trim_frontiers", None)
-        if frontiers is not None:
-            self.stats.shard_frontiers = frontiers()
+        # Publish where each shard's reclamation horizon now sits (the
+        # metalog owns the authoritative frontiers).
+        self.stats.shard_frontiers = log.shard_trim_frontiers()
 
         # -- durable KV: checkpoint partitions, truncate redo journals --
         kv = self.backend.kv
-        if getattr(kv, "durability", False):
+        if kv.durability:
             for index in range(kv.num_partitions):
                 if index in kv.down_partitions():
                     continue  # its journal is what the rebuild needs

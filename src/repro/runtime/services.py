@@ -22,9 +22,8 @@ through :class:`InstanceServices`, which
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
 
 from ..config import SystemConfig
 from ..errors import (
@@ -54,6 +53,9 @@ from ..simulation.latency import (
 from ..simulation.metrics import LatencyRecorder
 from ..simulation.rng import IntegerDrawBatch, RngRegistry
 from ..storageplane import StoragePlane, build_storage_plane
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Charges buffered before :meth:`ServiceBackend._fold` drains them into
 #: the ``op_latency`` recorders; bounds the buffer on long runs.
@@ -186,7 +188,7 @@ class LatencyProvider:
 
 #: A placement label carried by a cost-trace entry: ``("shard", i)``
 #: for log operations and ``("partition", i)`` for store operations, or
-#: ``None`` when the plane is unlabelled (single-node topology).
+#: ``None`` when the plane is unlabelled (the plain 1×1 topology).
 Placement = Optional[tuple]
 
 
@@ -235,10 +237,9 @@ class ServiceBackend:
                  plane: Optional[StoragePlane] = None):
         self.config = config.validate()
         self.rng = rng if rng is not None else RngRegistry(config.seed)
-        #: The pluggable storage plane (single-node, sharded, or a
-        #: registered custom backend); ``log``/``kv``/``mv`` are its
-        #: substrates, kept as attributes for the many existing callers.
-        #: An injected ``plane`` bypasses the registry — the live
+        #: The storage plane; ``log``/``kv``/``mv`` are its substrates,
+        #: kept as attributes for the many existing callers.  An
+        #: injected ``plane`` bypasses the builder — the live
         #: compute plane's workers hand in an RPC proxy to the real
         #: plane served from the gateway process.
         self.plane: StoragePlane = (
@@ -317,9 +318,8 @@ class ServiceBackend:
                 chaos, config.seed,
                 self.plane.num_log_shards, self.plane.num_kv_partitions,
             )
-            if hasattr(self.log, "metalog"):
-                from ..storageplane.fencing import EpochView
-                self.epoch_view = EpochView(self.log.metalog)
+            from ..storageplane.fencing import EpochView
+            self.epoch_view = EpochView(self.log.metalog)
         # Snapshot probes: component state that *is* the metric.
         self.metrics.probe("record_cache", self._record_cache_stats)
         self.metrics.probe("storage_plane", self.plane.describe)
@@ -424,7 +424,8 @@ class ServiceBackend:
         return sample_lists
 
     def log_placement(self, tag: str) -> Placement:
-        """Placement label of a log operation on ``tag`` (None at 1×1)."""
+        """Placement label of a log operation on ``tag`` (None when
+        the plane is unlabelled)."""
         if not self._plane_labelled:
             return None
         placement = self._log_placements.get(tag)
@@ -435,7 +436,8 @@ class ServiceBackend:
         return placement
 
     def kv_placement(self, key: str) -> Placement:
-        """Placement label of a store operation on ``key`` (None at 1×1)."""
+        """Placement label of a store operation on ``key`` (None when
+        the plane is unlabelled)."""
         if not self._plane_labelled:
             return None
         placement = self._kv_placements.get(key)

@@ -3,7 +3,7 @@
 Boki caches log records on function nodes, which is why ``logReadPrev``
 costs ~0.12 ms at the median instead of a storage-node round trip
 (Section 4.1).  The cache only influences *latency* in this reproduction —
-the in-memory :class:`~repro.sharedlog.log.SharedLog` is always consistent —
+the in-memory :class:`~repro.storageplane.ShardedLog` is always consistent —
 so its job is to decide, deterministically, whether a given log read is a
 hit or a miss.
 

@@ -1,13 +1,15 @@
-"""Pluggable storage plane: metalog + log shards + partitioned KV.
+"""The storage plane: metalog + log shards + partitioned KV.
 
 The runtime binds to :class:`StoragePlane`, never to concrete
-substrates; :func:`build_storage_plane` selects the backend from
-:class:`~repro.config.StorageSizeConfig` (``backend`` / ``log_shards``
-/ ``kv_partitions`` / ``replication``).  ``single``
-(the default at a 1×1 topology) is the paper-faithful configuration and
-bit-identical to the pre-plane code; ``sharded`` scales the log into a
-:class:`Metalog` + N :class:`LogShard` s and the store into M hash
-partitions.
+substrates; :func:`build_storage_plane` builds it from
+:class:`~repro.config.StorageSizeConfig` (``log_shards`` /
+``kv_partitions`` / ``replication`` / ``sequencer``).  There is one
+plane: the shared log is a :class:`Metalog` + N :class:`LogShard` s
+(:class:`ShardedLog`) and the store M hash partitions
+(:class:`PartitionedKV`), at every size.  The topology (or
+``backend="sharded"``) only decides whether operations carry placement
+labels; the default, unlabelled 1×1 plane is the paper-faithful
+configuration.
 
 Every component is crashable and recoverable (see docs/PROTOCOLS.md,
 "Storage failure model"): the sequencer fails over behind epoch fencing
@@ -21,14 +23,10 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".audit": ("diff_partition_snapshots", "storage_consistency_report"),
-    ".base": ("GENESIS_VERSION", "StoragePlane"),
     ".fencing": ("EpochView", "Lease"),
     ".metalog": ("Metalog",),
     ".partitioned_kv": ("PartitionedKV",),
-    ".plane": (
-        "ShardedPlane", "SingleNodePlane", "available_backends",
-        "build_storage_plane",
-    ),
+    ".plane": ("GENESIS_VERSION", "StoragePlane", "build_storage_plane"),
     ".replication": ("ShardReplicaSet",),
     ".routing": ("Router", "base_key", "stable_hash"),
     ".sequencer": (
@@ -54,10 +52,7 @@ __all__ = [
     "Sequencer",
     "ShardReplicaSet",
     "ShardedLog",
-    "ShardedPlane",
-    "SingleNodePlane",
     "StoragePlane",
-    "available_backends",
     "available_sequencers",
     "base_key",
     "build_sequencer",

@@ -146,19 +146,15 @@ def diff_partition_snapshots(
 
 def storage_consistency_report(plane) -> Dict[str, Any]:
     """Full-plane invariant audit; ``anomalies == []`` ⇔ consistent."""
-    anomalies: List[str] = []
-    checked: Dict[str, Any] = {"backend": plane.describe()["backend"]}
-    log = plane.log
-    if hasattr(log, "metalog"):
-        log_anomalies = audit_sharded_log(log)
-        anomalies.extend(log_anomalies)
-        checked["log_shards"] = log.num_shards
-        checked["replication"] = log.replication
-        checked["epoch"] = log.epoch
-        checked["live_records"] = log.live_record_count
-    kv = plane.kv
-    if hasattr(kv, "down_partitions"):
-        anomalies.extend(audit_partitioned_kv(kv))
-        checked["kv_partitions"] = kv.num_partitions
-        checked["kv_rebuilds"] = kv.rebuilds
+    log, kv = plane.log, plane.kv
+    checked: Dict[str, Any] = {
+        "backend": plane.describe()["backend"],
+        "log_shards": log.num_shards,
+        "replication": log.replication,
+        "epoch": log.epoch,
+        "live_records": log.live_record_count,
+        "kv_partitions": kv.num_partitions,
+        "kv_rebuilds": kv.rebuilds,
+    }
+    anomalies = audit_sharded_log(log) + audit_partitioned_kv(kv)
     return {"anomalies": anomalies, "checked": checked}

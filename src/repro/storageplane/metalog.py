@@ -4,7 +4,7 @@ In Boki the total order of the shared log is not produced by the storage
 shards — a *metalog* (one sequencer appending to its own internal log)
 assigns every record a position, and the shards merely materialise the
 per-tag indexes and hold record bodies.  This class is that authority
-for the sharded plane:
+for the log plane:
 
 * it hands out the monotone seqnums (``assign``), so the global total
   order exists *before* any shard is touched — which is exactly why two

@@ -47,6 +47,8 @@ class PartitionedKV:
         durability: bool = False,
     ):
         self.router = Router(partitions)
+        #: Bound once: every operation routes its key.
+        self._route = self.router.route_store_key
         self._partitions = [KVStore() for _ in range(partitions)]
         #: Running sum of the partitions' bytes: every mutation goes
         #: through this facade, which adds the touched partition's delta.
@@ -73,13 +75,13 @@ class PartitionedKV:
 
     def partition_of(self, key: str) -> int:
         """Deterministic key → partition placement (by base object key)."""
-        return self.router.route_store_key(key)
+        return self._route(key)
 
     def partition(self, index: int) -> KVStore:
         return self._partitions[index]
 
     def _store(self, key: str) -> KVStore:
-        index = self.router.route_store_key(key)
+        index = self._route(key)
         if self._degraded and index in self._down_partitions:
             raise PartitionUnavailableError(
                 f"kv partition {index} is down (rebuild pending)",
@@ -191,7 +193,7 @@ class PartitionedKV:
         return set(self._down_partitions)
 
     def _journal(self, key: str, entry: Tuple) -> None:
-        self._journals[self.router.route_store_key(key)].append(entry)
+        self._journals[self._route(key)].append(entry)
 
     def journal_length(self, index: int) -> int:
         if self._journals is None:

@@ -1,32 +1,46 @@
-"""Concrete storage planes and the config-driven backend table.
+"""The storage plane: one shared log plus one external store.
 
-Two built-in backends:
+Halfmoon's prototype runs on Boki, whose "shared log" is really a
+*metalog* (a global sequencer ordering records) in front of a set of
+storage shards, with DynamoDB as the external store — AFT makes the
+same point by interposing one shim interface over a storage backend
+whose deployments differ only in placement.  :class:`StoragePlane` is
+that seam: the only storage type the runtime
+(:class:`~repro.runtime.services.ServiceBackend`) binds to, built from
+:class:`~repro.config.StorageSizeConfig` by :func:`build_storage_plane`.
 
-* ``single`` — the seed substrates verbatim (:class:`SharedLog` +
-  :class:`KVStore`).  Zero indirection, bit-identical to the
-  pre-refactor code, and the paper-faithful configuration.
-* ``sharded`` — :class:`~repro.storageplane.sharded_log.ShardedLog`
-  (metalog + N log shards) and :class:`~repro.storageplane.
-  partitioned_kv.PartitionedKV` (M KV partitions), both routed
-  deterministically.  At N=M=1 it is bit-identical to ``single`` (the
-  golden-run CI diff enforces this); at N>1 it feeds the per-shard
-  queueing model and per-shard metrics.
+Every plane is the same substrate:
 
-``backend="auto"`` (the default) picks ``single`` when the topology is
-1×1 and ``sharded`` otherwise, so existing configs never change
-behaviour and setting ``log_shards=4`` alone is enough to shard.  The
-service layer binds only to :class:`~repro.storageplane.base.
-StoragePlane`.
+* :attr:`StoragePlane.log` is a :class:`~repro.storageplane.sharded_log.
+  ShardedLog` (metalog + N log shards), exposing the five log APIs of
+  the paper's Figure 3 (``append`` / ``read_prev`` / ``read_next`` /
+  ``trim`` / ``cond_append``) plus the introspection the GC and switch
+  manager use;
+* :attr:`StoragePlane.kv` is a :class:`~repro.storageplane.
+  partitioned_kv.PartitionedKV` (M key-hash partitions), the
+  plain-KV-plus-conditional-update surface;
+* :attr:`StoragePlane.mv` is the multi-version layer over ``kv``.
+
+What the topology decides is placement labelling.  A *labelled* plane
+names the shard / partition every operation lands on, so the service
+layer labels latency metrics and trace spans and the DES queues each
+append at its shard's station.  An unlabelled plane — the paper's
+fixed 1×1 logging testbed, where the paper treats the logging layer as
+one service — carries no labels, and the DES spreads appends round-robin
+over ``cluster.storage_nodes``.  A plane is labelled when its topology
+is anything but that testbed (more than one shard or partition,
+replication, a non-``monolith`` sequencer, storage chaos) or when
+``backend="sharded"`` pins the labels at 1×1.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Dict
 
-from ..errors import ConfigError
-from ..sharedlog import SharedLog
-from ..store import KVStore, MultiVersionStore
-from .base import StoragePlane
+from ..store import MultiVersionStore
+# Re-exported so protocol code can reference the genesis version marker
+# without importing a concrete store class (see repro.protocols.transitional).
+from ..store.kv import GENESIS_VERSION  # noqa: F401
 from .partitioned_kv import PartitionedKV
 from .sharded_log import ShardedLog
 
@@ -34,37 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import SystemConfig
 
 
-class SingleNodePlane(StoragePlane):
-    """The seed topology: one log, one store, no placement labels."""
-
-    name = "single"
-
-    def __init__(self, config: "SystemConfig"):
-        self._log = SharedLog(meta_bytes=config.storage.meta_bytes)
-        self._kv = KVStore()
-        self._mv = MultiVersionStore(self._kv)
-
-    @property
-    def log(self) -> SharedLog:
-        return self._log
-
-    @property
-    def kv(self) -> KVStore:
-        return self._kv
-
-    @property
-    def mv(self) -> MultiVersionStore:
-        return self._mv
-
-
-class ShardedPlane(StoragePlane):
-    """Metalog + N log shards + M KV partitions, hash-routed."""
-
-    name = "sharded"
+class StoragePlane:
+    """One storage deployment: the shared log plus the external store."""
 
     def __init__(self, config: "SystemConfig"):
         storage = config.storage
-        self._log = ShardedLog(
+        self.log = ShardedLog(
             meta_bytes=storage.meta_bytes,
             shards=storage.log_shards,
             replication=storage.replication,
@@ -73,99 +62,64 @@ class ShardedPlane(StoragePlane):
             # (sequencer_batch / _hold_ms / _block).
             sequencer_options=storage,
         )
-        self._kv = PartitionedKV(
+        self.kv = PartitionedKV(
             partitions=storage.kv_partitions,
             # Partition-loss recovery needs the redo journal; only pay
             # for it when storage chaos can actually lose a partition.
             durability=config.storage_chaos.enabled,
         )
-        self._mv = MultiVersionStore(self._kv)
-
-    @property
-    def log(self) -> ShardedLog:
-        return self._log
-
-    @property
-    def kv(self) -> PartitionedKV:
-        return self._kv
-
-    @property
-    def mv(self) -> MultiVersionStore:
-        return self._mv
-
-    @property
-    def num_log_shards(self) -> int:
-        return self._log.num_shards
-
-    @property
-    def num_kv_partitions(self) -> int:
-        return self._kv.num_partitions
-
-    def log_shard_of(self, tag: str) -> int:
-        return self._log.shard_of(tag)
-
-    def kv_partition_of(self, key: str) -> int:
-        return self._kv.partition_of(key)
-
-    @property
-    def labelled(self) -> bool:
-        return True
-
-    def describe(self) -> Dict:
-        info = super().describe()
-        info["shard_bytes"] = [
-            self._log.shard_bytes(i) for i in range(self._log.num_shards)
-        ]
-        info["partition_bytes"] = [
-            self._kv.partition_bytes(i)
-            for i in range(self._kv.num_partitions)
-        ]
-        info["trim_frontiers"] = self._log.shard_trim_frontiers()
-        if self._log.sequencer.name != "monolith":
-            info["sequencer"] = self._log.sequencer.stats()
-        if self._log.replication > 1 or self._kv.durability:
-            info["replication"] = self._log.replication
-            info["epoch"] = self._log.epoch
-            info["failovers"] = self._log.metalog.failovers
-            info["down_shards"] = sorted(self._log.down_shards())
-            info["down_partitions"] = sorted(self._kv.down_partitions())
-        return info
-
-
-# ---------------------------------------------------------------------------
-# Backend table
-# ---------------------------------------------------------------------------
-
-_BACKENDS: Dict[str, Callable[["SystemConfig"], StoragePlane]] = {
-    "single": SingleNodePlane,
-    "sharded": ShardedPlane,
-}
-
-
-def available_backends() -> List[str]:
-    return sorted(_BACKENDS)
-
-
-def build_storage_plane(config: "SystemConfig") -> StoragePlane:
-    """Build the plane the config selects (``storage.backend``)."""
-    storage = config.storage
-    name = storage.backend
-    if name == "auto":
-        # Storage chaos needs the sharded plane's crash/rebuild surface
-        # even at a 1×1 topology; without it, 1×1 stays on the seed
-        # substrates bit-exactly.
-        plain = (
+        self.mv = MultiVersionStore(self.kv)
+        #: Whether ops carry ``shard=`` / ``partition=`` labels (see the
+        #: module docstring).
+        self.labelled = storage.backend == "sharded" or not (
             storage.log_shards == 1
             and storage.kv_partitions == 1
             and storage.replication == 1
             and storage.sequencer == "monolith"
             and not config.storage_chaos.enabled
         )
-        name = "single" if plain else "sharded"
-    factory = _BACKENDS.get(name)
-    if factory is None:
-        raise ConfigError(
-            f"unknown storage backend {name!r}; "
-            f"available: {available_backends()}"
-        )
-    return factory(config)
+        self.num_log_shards = storage.log_shards
+        self.num_kv_partitions = storage.kv_partitions
+        self.log_shard_of = self.log.shard_of
+        self.kv_partition_of = self.kv.partition_of
+
+    def describe(self) -> Dict[str, Any]:
+        """Flat snapshot of the plane topology (registry probe).
+
+        An unlabelled plane reports ``backend: "single"`` and its two
+        counts, and a labelled one ``backend: "sharded"`` and its
+        per-shard state: readers of the ``storage_plane`` probe key on
+        those two shapes.
+        """
+        if not self.labelled:
+            return {"backend": "single", "log_shards": 1,
+                    "kv_partitions": 1}
+        log, kv = self.log, self.kv
+        info: Dict[str, Any] = {
+            "backend": "sharded",
+            "log_shards": self.num_log_shards,
+            "kv_partitions": self.num_kv_partitions,
+            "shard_bytes": [
+                log.shard_bytes(i) for i in range(self.num_log_shards)
+            ],
+            "partition_bytes": [
+                kv.partition_bytes(i)
+                for i in range(self.num_kv_partitions)
+            ],
+            "trim_frontiers": log.shard_trim_frontiers(),
+        }
+        if log.sequencer.name != "monolith":
+            info["sequencer"] = log.sequencer.stats()
+        if log.replication > 1 or kv.durability:
+            info["replication"] = log.replication
+            info["epoch"] = log.epoch
+            info["failovers"] = log.metalog.failovers
+            info["down_shards"] = sorted(log.down_shards())
+            info["down_partitions"] = sorted(kv.down_partitions())
+        return info
+
+
+def build_storage_plane(config: "SystemConfig") -> StoragePlane:
+    """Build the plane ``config.storage`` describes."""
+    config.storage.validate()
+    return StoragePlane(config)

@@ -23,12 +23,9 @@ and the metalog's trim directory (see ``ShardedLog.rebuild_shard``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from ..sharedlog.log import _Stream
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .sharded_log import LogShard
+from .sharded_log import LogShard, _Stream
 
 
 def _copy_streams(streams: Dict[str, _Stream]) -> Dict[str, _Stream]:
@@ -47,7 +44,7 @@ class ShardReplicaSet:
     __slots__ = ("shard", "replication", "copies", "live", "primary",
                  "promotions", "repairs")
 
-    def __init__(self, shard: "LogShard", replication: int):
+    def __init__(self, shard: LogShard, replication: int):
         if replication < 2:
             raise ValueError("ShardReplicaSet requires replication >= 2")
         self.shard = shard

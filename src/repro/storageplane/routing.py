@@ -20,7 +20,6 @@ to the router.
 from __future__ import annotations
 
 import zlib
-from typing import Dict
 
 from ..errors import ConfigError
 
@@ -39,32 +38,57 @@ def base_key(key: str) -> str:
     return key.partition(_VERSION_SEPARATOR)[0]
 
 
+def _only_shard(key: str) -> int:
+    return 0
+
+
+class _RouteMemo(dict):
+    """Key → shard by CRC-32, placed on a key's first lookup
+    (``__missing__``), so a repeat lookup is one dict subscript."""
+
+    __slots__ = ("shards",)
+
+    def __init__(self, shards: int):
+        super().__init__()
+        self.shards = shards
+
+    def __missing__(self, key: str) -> int:
+        shard = self[key] = stable_hash(key) % self.shards
+        return shard
+
+
+class _StoreRouteMemo(dict):
+    """Store key → the shard of its base object key, memoised alike."""
+
+    __slots__ = ("routes",)
+
+    def __init__(self, routes: _RouteMemo):
+        super().__init__()
+        self.routes = routes
+
+    def __missing__(self, key: str) -> int:
+        shard = self[key] = self.routes[base_key(key)]
+        return shard
+
+
 class Router:
-    """Maps routing keys onto ``[0, shards)`` by stable hash."""
+    """Maps routing keys onto ``[0, shards)`` by stable hash.
+
+    ``route(key)`` places a tag or a base key; ``route_store_key(key)``
+    places a store key by its base object key.  Placement is pure, so
+    with several shards each is a memo over the CRC: the memo grows by
+    one entry per distinct key routed, which is one per SSF instance
+    tag and one per store key version, not a bound the workload sets.
+    With one shard every key routes to 0 and nothing is memoised.
+    """
 
     def __init__(self, shards: int):
         if shards <= 0:
             raise ConfigError("shard count must be positive")
         self.shards = shards
-        #: Route memo.  Placement is pure, so a computed route never
-        #: changes and the CRC can be skipped on every repeat routing
-        #: of a key.  The key universe is bounded by the workload (tags
-        #: + store keys), so the memo is too.
-        self._routes: Dict[str, int] = {}
-        self._store_routes: Dict[str, int] = {}
-
-    def route(self, key: str) -> int:
-        shard = self._routes.get(key)
-        if shard is not None:
-            return shard
-        shard = self._routes[key] = (
-            0 if self.shards == 1 else stable_hash(key) % self.shards
-        )
-        return shard
-
-    def route_store_key(self, key: str) -> int:
-        """Route a store key by its base object key."""
-        shard = self._store_routes.get(key)
-        if shard is None:
-            shard = self._store_routes[key] = self.route(base_key(key))
-        return shard
+        if shards == 1:
+            self.route = self.route_store_key = _only_shard
+            return
+        routes = _RouteMemo(shards)
+        self.route = routes.__getitem__
+        self.route_store_key = _StoreRouteMemo(routes).__getitem__

@@ -99,11 +99,12 @@ class MonolithSequencer(Sequencer):
 
     name = "monolith"
 
-    def assign(self, epoch: Optional[int] = None) -> int:
-        return self.metalog.assign(epoch)
-
-    def commit(self, seqnum: int) -> None:
-        self.metalog.commit(seqnum)
+    def __init__(self, metalog: Metalog):
+        super().__init__(metalog)
+        # A passthrough: the metalog's own methods, so an append pays
+        # no extra call frame.
+        self.assign = metalog.assign
+        self.commit = metalog.commit
 
 
 class BatchedSequencer(Sequencer):

@@ -1,7 +1,10 @@
-"""Sharded shared log: metalog sequencing over N per-tag index shards.
+"""The shared log: metalog sequencing over N per-tag index shards.
 
-Splits the monolithic :class:`~repro.sharedlog.log.SharedLog` into the
-two roles Boki's logging layer actually has:
+Implements the five log APIs from Figure 3 of the paper —
+``append`` (``logAppend``), ``read_prev`` / ``read_next``
+(``logReadPrev`` / ``logReadNext``), ``trim`` (``logTrim``) and
+``cond_append`` (``logCondAppend``, Section 5.1) — with the two roles
+Boki's logging layer actually has:
 
 * the :class:`~repro.storageplane.metalog.Metalog` assigns the global,
   monotone seqnums and owns record reference counts and per-shard trim
@@ -10,20 +13,20 @@ two roles Boki's logging layer actually has:
   deterministically by tag (:class:`~repro.storageplane.routing.Router`),
   and account the bytes of the record bodies homed on them.
 
-Record bodies are stored once (keyed by seqnum) and homed on the shard
-of the record's *first* tag; other tags of the same record may index it
-from other shards, mirroring how Boki stores a record body once while
+Each tag names a sub-stream; a record may belong to several, and
+sub-stream order is inherited from the global seqnum order.  Record
+bodies are stored once (keyed by seqnum) and homed on the shard of the
+record's *first* tag; other tags of the same record may index it from
+other shards, mirroring how Boki stores a record body once while
 several tag indexes reference it.  A body is freed when the last shard
 trims its last referencing stream — the metalog's refcount, not any
 single shard, decides.
 
-At ``shards=1`` every operation takes the same code path shape as
-``SharedLog`` (same seqnums, same errors, same storage bytes after
-every operation), which the golden-run tests verify bit-exactly; the
-split only becomes observable through per-shard metrics, placement
-labels, and the DES per-shard queueing model.
+Every deployment runs this one log; the shard count only changes where
+sub-streams live, which shows through per-shard metrics, placement
+labels and the DES per-shard queueing model.
 
-Fault tolerance (the storage-chaos PR): every component is crashable.
+Fault tolerance: every component is crashable.
 
 * The sequencer leader can crash (``crash_sequencer``) and fail over at
   a new epoch (``failover_sequencer``); appends optionally carry the
@@ -47,7 +50,7 @@ chaos-free hot paths pay a single attribute test.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import (
     ConditionalAppendError,
@@ -57,33 +60,49 @@ from ..errors import (
     StorageUnavailableError,
     TrimmedError,
 )
-from ..sharedlog.log import _Stream
 from ..sharedlog.record import LogRecord
 from .metalog import Metalog
 from .routing import Router
 from .sequencer import build_sequencer
 
 
+class _Stream:
+    """One tag's sub-stream: a sorted list of live seqnums plus the count of
+    records trimmed from its head (so stream *offsets* stay stable)."""
+
+    __slots__ = ("seqnums", "trimmed_count")
+
+    def __init__(self) -> None:
+        self.seqnums: List[int] = []
+        self.trimmed_count = 0
+
+    def append(self, seqnum: int) -> None:
+        # The sequencer hands out increasing seqnums, so appends keep the
+        # list sorted without a search.
+        self.seqnums.append(seqnum)
+
+    @property
+    def next_offset(self) -> int:
+        return self.trimmed_count + len(self.seqnums)
+
+    def index_of_offset(self, offset: int) -> int:
+        return offset - self.trimmed_count
+
+
 class LogShard:
     """One storage shard: tag sub-stream indexes plus homed-body bytes."""
 
-    __slots__ = ("shard_id", "streams", "storage_bytes", "append_count",
-                 "trim_count", "homed_records")
+    __slots__ = ("shard_id", "streams", "storage_bytes")
 
     def __init__(self, shard_id: int):
         self.shard_id = shard_id
         self.streams: Dict[str, _Stream] = {}
         self.storage_bytes = 0
-        self.append_count = 0
-        self.trim_count = 0
-        self.homed_records = 0
-
-    def stream(self, tag: str) -> Optional[_Stream]:
-        return self.streams.get(tag)
 
 
 class ShardedLog:
-    """Drop-in ``SharedLog`` replacement routing tags across N shards."""
+    """The shared log: a global sequencer and tagged sub-streams routed
+    across N shards."""
 
     def __init__(
         self,
@@ -102,13 +121,18 @@ class ShardedLog:
         self.sequencer = build_sequencer(
             sequencer, self.metalog, sequencer_options
         )
+        #: Bound once: every append assigns and commits, every append,
+        #: read and trim routes, so skip the attribute walks.
+        self._assign = self.sequencer.assign
+        self._commit = self.sequencer.commit
         self.router = Router(shards)
-        #: Bound route method: placement is consulted on every append,
-        #: read, and trim, so skip the extra dispatch layer.
         self._route = self.router.route
         self._shards = [LogShard(i) for i in range(shards)]
         self._records: Dict[int, LogRecord] = {}
-        self._home: Dict[int, int] = {}
+        #: The metalog's reference directory, written inline by
+        #: ``_install`` (``metalog.add_refs`` costs more to dispatch
+        #: than to run at this call rate).
+        self._tag_refs = self.metalog._tag_refs
         self._storage_bytes = 0
         self._append_count = 0
         self._trim_count = 0
@@ -141,12 +165,8 @@ class ShardedLog:
         return self._route(tag)
 
     def _stream_of(self, tag: str) -> Optional[_Stream]:
-        """Hot-path ``shard_of`` + ``stream`` in one memo lookup: the
-        router memo and the shard's stream table are consulted directly,
-        with the full routing only paid on a tag's first sighting."""
-        shard_id = self.router._routes.get(tag)
-        if shard_id is None:
-            shard_id = self._route(tag)
+        """Hot-path ``shard_of`` + the shard's stream table in one go."""
+        shard_id = self._route(tag)
         if self._degraded and shard_id in self._down_shards:
             raise StorageUnavailableError(
                 f"log shard {shard_id} has no live replica",
@@ -166,9 +186,7 @@ class ShardedLog:
                 "metalog sequencer is down", service="log", op=op,
             )
         for tag in tags:
-            shard_id = self.router._routes.get(tag)
-            if shard_id is None:
-                shard_id = self._route(tag)
+            shard_id = self._route(tag)
             if shard_id in self._down_shards:
                 raise StorageUnavailableError(
                     f"log shard {shard_id} has no live replica",
@@ -214,14 +232,17 @@ class ShardedLog:
         return self.metalog.frontiers()
 
     def shard_stats(self) -> List[Dict[str, int]]:
+        """Per-shard snapshot, computed when asked: the append path
+        counts nothing per shard but its bytes."""
+        homed = [0] * len(self._shards)
+        for record in self._records.values():
+            homed[self._route(record.tags[0])] += 1
         return [
             {
                 "shard": s.shard_id,
                 "streams": len(s.streams),
-                "homed_records": s.homed_records,
+                "homed_records": homed[s.shard_id],
                 "bytes": s.storage_bytes,
-                "appends": s.append_count,
-                "trimmed": s.trim_count,
                 "trim_frontier": self.metalog.shard_frontier(s.shard_id),
             }
             for s in self._shards
@@ -238,6 +259,8 @@ class ShardedLog:
         payload_bytes: int = 0,
         epoch: Optional[int] = None,
     ) -> int:
+        """``logAppend``: add a record to every sub-stream in ``tags``
+        and return its seqnum."""
         if not tags:
             raise LogError("append requires at least one tag")
         # Every rejection happens *before* the sequencer assigns — a
@@ -247,14 +270,7 @@ class ShardedLog:
             self.metalog.check_epoch(epoch, op="append")
         if self._degraded:
             self._check_writable(tags, op="append")
-        record = LogRecord(
-            seqnum=self.sequencer.assign(),
-            tags=tuple(tags),
-            data=data,
-            payload_bytes=int(payload_bytes),
-        )
-        self._install(record)
-        return record.seqnum
+        return self._install(tuple(tags), data, payload_bytes)
 
     def cond_append(
         self,
@@ -265,13 +281,16 @@ class ShardedLog:
         payload_bytes: int = 0,
         epoch: Optional[int] = None,
     ) -> int:
-        """Conditional append, serialized through the metalog.
+        """``logCondAppend`` (Section 5.1), serialized through the metalog.
 
-        The offset check consults the shard owning ``cond_tag``, but the
-        outcome is decided at the sequencer: whichever peer's append is
-        sequenced first occupies the offset, and the loser observes the
-        winner's seqnum — regardless of where the records' other tags
-        are placed.
+        Appends only if the new record would land at offset ``cond_pos``
+        of the ``cond_tag`` sub-stream, i.e. the caller's view of its own
+        execution history is current.  The offset check consults the
+        shard owning ``cond_tag``, but the outcome is decided at the
+        sequencer: whichever peer's append is sequenced first occupies
+        the offset, and the loser's :class:`ConditionalAppendError`
+        carries the winner's seqnum — regardless of where the records'
+        other tags are placed.
         """
         if cond_tag not in tags:
             raise LogError("cond_tag must be one of the record's tags")
@@ -282,7 +301,7 @@ class ShardedLog:
         stream = self._stream_of(cond_tag)
         next_offset = stream.next_offset if stream is not None else 0
         if next_offset == cond_pos:
-            return self.append(tags, data, payload_bytes=payload_bytes)
+            return self._install(tuple(tags), data, payload_bytes)
         if next_offset > cond_pos:
             existing = self._record_at_offset(cond_tag, cond_pos)
             raise ConditionalAppendError(
@@ -309,54 +328,33 @@ class ShardedLog:
             raise LogError(f"offset {offset} of stream {tag!r} out of range")
         return self._records[stream.seqnums[index]]
 
-    def _install(self, record: LogRecord) -> None:
+    def _install(self, tags: Tuple[str, ...], data: Mapping[str, Any],
+                 payload_bytes: int) -> int:
+        """Sequence a checked append and index it on its tags' shards."""
+        seqnum = self._assign()
+        record = LogRecord(seqnum, tags, data, int(payload_bytes))
         shards = self._shards
         route = self._route
-        # Hot path: consult the router's memo directly and only pay the
-        # method dispatch (and CRC) on the first sighting of a tag.
-        routes = self.router._routes
         replica_sets = self._replica_sets
-        tags = record.tags
-        seqnum = record.seqnum
-        first = tags[0]
-        home_id = routes.get(first)
-        if home_id is None:
-            home_id = route(first)
-        home = shards[home_id]
         self._records[seqnum] = record
-        self._home[seqnum] = home_id
-        # Inlined ``metalog.add_refs`` / ``_Stream.append``: one-line
-        # methods cost more to dispatch than to run at this call rate.
-        self.metalog._tag_refs[seqnum] = len(tags)
-        if len(tags) == 1:
-            # The dominant shape (per-instance step records carry one
-            # tag): reuse the home route, skip the loop machinery.
-            streams = home.streams
-            stream = streams.get(first)
+        self._tag_refs[seqnum] = len(tags)
+        for tag in tags:
+            shard_id = route(tag)
+            streams = shards[shard_id].streams
+            stream = streams.get(tag)
             if stream is None:
-                stream = streams[first] = _Stream()
+                stream = streams[tag] = _Stream()
+            # Inlined ``_Stream.append``: seqnums arrive in order.
             stream.seqnums.append(seqnum)
             if replica_sets is not None:
-                replica_sets[home_id].mirror_append(first, seqnum)
-        else:
-            for tag in tags:
-                shard_id = routes.get(tag)
-                if shard_id is None:
-                    shard_id = route(tag)
-                streams = shards[shard_id].streams
-                stream = streams.get(tag)
-                if stream is None:
-                    stream = streams[tag] = _Stream()
-                stream.seqnums.append(seqnum)
-                if replica_sets is not None:
-                    replica_sets[shard_id].mirror_append(tag, seqnum)
-        self.sequencer.commit(seqnum)
+                replica_sets[shard_id].mirror_append(tag, seqnum)
+        self._commit(seqnum)
         size = self._meta_bytes + record.payload_bytes
         self._storage_bytes += size
-        home.storage_bytes += size
-        home.homed_records += 1
-        home.append_count += 1
+        # The body is homed on its first tag's shard.
+        shards[route(tags[0])].storage_bytes += size
         self._append_count += 1
+        return seqnum
 
     # ------------------------------------------------------------------
     # Reads
@@ -397,11 +395,8 @@ class ShardedLog:
         return stream.next_offset if stream is not None else 0
 
     def stream_tags(self) -> List[str]:
-        """All stream tags, shard-major in shard insertion order.
-
-        With one shard this is exactly the global insertion order the
-        monolithic log reports.
-        """
+        """All stream tags, shard-major in shard insertion order (with
+        one shard, the global insertion order)."""
         tags: List[str] = []
         for shard in self._shards:
             tags.extend(shard.streams)
@@ -418,13 +413,13 @@ class ShardedLog:
         shards' streams, frontiers, and homed bodies are untouched
         unless this release was the record's last reference.
         """
-        shard_id = self.shard_of(tag)
+        shard_id = self._route(tag)
         if self._degraded and shard_id in self._down_shards:
             # Conservative under-trim: the GC retries on its next cycle
             # once the shard is rebuilt; never crash the collector.
             return 0
-        shard = self._shards[shard_id]
-        stream = shard.stream(tag)
+        shards = self._shards
+        stream = shards[shard_id].streams.get(tag)
         if stream is None:
             return 0
         cut = bisect.bisect_right(stream.seqnums, seqnum)
@@ -433,20 +428,19 @@ class ShardedLog:
         removed = stream.seqnums[:cut]
         del stream.seqnums[:cut]
         stream.trimmed_count += len(removed)
-        shard.trim_count += len(removed)
         if self._replica_sets is not None:
             self._replica_sets[shard_id].mirror_trim(tag, cut)
-        self.metalog.note_trim(shard.shard_id, removed[-1])
+        self.metalog.note_trim(shard_id, removed[-1])
         self.metalog.note_stream_trim(tag, len(removed), removed[-1])
         for sn in removed:
             if self.metalog.release_ref(sn):
                 record = self._records.pop(sn)
-                home_id = self._home.pop(sn)
+                # A body is homed on its first tag's shard; placement is
+                # pure, so the home is recomputed rather than stored.
+                home = shards[self._route(record.tags[0])]
                 size = self._meta_bytes + record.payload_bytes
-                home = self._shards[home_id]
                 self._storage_bytes -= size
                 home.storage_bytes -= size
-                home.homed_records -= 1
                 self._trim_count += 1
         return len(removed)
 
@@ -585,3 +579,7 @@ class ShardedLog:
         self._refresh_degraded()
         self._rebuilds += 1
         return len(streams)
+
+
+#: Old name of the one log, exported by :mod:`repro.sharedlog` only.
+SharedLog = ShardedLog

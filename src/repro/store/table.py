@@ -10,12 +10,13 @@ orders them, which is why the snapshot must be assembled through the log.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List
 
-from ..errors import KeyMissingError
-from ..sharedlog import SharedLog
 from ..tags import object_tag
 from .versioned import MultiVersionStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..storageplane.sharded_log import ShardedLog
 
 
 class TableIndex:
@@ -44,7 +45,7 @@ class TableIndex:
 class TableSnapshotReader:
     """Assembles consistent table snapshots at a log timestamp."""
 
-    def __init__(self, log: SharedLog, mv_store: MultiVersionStore,
+    def __init__(self, log: ShardedLog, mv_store: MultiVersionStore,
                  index: TableIndex):
         self._log = log
         self._mv = mv_store

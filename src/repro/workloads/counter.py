@@ -9,12 +9,13 @@ platform and the sweep executor.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from ..runtime.ops import ComputeOp, ReadOp, WriteOp
 from .base import Request, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class CounterWorkload(Workload):

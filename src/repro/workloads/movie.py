@@ -12,12 +12,13 @@ user-reviews, movie-reviews, rating, movie-info, page, cast-info.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from ..runtime.ops import InvokeOp, ReadOp, WriteOp
 from .base import Request, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 NUM_MOVIES = 200
 NUM_USERS = 500

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..runtime.ops import ReadOp, WriteOp
 from .base import Request, Workload, ZipfSampler
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Default population: the 10⁵ operating point ISSUE 9 charts; pass
 #: ``num_users=1_000_000`` for the 10⁶ point.

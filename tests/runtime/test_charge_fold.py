@@ -331,7 +331,6 @@ def test_substrate_mutators_loop_over_no_callables():
     a listener fan-out)."""
     for path, class_name, name in (
         ("storageplane/sharded_log.py", "ShardedLog", "_install"),
-        ("sharedlog/log.py", "SharedLog", "_install"),
         ("store/kv.py", "KVStore", "_replace"),
     ):
         body = _function(path, class_name, name)

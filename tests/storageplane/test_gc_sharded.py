@@ -44,12 +44,18 @@ def test_gc_reports_per_shard_frontiers():
 
 
 def test_gc_on_default_plane_has_no_frontiers():
+    """The default (unlabelled 1×1) plane runs the same log, so the GC
+    publishes its one shard's frontier — no per-shard frontiers beyond
+    shard 0."""
     runtime = LocalRuntime(SystemConfig(seed=21), protocol="halfmoon-read")
     runtime.register("rw", rw)
     runtime.populate("acct", "v0")
     runtime.invoke("rw", {"key": "acct", "value": "v1"})
     stats = runtime.run_gc()
-    assert stats.shard_frontiers == {}
+    log = runtime.backend.log
+    assert stats.step_log_records_trimmed > 0
+    assert stats.shard_frontiers == {0: log.shard_trim_frontiers()[0]}
+    assert 0 < stats.shard_frontiers[0] < log.next_seqnum
 
 
 def test_instance_trim_on_one_shard_preserves_object_logs_elsewhere():
@@ -83,14 +89,28 @@ def test_direct_cross_shard_trim_isolation_via_gc_machinery():
     log = runtime.backend.log
     inst_a, inst_b = "aaaa", "dddd"
     tag_a, tag_b = instance_tag(inst_a), instance_tag(inst_b)
-    assert log.shard_of(tag_a) != log.shard_of(tag_b)
+    home, other = log.shard_of(tag_a), log.shard_of(tag_b)
+    assert home != other
     seqnums = [
-        log.append([tag_a, tag_b], {"step": i}) for i in range(5)
+        log.append([tag_a, tag_b], {"step": i}, payload_bytes=100)
+        for i in range(5)
     ]
+    size = 5 * (SystemConfig().storage.meta_bytes + 100)
     live_before = log.live_record_count
+    total_before = log.storage_bytes()
+    home_before, other_before = log.shard_bytes(home), log.shard_bytes(other)
+    # Bodies are homed on the first tag's shard only.
+    assert home_before >= size
     assert log.trim(tag_a, log.tail_seqnum) == 5
     assert [r.seqnum for r in log.read_stream(tag_b)] == seqnums
     assert log.live_record_count == live_before  # no body freed yet
+    assert log.storage_bytes() == total_before
+    assert log.shard_bytes(home) == home_before
+    # The last reference goes on tag_b's shard; the bytes leave the
+    # bodies' home shard (tag_a's), not the shard that trimmed.
     assert log.trim(tag_b, log.tail_seqnum) == 5
     assert log.read_stream(tag_b) == []
     assert log.live_record_count == live_before - 5
+    assert log.storage_bytes() == total_before - size
+    assert log.shard_bytes(home) == home_before - size
+    assert log.shard_bytes(other) == other_before

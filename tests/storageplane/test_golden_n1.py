@@ -1,7 +1,8 @@
-"""Golden-run equivalence: at a 1×1 topology the sharded backend is
-bit-identical to the seed single-node plane — same seqnums, same latency
-samples (RNG streams consumed in the same order), same storage traces,
-same metric values.  ``repro.protocols`` behaviour must not change."""
+"""Golden-run equivalence: at a 1×1 topology the labelled plane
+(``backend="sharded"``) is bit-identical to the default unlabelled one —
+same seqnums, same latency samples (RNG streams consumed in the same
+order), same storage traces, same metric values.  Placement labels must
+not change ``repro.protocols`` behaviour."""
 
 import pytest
 

@@ -1,5 +1,6 @@
-"""StoragePlane selection, the closed backend table, and the architectural
-invariant that protocol code never binds to a concrete storage class."""
+"""The one storage plane: placement labels from the topology, the two
+backend values, and the architectural invariant that protocol code
+never binds to a concrete storage class."""
 
 import ast
 import pathlib
@@ -11,17 +12,19 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.runtime import ServiceBackend
 from repro.storageplane import (
-    ShardedPlane,
-    SingleNodePlane,
-    available_backends,
+    PartitionedKV,
+    ShardedLog,
+    StoragePlane,
     build_storage_plane,
 )
 
 
 def test_auto_selects_single_at_1x1():
+    """The default plane is the one substrate, unlabelled at 1×1."""
     plane = build_storage_plane(SystemConfig())
-    assert isinstance(plane, SingleNodePlane)
-    assert plane.name == "single"
+    assert type(plane) is StoragePlane
+    assert isinstance(plane.log, ShardedLog)
+    assert isinstance(plane.kv, PartitionedKV)
     assert plane.labelled is False
     assert plane.num_log_shards == 1
     assert plane.num_kv_partitions == 1
@@ -32,24 +35,43 @@ def test_auto_selects_single_at_1x1():
 def test_auto_selects_sharded_when_scaled():
     config = SystemConfig().with_storage_plane(log_shards=4)
     plane = build_storage_plane(config)
-    assert isinstance(plane, ShardedPlane)
     assert plane.labelled is True
     assert plane.num_log_shards == 4
     assert plane.num_kv_partitions == 1
 
 
+@pytest.mark.parametrize("storage, chaos", [
+    ({"replication": 3}, False),
+    ({"sequencer": "batched"}, False),
+    ({}, True),
+])
+def test_auto_labels_every_topology_but_the_plain_1x1(storage, chaos):
+    config = SystemConfig().with_storage_plane(**storage)
+    if chaos:
+        config = config.with_storage_chaos(shard_error_rate=0.01)
+    assert build_storage_plane(config).labelled is True
+
+
 def test_explicit_backend_overrides_auto():
     config = SystemConfig().with_storage_plane(backend="sharded")
     plane = build_storage_plane(config)
-    assert isinstance(plane, ShardedPlane)
-    assert plane.num_log_shards == 1  # sharded machinery, 1×1 topology
+    assert plane.labelled is True
+    assert plane.num_log_shards == 1  # labelled, 1×1 topology
 
 
 def test_unknown_backend_rejected():
     config = SystemConfig().with_storage_plane(backend="bogus")
-    with pytest.raises(ConfigError, match="sharded.*single"):
+    with pytest.raises(ConfigError, match="available: auto, sharded"):
         build_storage_plane(config)
-    assert available_backends() == ["sharded", "single"]
+
+
+def test_single_backend_is_gone():
+    config = SystemConfig().with_storage_plane(backend="single")
+    with pytest.raises(ConfigError, match="'single'; available: auto, "
+                                          "sharded"):
+        config.validate()
+    with pytest.raises(ConfigError, match="'single'"):
+        build_storage_plane(config)
 
 
 def test_describe_snapshots_topology():
@@ -96,7 +118,8 @@ def test_no_protocol_module_imports_concrete_storage():
     """Architectural invariant: ``repro.protocols`` binds to the
     storage-plane interface, never to SharedLog/KVStore/... directly."""
     forbidden = {
-        "repro.sharedlog.log", "repro.store.kv", "repro.store.versioned",
+        "repro.storageplane.sharded_log", "repro.store.kv",
+        "repro.store.versioned",
     }
     forbidden_names = {"SharedLog", "KVStore", "MultiVersionStore",
                        "ShardedLog", "PartitionedKV"}

@@ -78,6 +78,21 @@ def test_single_shard_parity_with_shared_log(seed):
     assert mono.live_record_count == sharded.live_record_count
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shard_count_never_changes_what_the_log_answers(seed):
+    """Placement is invisible to callers: one shard and four answer
+    every operation, error and byte total identically."""
+    one, four = ShardedLog(shards=1), ShardedLog(shards=4)
+    for op in _random_ops(seed):
+        assert _apply(one, op) == _apply(four, op)
+        assert one.storage_bytes() == four.storage_bytes()
+    assert sorted(one.stream_tags()) == sorted(four.stream_tags())
+    assert one.live_record_count == four.live_record_count
+    assert sum(four.shard_bytes(i) for i in range(4)) == (
+        four.storage_bytes()
+    )
+
+
 def test_single_shard_cond_append_parity():
     mono, sharded = SharedLog(), ShardedLog(shards=1)
     for log in (mono, sharded):

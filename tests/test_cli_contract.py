@@ -344,6 +344,8 @@ def test_the_rule_covers_every_command(capsys, argv, reason):
      "unknown storage backend 'bogus'"),
     (["table1", "--samples", "5", "--sequencer", "bogus"],
      "unknown sequencer 'bogus'"),
+    (["fig10", "--requests", "5", "--storage-backend", "single"],
+     "unknown storage backend 'single'; available: auto, sharded"),
 ])
 def test_config_error_is_an_error_line_and_exit_two(capsys, argv,
                                                     message):
