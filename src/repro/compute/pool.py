@@ -5,13 +5,13 @@
     runner (gateway) --spawn--> template --os.fork()--> worker k
 
 Booting a worker is interpreter start-up plus importing numpy and the
-runtime (~0.2 s); the live plane used to pay that once per
+runtime (≈ 0.4 CPU-s); the live plane used to pay that once per
 worker and again for every takeover replacement.  It is now paid once
 per plane: the gateway ``spawn``-s one single-threaded *template*
-process that imports every module a worker executes (this module's
-imports, :data:`PREFORK_IMAGE` and the workload's module — a worker
-imports nothing), freezes its heap, and then serves three verbs from
-the gateway over a pipe —
+process (one BLAS thread: :data:`TEMPLATE_ENV`) that imports every
+module a worker executes (this module's imports, :data:`PREFORK_IMAGE`
+and the workload's module — a worker imports nothing), freezes its
+heap, and then serves three verbs from the gateway over a pipe —
 
 ``("fork", worker_id, worker_main args)``
     ``os.fork()``; the child closes the pipe and runs ``worker_main``
@@ -43,8 +43,9 @@ import signal
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from .worker import worker_main
 
@@ -53,6 +54,12 @@ from .worker import worker_main
 #: would be each worker's first ``default_rng``) and the one runtime
 #: module ``runtime/local.py`` imports inside a function.
 PREFORK_IMAGE = ("numpy.random", "repro.runtime.transactions")
+#: What the template, and so every worker it forks, runs with.  Neither
+#: calls a BLAS kernel (a worker's profile holds no linear algebra), but
+#: importing numpy starts OpenBLAS's default pool of nproc - 1 threads,
+#: which spin before they sleep until the template's first ``os.fork()``
+#: shuts the pool down: ≈ 0.12 CPU-s per plane on two vCPUs.
+TEMPLATE_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 #: After ``stop``: how long SIGTERMed workers get before SIGKILL.
 STOP_GRACE_S = 2.0
 #: How long the gateway waits for a stopping template before killing it.
@@ -73,7 +80,6 @@ class WorkerPool:
 
     def __init__(self, loop: Any, module: str,
                  on_lost: Callable[[str], None]):
-        _ensure_child_pythonpath()
         self._loop = loop
         self._on_lost = on_lost
         self.workers: Dict[int, WorkerProcess] = {}
@@ -82,7 +88,8 @@ class WorkerPool:
             target=template_main, args=(theirs, module),
             daemon=True, name="repro-live-template",
         )
-        self._template.start()
+        with _template_environ():
+            self._template.start()
         theirs.close()  # ours would keep the template's EOF from showing
         self._stopping = False
         self._failure: Optional[str] = None
@@ -160,7 +167,8 @@ class WorkerPool:
 
 def template_main(control: Any, module: str) -> None:
     """Entry point of the template (the one ``spawn`` target).  Never
-    starts a thread: it forks.
+    starts a thread: it forks, and its environment holds
+    :data:`TEMPLATE_ENV`, so numpy's import starts no BLAS pool either.
 
     Unpickling this function imported this module, so ``worker.py``
     and what it imports; the rest of the image is named here, before
@@ -292,17 +300,29 @@ class _Template:
                         os.waitstatus_to_exitcode(status))
 
 
-def _ensure_child_pythonpath() -> None:
-    """The spawn-ed template must be able to ``import repro``."""
+@contextmanager
+def _template_environ() -> Iterator[None]:
+    """The environment ``spawn`` copies into the template: ``src`` on
+    ``PYTHONPATH`` (it must ``import repro``) and :data:`TEMPLATE_ENV`.
+    The caller's own values are back when the block exits: ``start()``
+    has forked the template's interpreter, with its copy, by then."""
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    parts = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    if src not in parts:
-        os.environ["PYTHONPATH"] = (
-            src + ((os.pathsep + os.environ["PYTHONPATH"])
-                   if os.environ.get("PYTHONPATH") else "")
-        )
     # Defensive: some environments run with sys.path entries only.
     if src not in sys.path:
         sys.path.insert(0, src)
+    child = dict(TEMPLATE_ENV)
+    path = os.environ.get("PYTHONPATH", "")
+    if src not in path.split(os.pathsep):
+        child["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    saved = {name: os.environ.get(name) for name in child}
+    os.environ.update(child)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value

@@ -273,7 +273,7 @@ def test_fork_requests_carry_per_worker_seeds(monkeypatch):
 # -- (4) the template never starts a thread ----------------------------------
 
 _THREADS_SCRIPT = """
-import json, os, sys
+import json, os, sys, threading, time
 from repro import SystemConfig
 from repro.compute import WorkloadSpec, build_compute_plane
 from repro.harness import CounterWorkload
@@ -286,17 +286,45 @@ plane = build_compute_plane(
                                kwargs),
     num_workers=2, requests=6,
 )
-threads = []
+threads, peak = [], [0]
+
+def poll():
+    # From the template's start to the first completion: its imports
+    # run in this window, and a thread they start lives until a fork.
+    while not threads:
+        pool = plane._pool
+        if pool is not None:
+            try:
+                tasks = os.listdir(f"/proc/{pool.pid}/task")
+            except OSError:  # exited: the run is over
+                break
+            peak[0] = max(peak[0], len(tasks))
+        time.sleep(0.001)
+
+poller = threading.Thread(target=poll, daemon=True)
+poller.start()
 plane.on_request_complete = lambda request, latency: threads.append(
     len(os.listdir(f"/proc/{plane._pool.pid}/task")))
 try:
     result = plane.run(0.0, 0.0)
 finally:
     plane.close()
+poller.join(5.0)
 print(json.dumps({"completed": result.completed, "threads": threads,
-                  "aborted": result.extras["aborted"],
+                  "peak": peak[0], "aborted": result.extras["aborted"],
                   "exitcode": plane._pool.exitcode}))
 """
+
+#: Thread-count settings a caller may export; the tests below start
+#: their gateway without them, so the template's own settings show.
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _caller_env(**extra):
+    env = {name: value for name, value in os.environ.items()
+           if name not in _BLAS_ENV + ("PYTHONPATH",)}
+    env.update(extra)
+    return env
 
 
 @live
@@ -307,13 +335,68 @@ def test_template_is_single_threaded():
     done = subprocess.run(
         [sys.executable, "-W", "error::DeprecationWarning", "-c",
          _THREADS_SCRIPT],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        env=_caller_env(PYTHONPATH=src), capture_output=True,
         text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.strip().splitlines()[-1])
-    assert report == {"completed": 6, "threads": [1] * 6,
+    # "peak" is sampled from the template's start: numpy's import would
+    # start OpenBLAS's pool there, which the first fork shuts down.
+    assert report == {"completed": 6, "threads": [1] * 6, "peak": 1,
                       "aborted": None, "exitcode": 0}
+
+
+_ENVIRON_SCRIPT = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from repro import SystemConfig
+from repro.compute import WorkloadSpec, build_compute_plane
+from repro.harness import CounterWorkload
+
+if __name__ == "__main__":
+    kwargs = dict(num_keys=32, read_ratio=0.5, compute_ms=0.0)
+    plane = build_compute_plane(
+        "localhost", CounterWorkload(**kwargs), "boki",
+        config=SystemConfig(seed=5),
+        workload_spec=WorkloadSpec("repro.harness.failover",
+                                   "CounterWorkload", kwargs),
+        num_workers=2, requests=6,
+    )
+    seen = []
+
+    def read_template_environ(request, latency_ms):
+        if not seen:
+            with open(f"/proc/{plane._pool.pid}/environ", "rb") as f:
+                seen.extend(f.read().decode().split("\\0"))
+
+    plane.on_request_complete = read_template_environ
+    before = dict(os.environ)
+    try:
+        result = plane.run(0.0, 0.0)
+    finally:
+        plane.close()
+    print(json.dumps({"completed": result.completed,
+                      "unchanged": dict(os.environ) == before,
+                      "template": [e for e in seen if e]}))
+"""
+
+
+@live
+def test_the_gateway_leaves_its_callers_environment_alone():
+    """The template's environment is set for its start only: the
+    gateway's own ``os.environ`` is the same after ``close()``."""
+    src = str(pathlib.Path(repro.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _ENVIRON_SCRIPT, src], env=_caller_env(),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["completed"] == 6 and report["unchanged"]
+    template = dict(entry.split("=", 1) for entry in report["template"])
+    assert template["OPENBLAS_NUM_THREADS"] == "1"
+    assert template["OMP_NUM_THREADS"] == "1"
+    assert template["PYTHONPATH"].split(os.pathsep)[0] == src
 
 
 # -- shutdown never waits for a worker that is still starting ----------------

@@ -1,4 +1,4 @@
-"""ShardedLog: single-shard parity with SharedLog, multi-shard routing,
+"""ShardedLog: one shard and four answer alike, multi-shard routing,
 and cross-shard trim isolation (the metalog owns refcounts/frontiers)."""
 
 import numpy as np
@@ -10,12 +10,11 @@ from repro.errors import (
     ProtocolError,
     TrimmedError,
 )
-from repro.sharedlog import SharedLog
 from repro.storageplane import Metalog, ShardedLog
 
 
 # ---------------------------------------------------------------------------
-# Single-shard parity: every operation mirrors the monolithic log
+# Shard-count parity: one shard (the monolithic log) and four agree
 # ---------------------------------------------------------------------------
 
 
@@ -61,9 +60,9 @@ def _apply(log, op):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_single_shard_parity_with_shared_log(seed):
-    mono = SharedLog()
-    sharded = ShardedLog(shards=1)
+def test_one_shard_and_four_agree_on_every_op_and_counter(seed):
+    mono = ShardedLog(shards=1)
+    sharded = ShardedLog(shards=4)
     byte_trace_mono, byte_trace_sharded = [], []
     for op in _random_ops(seed):
         assert _apply(mono, op) == _apply(sharded, op)
@@ -72,7 +71,8 @@ def test_single_shard_parity_with_shared_log(seed):
     assert byte_trace_mono == byte_trace_sharded
     assert mono.storage_bytes() == sharded.storage_bytes()
     assert mono.next_seqnum == sharded.next_seqnum
-    assert mono.stream_tags() == sharded.stream_tags()
+    # Shard-major order on four shards: compare the sets.
+    assert sorted(mono.stream_tags()) == sorted(sharded.stream_tags())
     assert mono.append_count == sharded.append_count
     assert mono.trim_count == sharded.trim_count
     assert mono.live_record_count == sharded.live_record_count
@@ -93,8 +93,8 @@ def test_shard_count_never_changes_what_the_log_answers(seed):
     )
 
 
-def test_single_shard_cond_append_parity():
-    mono, sharded = SharedLog(), ShardedLog(shards=1)
+def test_one_shard_and_four_agree_on_cond_append():
+    mono, sharded = ShardedLog(shards=1), ShardedLog(shards=4)
     for log in (mono, sharded):
         log.append(["s"], {"step": 0})
     for log in (mono, sharded):
