@@ -37,19 +37,17 @@ parameter's declaration, so a default is written once, in the harness
 Every experiment command also parses the shared flags: ``--seed N``
 (reseed the whole run), ``--fault-rate R`` (transient infrastructure
 faults on every log/store operation; :mod:`repro.faults`), the
-storage-plane flags ``--storage-backend`` / ``--log-shards`` /
-``--kv-partitions`` (:mod:`repro.storageplane`) and
+storage-plane flags ``--log-shards`` / ``--kv-partitions``
+(:mod:`repro.storageplane`) and
 ``--sequencer`` / ``--sequencer-batch`` / ``--sequencer-hold`` /
 ``--sequencer-block`` (:mod:`repro.storageplane.sequencer`), ``--jobs N``
 (fan a sweep's cells over N worker processes) and ``--trace-out PATH``
 (write a Perfetto-loadable Chrome trace of the run).  Every run uses
-the one storage plane; ``--storage-backend`` takes ``auto`` (placement
-labels unless the topology is the plain 1×1 testbed) or ``sharded``
-(labels always).  The defaults — 1×1 ``auto`` topology, ``monolith``
+the one storage plane.  The defaults — 1×1 topology, ``monolith``
 sequencer, any job count, tracing on or off — print bit-identical
 tables.  A command honours a shared flag or exits 2 naming it, never
 drops it: ``chaos --fault-rate`` (use ``--fault-rates``),
-``storagechaos --storage-backend`` (it picks its own), ``table1
+``storagechaos --sequencer`` (use ``--sequencers``), ``table1
 --jobs`` (no pool), ``table1 --trace-out`` (no tracer).
 
 ``chaos``, ``failover``, ``storagechaos`` and ``live`` end with the
@@ -511,10 +509,6 @@ SHARED_FLAGS: Tuple[Flag, ...] = (
           "write a Chrome trace-event JSON of the run to PATH "
           "(Perfetto-loadable; invocation-executing commands only)",
           type=str, metavar="PATH"),
-    _flag("--storage-backend", "backend",
-          "storage-plane placement labels: auto (unlabelled only at "
-          "the plain 1x1 topology) or sharded (always labelled; "
-          "default: auto)", type=str, metavar="NAME"),
     _flag("--log-shards", "log_shards",
           "number of log shards behind the metalog (default: 1)",
           type=int, metavar="N"),
@@ -598,7 +592,7 @@ def _experiment_config(
 
     Returns ``None`` when none was given so each experiment keeps its
     own defaults.  The two checks the CLI tests spell by flag stay
-    here; every other bad value (an unknown backend or sequencer name,
+    here; every other bad value (an unknown sequencer name,
     a zero shard count) is the ``ConfigError`` of whoever validates it,
     which ``main`` turns into the same exit 2.
     """

@@ -64,10 +64,6 @@ def _build_op_table(
                 table[target, name] = partial(getattr, obj, name)
             else:
                 table[target, name] = getattr(obj, name)
-    plane = backend.plane
-    table["plane", "describe"] = lambda: dict(
-        plane.describe(), labelled=plane.labelled
-    )
     return table
 
 

@@ -195,10 +195,10 @@ class ProxyLog(_ProxySubstrate):
 class ProxyPlane:
     """`StoragePlane` duck type backed by the gateway's real plane.
 
-    Topology (counts, labelling) is fetched once at connect time.
-    Placement is a CRC-32 any component can compute, so routes are
-    computed here: no RPC, and no memo for the per-instance step-log
-    tags to grow.
+    Topology (the shard and partition counts) is fetched once at
+    connect time.  Placement is a CRC-32 any component can compute, so
+    routes are computed here: no RPC, and no memo for the per-instance
+    step-log tags to grow.
     """
 
     name = "proxy"
@@ -211,7 +211,6 @@ class ProxyPlane:
         self._describe = dict(topo)
         self.num_log_shards = int(topo.get("log_shards", 1))
         self.num_kv_partitions = int(topo.get("kv_partitions", 1))
-        self.labelled = bool(topo.get("labelled", False))
 
     def log_shard_of(self, tag: str) -> int:
         return stable_hash(tag) % self.num_log_shards

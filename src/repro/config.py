@@ -139,16 +139,17 @@ class ClusterConfig:
     """Shape of the simulated serverless deployment.
 
     Mirrors the paper's testbed: eight function nodes behind one gateway,
-    with a logging layer of three storage nodes and one sequencer.  The
-    worker count per node controls where the latency/throughput curve
-    saturates.
+    with a logging layer of storage nodes and one sequencer.  The worker
+    count per node controls where the latency/throughput curve
+    saturates.  The logging layer's storage nodes are the plane's log
+    shards (``StorageSizeConfig.log_shards``): the paper's three storage
+    nodes are ``log_shards=3`` under the contention model.
     """
 
     function_nodes: int = 8
     workers_per_node: int = 8
-    storage_nodes: int = 3
     #: Optional queueing model of the logging layer itself: every append
-    #: passes through the sequencer and one of ``storage_nodes`` shards,
+    #: passes through the sequencer and then its record's log shard,
     #: each a FIFO station with the given per-append service times.  Off
     #: by default — the paper notes logging is typically not the
     #: bottleneck, and the dedicated test validates exactly that.
@@ -166,8 +167,6 @@ class ClusterConfig:
             raise ConfigError("function_nodes must be positive")
         if self.workers_per_node <= 0:
             raise ConfigError("workers_per_node must be positive")
-        if self.storage_nodes <= 0:
-            raise ConfigError("storage_nodes must be positive")
         if self.sequencer_service_ms < 0 or self.log_shard_service_ms < 0:
             raise ConfigError("log-layer service times must be >= 0")
         if self.store_partition_service_ms < 0:
@@ -201,11 +200,6 @@ class StorageSizeConfig:
     :func:`repro.storageplane.build_storage_plane` constructs (a metalog
     sequencer, log shards and KV partitions):
 
-    * ``backend`` — ``"auto"`` (default) or ``"sharded"``.  Both build
-      the same plane; the choice is whether operations carry
-      ``shard=`` / ``partition=`` placement labels.  ``auto`` labels
-      them unless the topology is the paper's plain 1×1 testbed (see
-      :mod:`repro.storageplane.plane`); ``sharded`` always labels them;
     * ``log_shards`` — number of log storage shards behind the metalog
       sequencer (tag sub-streams are routed by a stable CRC-32 hash);
     * ``kv_partitions`` — number of hash partitions of the external
@@ -224,13 +218,11 @@ class StorageSizeConfig:
       or ``"leased-ranges"`` (epoch-leased blocks of
       ``sequencer_block`` seqnums, fenced on failover).
 
-    The default, unlabelled 1×1 topology is the paper-faithful
-    configuration.
+    The default 1×1 topology is the paper-faithful configuration.
     """
 
     value_bytes: int = 256
     meta_bytes: int = 48
-    backend: str = "auto"
     log_shards: int = 1
     kv_partitions: int = 1
     replication: int = 1
@@ -248,11 +240,6 @@ class StorageSizeConfig:
             raise ConfigError("kv_partitions must be positive")
         if self.replication <= 0:
             raise ConfigError("replication must be positive")
-        if self.backend not in ("auto", "sharded"):
-            raise ConfigError(
-                f"unknown storage backend {self.backend!r}; "
-                "available: auto, sharded"
-            )
         # Sequencer membership is checked at plane-build time (the
         # table lives in repro.storageplane); here only shape.
         if not self.sequencer:
@@ -590,15 +577,26 @@ class SystemConfig:
         sequencer_hold_ms: Optional[float] = None,
         sequencer_block: Optional[int] = None,
     ) -> "SystemConfig":
-        """Select the storage-plane topology/backend (see
-        :mod:`repro.storageplane`)."""
+        """Select the storage-plane topology (see
+        :mod:`repro.storageplane`).
+
+        ``backend`` is accepted only for the end-to-end benchmark cells
+        (``benchmarks/e2e/{cells,workloads}.py``), which pass
+        ``"sharded"``: every plane is the same plane, so ``"auto"`` /
+        ``"sharded"`` change nothing and any other value is an error.
+        It goes with the ``SharedLog`` alias when the next benchmark
+        change re-points those cells (ROADMAP item 6).
+        """
+        if backend not in (None, "auto", "sharded"):
+            raise ConfigError(
+                f"unknown storage backend {backend!r}; every plane is "
+                "the one sharded plane"
+            )
         overrides = {}
         if log_shards is not None:
             overrides["log_shards"] = log_shards
         if kv_partitions is not None:
             overrides["kv_partitions"] = kv_partitions
-        if backend is not None:
-            overrides["backend"] = backend
         if replication is not None:
             overrides["replication"] = replication
         if sequencer is not None:

@@ -9,11 +9,11 @@ component* misbehaved.  Two mechanisms, both armed by
   dedicated RNG stream, derived through
   :func:`repro.harness.parallel.seed_for` from the run seed and the
   component's identity.  Faults are therefore attributable (injected
-  counters are labelled like the ``op_latency{shard=}`` metrics, e.g.
-  ``log:error:shard=2``), independent of the worker-side
-  ``infra-faults`` stream, and — because the derivation never depends
-  on scheduling — bit-identical whether a sweep runs serial or under
-  ``--jobs N``.
+  counters name their component like the trace spans' ``shard=`` /
+  ``partition=`` arguments, e.g. ``log:error:shard=2``), independent
+  of the worker-side ``infra-faults`` stream, and — because the
+  derivation never depends on scheduling — bit-identical whether a
+  sweep runs serial or under ``--jobs N``.
 
 * **A seeded link-partition schedule** — windows during which a
   *directional link* is severed: ``worker↔shard`` (every operation to
@@ -29,14 +29,14 @@ component* misbehaved.  Two mechanisms, both armed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..config import StorageChaosConfig
 from .injector import FAULT_ERROR, FAULT_TIMEOUT, FaultDecision, HEALTHY
 
-#: Component kinds, matching the services layer's placement labels.
+#: Component kinds, matching the services layer's span arguments.
 COMPONENT_SHARD = "shard"
 COMPONENT_PARTITION = "partition"
 
@@ -156,7 +156,7 @@ class StorageFaultInjector:
         self.schedule = LinkPartitionSchedule(
             config, base_seed, num_shards, num_partitions
         )
-        #: Injected counts labelled ``"<service>:<kind>:<component>=<i>"``.
+        #: Injected counts keyed ``"<service>:<kind>:<component>=<i>"``.
         self.injected: Dict[str, int] = {}
 
     @property
@@ -210,20 +210,6 @@ class StorageFaultInjector:
             self._note(service, FAULT_TIMEOUT, kind, component)
             return FaultDecision(FAULT_TIMEOUT)
         return HEALTHY
-
-    def draw_placement(
-        self,
-        placement: Optional[tuple],
-        now_ms: float,
-        is_write: bool,
-    ) -> FaultDecision:
-        """Draw for a services-layer placement label (or pass healthy)."""
-        if placement is None:
-            return HEALTHY
-        kind, component = placement
-        if kind not in (COMPONENT_SHARD, COMPONENT_PARTITION):
-            return HEALTHY
-        return self.draw(kind, int(component), now_ms, is_write)
 
     def injected_total(self) -> int:
         return sum(self.injected.values())

@@ -74,10 +74,7 @@ def run_live_point(
     file) — ``None`` keeps the run artifact-free.  ``max_inflight``
     arms gateway admission control (default: unbounded).
     """
-    # The live plane labels placement at every topology, like the
-    # other drivers that take their own shard counts.
     cfg = cell_config(config, seed, fault_rate, lease_ms).with_storage_plane(
-        backend="sharded",
         log_shards=log_shards,
         kv_partitions=kv_partitions,
     )
@@ -137,7 +134,7 @@ def run_live_point(
     )
 
 
-@sweep_of(run_live_point, pins={"storage_backend": None})
+@sweep_of(run_live_point)
 def run_live(systems: Sequence[str] = SYSTEMS, **point) -> ExperimentTable:
     """Live compute-plane audit, one cell per system: the three
     exactly-once protocols plus the control.  Keywords are

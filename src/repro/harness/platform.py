@@ -160,12 +160,10 @@ class SimPlatform(ComputePlane):
         # Logging-layer contention model (optional): analytic FIFO
         # bookkeeping for the sequencer and the storage shards.  Works
         # because invocations drain their traces in nondecreasing
-        # simulation-time order.  With a labelled (sharded) plane each
-        # append queues at *its record's* shard station, so hot shards
-        # saturate individually; the unlabelled plane keeps the seed's
-        # round-robin spread over ``cluster.storage_nodes``.
+        # simulation-time order.  Each append queues at *its record's*
+        # shard station and each store op at its partition's, so hot
+        # shards saturate individually.
         plane = backend.plane
-        self._plane_labelled = plane.labelled
         self._seq_next_free = 0.0
         # Sequencing strategy (config.storage.sequencer): the monolith
         # arithmetic stays inlined in ``_drain``; batched / leased
@@ -185,15 +183,9 @@ class SimPlatform(ComputePlane):
                 storage_cfg.sequencer_block,
             )
         self._seq_visits = 0
-        num_stations = (plane.num_log_shards if plane.labelled
-                        else self.config.cluster.storage_nodes)
-        self._shard_next_free = [0.0] * num_stations
-        self._shard_cursor = 0
+        self._shard_next_free = [0.0] * plane.num_log_shards
         self.log_wait_ms_total = 0.0
-        # Store-partition stations (optional, labelled planes only).
-        num_store_stations = (plane.num_kv_partitions if plane.labelled
-                              else 1)
-        self._store_next_free = [0.0] * num_store_stations
+        self._store_next_free = [0.0] * plane.num_kv_partitions
         self.store_wait_ms_total = 0.0
 
         # Storage accounting is pulled: the substrates only count, and
@@ -210,23 +202,6 @@ class SimPlatform(ComputePlane):
             TimeWeightedGauge("db-bytes", 0.0, self._db_bytes()),
             store="db",
         )
-        # Per-shard / per-partition bytes (labelled planes only, so the
-        # default topology's metric set is unchanged): current value,
-        # read when the snapshot is taken.
-        placements = (
-            ("log", "shard", backend.log.shard_bytes,
-             plane.num_log_shards),
-            ("db", "partition", backend.kv.partition_bytes,
-             plane.num_kv_partitions),
-        ) if plane.labelled else ()
-        for store, label, read, count in placements:
-            for i in range(count):
-                metrics.probe(
-                    "storage_bytes",
-                    lambda read=read, i=i: {"type": "gauge",
-                                            "value": float(read(i))},
-                    store=store, **{label: i},
-                )
 
     def _sample_storage(self) -> None:
         """Feed the storage gauges the substrates' byte counters.
@@ -544,8 +519,6 @@ class SimPlatform(ComputePlane):
         seq_station = self._seq_station
         seq_visits = self._seq_visits
         shard_next_free = self._shard_next_free
-        num_shards = len(shard_next_free)
-        shard_cursor = self._shard_cursor
         shard_service = cluster.log_shard_service_ms
         store_next_free = self._store_next_free
         store_service = cluster.store_partition_service_ms
@@ -568,34 +541,23 @@ class SimPlatform(ComputePlane):
                 else:
                     wait = seq_station.visit(now)
                 seq_visits += 1
-                if placement is not None and placement[0] == "shard":
-                    # Sharded plane: queue where the record lives, so a
-                    # hot shard saturates while its peers stay idle.
-                    shard = placement[1]
-                else:
-                    # Unlabelled plane: the seed's round-robin spread
-                    # over the storage nodes.
-                    shard = shard_cursor % num_shards
-                    shard_cursor += 1
+                # Queue where the record lives (the placement is its
+                # shard), so a hot shard saturates while its peers idle.
                 shard_start = now + wait
-                shard_wait = shard_next_free[shard] - shard_start
+                shard_wait = shard_next_free[placement] - shard_start
                 if shard_wait < 0.0:
                     shard_wait = 0.0
-                shard_next_free[shard] = (
+                shard_next_free[placement] = (
                     shard_start + shard_wait + shard_service
                 )
                 extra_wait += wait + shard_wait
                 log_wait_ms_total += wait + shard_wait
             elif model_store and kind in store_kinds:
-                partition = (
-                    placement[1]
-                    if placement is not None and placement[0] == "partition"
-                    else 0
-                )
-                store_wait = store_next_free[partition] - now
+                # A store kind's placement is its partition.
+                store_wait = store_next_free[placement] - now
                 if store_wait < 0.0:
                     store_wait = 0.0
-                store_next_free[partition] = (
+                store_next_free[placement] = (
                     now + store_wait + store_service
                 )
                 extra_wait += store_wait
@@ -603,7 +565,6 @@ class SimPlatform(ComputePlane):
                 store_wait_ms_total += store_wait
         self._seq_next_free = seq_next_free
         self._seq_visits = seq_visits
-        self._shard_cursor = shard_cursor
         self.log_wait_ms_total = log_wait_ms_total
         self.store_wait_ms_total = store_wait_ms_total
         if extra_wait > 0:

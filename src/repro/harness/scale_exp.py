@@ -60,15 +60,14 @@ def scale_sweep_config(
 ) -> SystemConfig:
     """The sweep's operating point for one sequencing strategy.
 
-    Always the ``sharded`` backend at a fixed shard count, so the shard
-    stations are never the bottleneck and the strategies differ *only*
-    in how appends visit the sequencer.  Batch/hold/block knobs are
+    Always a fixed shard count, so the shard stations are never the
+    bottleneck and the strategies differ *only* in how appends visit
+    the sequencer.  Batch/hold/block knobs are
     taken from ``base`` (set them via ``with_storage_plane``).
     """
     config = cell_config(base).with_storage_plane(
         log_shards=log_shards,
         kv_partitions=log_shards,
-        backend="sharded",
         sequencer=sequencer,
     )
     return replace(
@@ -122,8 +121,7 @@ def _mean_batch(stats: dict) -> float:
 
 
 @sweep_of(run_scale_point, pins={
-    "storage_backend": None, "log_shards": None, "kv_partitions": None,
-    "sequencer": "sequencers",
+    "log_shards": None, "kv_partitions": None, "sequencer": "sequencers",
 })
 def run_scale_sweep(
     sequencers: Sequence[str] = DEFAULT_SEQUENCERS,

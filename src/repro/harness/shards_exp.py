@@ -46,17 +46,14 @@ def shard_sweep_config(
 ) -> SystemConfig:
     """The sweep's operating point for one shard count.
 
-    Always selects the ``sharded`` backend — including at N=1, so every
-    point queues at exactly N stations and the comparison is
-    station-for-station fair (the ``single`` backend would spread
-    appends round-robin over ``cluster.storage_nodes`` stations).  The
+    Every point queues at exactly N shard stations (one per shard, as
+    on every plane), so the comparison is station-for-station fair.  The
     per-append shard service time is raised above the default so the
     single-shard station saturates inside the sweep's rate range.
     """
     config = cell_config(base).with_storage_plane(
         log_shards=shards,
         kv_partitions=kv_partitions if kv_partitions is not None else shards,
-        backend="sharded",
     )
     return replace(
         config,
@@ -100,9 +97,7 @@ def run_shard_point(
     return result
 
 
-@sweep_of(run_shard_point, pins={
-    "storage_backend": None, "log_shards": "shard_counts",
-})
+@sweep_of(run_shard_point, pins={"log_shards": "shard_counts"})
 def run_shard_sweep(
     shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
     rates: Sequence[float] = DEFAULT_RATES,

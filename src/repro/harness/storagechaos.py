@@ -147,7 +147,6 @@ def run_storagechaos_point(
     cfg = (
         cell_config(config, seed)
         .with_storage_plane(
-            backend="sharded",
             log_shards=log_shards,
             kv_partitions=kv_partitions,
             replication=replication,
@@ -221,8 +220,7 @@ def run_storagechaos_point(
     )
 
 
-@sweep_of(run_storagechaos_point,
-          pins={"storage_backend": None, "sequencer": "sequencers"})
+@sweep_of(run_storagechaos_point, pins={"sequencer": "sequencers"})
 def run_storagechaos_sweep(
     components: Sequence[str] = DEFAULT_COMPONENTS,
     systems: Sequence[str] = SYSTEMS,

@@ -316,10 +316,7 @@ class LocalRuntime:
             [tag],
             {"op": "write", "key": key, "version": version_number},
         )
-        placement = backend.log_placement(tag)
-        backend.cache.insert(
-            seqnum, placement[1] if placement is not None else 0
-        )
+        backend.cache.insert(seqnum, backend.log_shard_of(tag))
 
     # ------------------------------------------------------------------
     # Invocation

@@ -186,10 +186,12 @@ class LatencyProvider:
                 self._log_read_miss.batched_sampler(batch))
 
 
-#: A placement label carried by a cost-trace entry: ``("shard", i)``
-#: for log operations and ``("partition", i)`` for store operations, or
-#: ``None`` when the plane is unlabelled (the plain 1×1 topology).
-Placement = Optional[tuple]
+#: Where a cost-trace entry's operation landed: the log shard index for
+#: log kinds and the KV partition index for store kinds
+#: (:attr:`Cost.STORE_KINDS` tells the two apart), at every topology;
+#: ``None`` for charges no storage component served (compute, invoke
+#: overhead, retry backoff).
+Placement = Optional[int]
 
 
 class CostTrace:
@@ -197,7 +199,8 @@ class CostTrace:
 
     Entries are ``(kind, latency_ms, placement)`` triples; the DES
     drains them to advance simulated time and, when contention is
-    modelled, queues each charge at the station its placement names.
+    modelled, queues each charge at the shard or partition station its
+    placement names.
     """
 
     __slots__ = ("entries", "_total_ms")
@@ -250,7 +253,7 @@ class ServiceBackend:
         self.mv = self.plane.mv
         self.cache = RecordCache()
         self.latency = LatencyProvider(config, self.cache)
-        #: Central labelled metrics registry; every component below
+        #: Central metrics registry; every component below
         #: (and the DES platform on top) registers here, and
         #: ``RunResult.metrics`` is its snapshot.
         self.metrics = MetricsRegistry()
@@ -258,10 +261,6 @@ class ServiceBackend:
         #: Per-kind latency recorders behind :attr:`op_latency`, each
         #: registered as ``op_latency{kind=...}``.
         self._op_latency: Dict[str, LatencyRecorder] = {}
-        #: ``(kind, placement)`` → the sample lists a charge lands in:
-        #: its kind's, plus the per-shard / per-partition recorder's
-        #: when the plane routes the op.
-        self._fold_targets: Dict[Any, tuple] = {}
         #: Charges not yet folded, in charge order: the cost traces'
         #: own ``(kind, ms, placement)`` tuples.
         self._charges: List[tuple] = []
@@ -300,12 +299,10 @@ class ServiceBackend:
         self._samplers, self._lr_hit, self._lr_miss = (
             self.latency.batched_samplers(self._latency_rng)
         )
-        #: Placement labels are pure functions of the routing key (the
-        #: router memoizes routes; placement tuples memoize the tuple
-        #: allocation too, one per key instead of one per op).
-        self._plane_labelled = self.plane.labelled
-        self._log_placements: Dict[str, tuple] = {}
-        self._kv_placements: Dict[str, tuple] = {}
+        #: Placement: tag → log shard, key → KV partition, bound once
+        #: (the plane's router; at one shard a constant 0).
+        self.log_shard_of = self.plane.log_shard_of
+        self.kv_partition_of = self.plane.kv_partition_of
         #: Storage-side chaos: per-component injection + link-partition
         #: schedule (None unless armed — chaos-free builds carry zero
         #: machinery), and the worker's cached metalog-epoch view that
@@ -353,11 +350,10 @@ class ServiceBackend:
 
     def charge_log_read(self, seqnum: Optional[int], trace: CostTrace,
                         factor: float = 1.0,
-                        placement: Placement = None) -> float:
-        shard = placement[1] if placement is not None else 0
+                        placement: Placement = 0) -> float:
         # Log reads hit the function-node cache or pay a storage trip
         # (the lookup keeps the hit/miss stats).
-        if seqnum is None or self.cache.lookup(seqnum, shard):
+        if seqnum is None or self.cache.lookup(seqnum, placement):
             ms = self._lr_hit() * factor
         else:
             ms = self._lr_miss() * factor
@@ -390,62 +386,23 @@ class ServiceBackend:
 
     def _fold(self) -> None:
         """Drain the buffered charges, in charge order, into
-        ``op_latency{kind=}`` and the placement-labelled recorders,
-        registering each on its first charge.  Runs when the buffer
-        fills and when the recorders are read (``op_latency``, a
-        registry snapshot)."""
-        charges = self._charges
-        targets = self._fold_targets
-        for kind, ms, placement in charges:
-            sample_lists = targets.get((kind, placement))
-            if sample_lists is None:
-                sample_lists = self._fold_target(kind, placement)
-            if ms.__class__ is not float:
-                ms = float(ms)
+        ``op_latency{kind=}``, registering each recorder on its kind's
+        first charge.  Runs when the buffer fills and when the
+        recorders are read (``op_latency``, a registry snapshot)."""
+        recorders = self._op_latency
+        for kind, ms, _placement in self._charges:
+            recorder = recorders.get(kind)
+            if recorder is None:
+                recorder = recorders[kind] = self.metrics.latency(
+                    "op_latency", kind=kind
+                )
             # Charges are non-negative floats by construction, so append
-            # to each recorder's sample list directly (``record()``
+            # to the recorder's sample list directly (``record()``
             # re-checks and re-coerces on every call).
-            for samples in sample_lists:
-                samples.append(ms)
-        charges.clear()
-
-    def _fold_target(self, kind: str, placement: Placement) -> tuple:
-        """Resolve (and register) the recorders one charge lands in."""
-        recorder = self._op_latency[kind] = self.metrics.latency(
-            "op_latency", kind=kind
-        )
-        sample_lists = (recorder._samples,)
-        if placement is not None:
-            labelled = self.metrics.latency(
-                "op_latency", kind=kind, **{placement[0]: placement[1]}
+            recorder._samples.append(
+                ms if ms.__class__ is float else float(ms)
             )
-            sample_lists += (labelled._samples,)
-        self._fold_targets[(kind, placement)] = sample_lists
-        return sample_lists
-
-    def log_placement(self, tag: str) -> Placement:
-        """Placement label of a log operation on ``tag`` (None when
-        the plane is unlabelled)."""
-        if not self._plane_labelled:
-            return None
-        placement = self._log_placements.get(tag)
-        if placement is None:
-            placement = self._log_placements[tag] = (
-                "shard", self.plane.log_shard_of(tag)
-            )
-        return placement
-
-    def kv_placement(self, key: str) -> Placement:
-        """Placement label of a store operation on ``key`` (None when
-        the plane is unlabelled)."""
-        if not self._plane_labelled:
-            return None
-        placement = self._kv_placements.get(key)
-        if placement is None:
-            placement = self._kv_placements[key] = (
-                "partition", self.plane.kv_partition_of(key)
-            )
-        return placement
+        self._charges.clear()
 
     def breaker_trips(self) -> int:
         return sum(b.trips for b in self.breakers.values())
@@ -502,6 +459,10 @@ class ServiceBackend:
 
 
 _LOG_READ = Cost.LOG_READ
+
+#: Service → what its placement indexes: the span argument name and the
+#: storage fault injector's component kind.
+_PLACEMENT_ARG = {"log": "shard", "store": "partition"}
 
 
 class InstanceServices:
@@ -610,9 +571,8 @@ class InstanceServices:
             self._fault_hook(label)
         op_span = None
         if self._span is not None:
-            attrs = {"service": service}
-            if placement is not None:
-                attrs[placement[0]] = placement[1]
+            attrs = {"service": service,
+                     _PLACEMENT_ARG[service]: placement}
             op_span = self._span.child(
                 kind, CAT_SERVICE, self.now_ms(), **attrs
             )
@@ -710,8 +670,9 @@ class InstanceServices:
                 # Storage-side injection: the component this op routes
                 # to (shard/partition rates + the link schedule) gets
                 # its own draw, from its own stream.
-                decision = storage_faults.draw_placement(
-                    placement, self.now_ms(), is_write
+                decision = storage_faults.draw(
+                    _PLACEMENT_ARG[service], placement, self.now_ms(),
+                    is_write,
                 )
             if decision.kind is not None:
                 self._mark(op_span, f"fault:{decision.kind}",
@@ -834,7 +795,7 @@ class InstanceServices:
             kind = (Cost.LOG_APPEND if synchronous
                     else Cost.LOG_APPEND_OVERLAPPED)
         backend = self.backend
-        placement = backend.log_placement(tags[0]) if tags else None
+        placement = backend.log_shard_of(tags[0]) if tags else 0
         seqnum = self._call(
             "log_append:pre", "log", kind, placement,
             backend.log.append, (tags, data, payload_bytes),
@@ -844,9 +805,7 @@ class InstanceServices:
             # of background appends ignore the seqnum by contract.
             seqnum = -1
         else:
-            backend.cache.insert(
-                seqnum, placement[1] if placement is not None else 0
-            )
+            backend.cache.insert(seqnum, placement)
         self.checkpoint("log_append:post")
         return seqnum
 
@@ -868,7 +827,7 @@ class InstanceServices:
             kind = (Cost.LOG_APPEND if synchronous
                     else Cost.LOG_APPEND_OVERLAPPED)
         backend = self.backend
-        placement = backend.log_placement(tags[0]) if tags else None
+        placement = backend.log_shard_of(tags[0]) if tags else 0
         # A lost race still pays for the round trip (charge_error).
         seqnum = self._call(
             "log_cond_append:pre", "log", kind, placement,
@@ -876,9 +835,7 @@ class InstanceServices:
             (tags, data, cond_tag, cond_pos, payload_bytes),
             charge_error=True,
         )
-        backend.cache.insert(
-            seqnum, placement[1] if placement is not None else 0
-        )
+        backend.cache.insert(seqnum, placement)
         self.checkpoint("log_cond_append:post")
         return seqnum
 
@@ -886,7 +843,7 @@ class InstanceServices:
         backend = self.backend
         return self._call(
             "log_read_prev:pre", "log", Cost.LOG_READ,
-            backend.log_placement(tag),
+            backend.log_shard_of(tag),
             backend.log.read_prev, (tag, max_seqnum), degradable=True,
         )
 
@@ -894,7 +851,7 @@ class InstanceServices:
         backend = self.backend
         return self._call(
             "log_read_next:pre", "log", Cost.LOG_READ,
-            backend.log_placement(tag),
+            backend.log_shard_of(tag),
             backend.log.read_next, (tag, min_seqnum), degradable=True,
         )
 
@@ -903,7 +860,7 @@ class InstanceServices:
         backend = self.backend
         return self._call(
             "log_read_stream:pre", "log", Cost.LOG_READ,
-            backend.log_placement(tag),
+            backend.log_shard_of(tag),
             backend.log.read_stream, (tag,),
         )
 
@@ -911,7 +868,7 @@ class InstanceServices:
         """Fetch the record at a stream offset (post-conflict recovery)."""
         backend = self.backend
         return self._call(
-            None, "log", Cost.LOG_READ, backend.log_placement(tag),
+            None, "log", Cost.LOG_READ, backend.log_shard_of(tag),
             backend.log._record_at_offset, (tag, offset),
         )
 
@@ -924,14 +881,16 @@ class InstanceServices:
     def db_read(self, key: str, default: Any = None) -> Any:
         backend = self.backend
         return self._call(
-            "db_read:pre", "store", Cost.DB_READ, backend.kv_placement(key),
+            "db_read:pre", "store", Cost.DB_READ,
+            backend.kv_partition_of(key),
             backend.kv.get_optional, (key, default),
         )
 
     def db_read_with_version(self, key: str) -> Any:
         backend = self.backend
         return self._call(
-            "db_read:pre", "store", Cost.DB_READ, backend.kv_placement(key),
+            "db_read:pre", "store", Cost.DB_READ,
+            backend.kv_partition_of(key),
             backend.kv.get_with_version, (key,),
         )
 
@@ -939,14 +898,15 @@ class InstanceServices:
         backend = self.backend
         return self._call(
             "db_read_version:pre", "store", Cost.DB_READ_VERSION,
-            backend.kv_placement(key),
+            backend.kv_partition_of(key),
             backend.mv.read_version, (key, version_number),
         )
 
     def db_write(self, key: str, value: Any) -> None:
         backend = self.backend
         self._call(
-            "db_write:pre", "store", Cost.DB_WRITE, backend.kv_placement(key),
+            "db_write:pre", "store", Cost.DB_WRITE,
+            backend.kv_partition_of(key),
             backend.kv.put, (key, value, backend.value_bytes),
         )
         self.checkpoint("db_write:post")
@@ -957,7 +917,7 @@ class InstanceServices:
         backend = self.backend
         self._call(
             "db_write_version:pre", "store", Cost.DB_WRITE_VERSION,
-            backend.kv_placement(key),
+            backend.kv_partition_of(key),
             backend.mv.write_version,
             (key, version_number, value, backend.value_bytes),
         )
@@ -968,7 +928,7 @@ class InstanceServices:
         backend = self.backend
         applied = self._call(
             "db_cond_write:pre", "store", Cost.DB_COND_WRITE,
-            backend.kv_placement(key),
+            backend.kv_partition_of(key),
             backend.kv.conditional_put,
             (key, value, version, backend.value_bytes),
         )

@@ -275,10 +275,8 @@ class SwitchManager:
                             "sealed": True,
                         },
                     )
-                    placement = self.backend.log_placement(seal_tag)
                     self.backend.cache.insert(
-                        sealed_seqnum,
-                        placement[1] if placement is not None else 0,
+                        sealed_seqnum, self.backend.log_shard_of(seal_tag)
                     )
             elif target == "halfmoon-write":
                 if newest is not None and (

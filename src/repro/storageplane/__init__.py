@@ -6,10 +6,9 @@ substrates; :func:`build_storage_plane` builds it from
 ``kv_partitions`` / ``replication`` / ``sequencer``).  There is one
 plane: the shared log is a :class:`Metalog` + N :class:`LogShard` s
 (:class:`ShardedLog`) and the store M hash partitions
-(:class:`PartitionedKV`), at every size.  The topology (or
-``backend="sharded"``) only decides whether operations carry placement
-labels; the default, unlabelled 1×1 plane is the paper-faithful
-configuration.
+(:class:`PartitionedKV`), at every size.  The topology only decides
+placement (which shard or partition an operation lands on); the default
+1×1 plane is the paper-faithful configuration.
 
 Every component is crashable and recoverable (see docs/PROTOCOLS.md,
 "Storage failure model"): the sequencer fails over behind epoch fencing
@@ -23,7 +22,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".audit": ("diff_partition_snapshots", "storage_consistency_report"),
-    ".fencing": ("EpochView", "Lease"),
+    ".fencing": ("EpochView",),
     ".metalog": ("Metalog",),
     ".partitioned_kv": ("PartitionedKV",),
     ".plane": ("GENESIS_VERSION", "StoragePlane", "build_storage_plane"),
@@ -41,7 +40,6 @@ __all__ = [
     "GENESIS_VERSION",
     "BatchedSequencer",
     "EpochView",
-    "Lease",
     "LeasedBlock",
     "LeasedRangeSequencer",
     "LogShard",

@@ -148,7 +148,6 @@ def storage_consistency_report(plane) -> Dict[str, Any]:
     """Full-plane invariant audit; ``anomalies == []`` ⇔ consistent."""
     log, kv = plane.log, plane.kv
     checked: Dict[str, Any] = {
-        "backend": plane.describe()["backend"],
         "log_shards": log.num_shards,
         "replication": log.replication,
         "epoch": log.epoch,

@@ -1,4 +1,4 @@
-"""Leases and epoch fencing for the metalog sequencer.
+"""Epoch fencing for the metalog sequencer.
 
 The failure story of the sequencer follows Boki's metalog
 reconfiguration: leadership is a **lease**, failover bumps an **epoch**,
@@ -6,11 +6,8 @@ and every mutating request carries the epoch its client last observed.
 A request stamped with a stale epoch is rejected outright
 (:class:`~repro.errors.FencedEpochError`) *before* it takes any effect,
 so the client's retry — after refreshing its view — cannot duplicate
-state.  This module holds the two client/controller-side pieces:
+state.  This module holds the two client-side pieces:
 
-* :class:`Lease` — the timed lease the chaos controller uses to decide
-  *when* a standby may take over (a real system would heartbeat; the
-  simulation schedules the expiry explicitly);
 * :class:`EpochView` — a worker's cached view of the current epoch, the
   thing a fence invalidates and "leader rediscovery" refreshes;
 * :class:`LeasedBlock` — a contiguous seqnum range granted under one
@@ -26,32 +23,6 @@ from dataclasses import dataclass
 
 from ..errors import StorageUnavailableError
 from .metalog import Metalog
-
-
-@dataclass
-class Lease:
-    """A leader lease: held from ``granted_at_ms`` for ``duration_ms``.
-
-    The holder must renew before expiry; the chaos controller crashes
-    the holder by simply not renewing, and promotes a standby once the
-    lease has visibly expired (never before — fencing is only safe when
-    the old leader can no longer act within its lease).
-    """
-
-    holder: str
-    epoch: int
-    granted_at_ms: float
-    duration_ms: float
-
-    @property
-    def expires_at_ms(self) -> float:
-        return self.granted_at_ms + self.duration_ms
-
-    def expired(self, now_ms: float) -> bool:
-        return now_ms >= self.expires_at_ms
-
-    def renew(self, now_ms: float) -> "Lease":
-        return Lease(self.holder, self.epoch, now_ms, self.duration_ms)
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,12 @@ Every plane is the same substrate:
   plain-KV-plus-conditional-update surface;
 * :attr:`StoragePlane.mv` is the multi-version layer over ``kv``.
 
-What the topology decides is placement labelling.  A *labelled* plane
-names the shard / partition every operation lands on, so the service
-layer labels latency metrics and trace spans and the DES queues each
-append at its shard's station.  An unlabelled plane — the paper's
-fixed 1×1 logging testbed, where the paper treats the logging layer as
-one service — carries no labels, and the DES spreads appends round-robin
-over ``cluster.storage_nodes``.  A plane is labelled when its topology
-is anything but that testbed (more than one shard or partition,
-replication, a non-``monolith`` sequencer, storage chaos) or when
-``backend="sharded"`` pins the labels at 1×1.
+The topology decides only placement: every operation lands on a shard
+(log kinds) or a partition (store kinds), and its placement is that
+index, computed by :attr:`StoragePlane.log_shard_of` /
+:attr:`StoragePlane.kv_partition_of` at every size — at one shard the
+router answers 0 without hashing.  The service layer names it on trace
+spans and the DES queues each append at its shard's station.
 """
 
 from __future__ import annotations
@@ -69,34 +65,17 @@ class StoragePlane:
             durability=config.storage_chaos.enabled,
         )
         self.mv = MultiVersionStore(self.kv)
-        #: Whether ops carry ``shard=`` / ``partition=`` labels (see the
-        #: module docstring).
-        self.labelled = storage.backend == "sharded" or not (
-            storage.log_shards == 1
-            and storage.kv_partitions == 1
-            and storage.replication == 1
-            and storage.sequencer == "monolith"
-            and not config.storage_chaos.enabled
-        )
         self.num_log_shards = storage.log_shards
         self.num_kv_partitions = storage.kv_partitions
         self.log_shard_of = self.log.shard_of
         self.kv_partition_of = self.kv.partition_of
 
     def describe(self) -> Dict[str, Any]:
-        """Flat snapshot of the plane topology (registry probe).
-
-        An unlabelled plane reports ``backend: "single"`` and its two
-        counts, and a labelled one ``backend: "sharded"`` and its
-        per-shard state: readers of the ``storage_plane`` probe key on
-        those two shapes.
-        """
-        if not self.labelled:
-            return {"backend": "single", "log_shards": 1,
-                    "kv_partitions": 1}
+        """Flat snapshot of the plane topology and its per-shard /
+        per-partition bytes (registry probe); the sequencer and
+        replication keys appear only when those are not the defaults."""
         log, kv = self.log, self.kv
         info: Dict[str, Any] = {
-            "backend": "sharded",
             "log_shards": self.num_log_shards,
             "kv_partitions": self.num_kv_partitions,
             "shard_bytes": [

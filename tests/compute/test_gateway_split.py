@@ -125,7 +125,7 @@ def test_compute_imports_nothing_from_the_harness():
 
 def _config(**storage):
     return SystemConfig(seed=1106).with_storage_plane(
-        backend="sharded", log_shards=2, kv_partitions=2, **storage)
+        log_shards=2, kv_partitions=2, **storage)
 
 
 def _clock():

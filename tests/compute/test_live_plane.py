@@ -47,7 +47,7 @@ from repro.workloads.base import Request
 
 def _config(seed=1106):
     return SystemConfig(seed=seed).with_storage_plane(
-        backend="sharded", log_shards=2, kv_partitions=2,
+        log_shards=2, kv_partitions=2,
     )
 
 

@@ -50,7 +50,7 @@ def _plane(requests, workers=2, compute_ms=0.0, read_ratio=0.5,
     return build_compute_plane(
         "localhost", CounterWorkload(**kwargs), "boki",
         config=SystemConfig(seed=seed).with_storage_plane(
-            backend="sharded", log_shards=2, kv_partitions=2),
+            log_shards=2, kv_partitions=2),
         workload_spec=WorkloadSpec(module, "CounterWorkload", kwargs),
         num_workers=workers, requests=requests, **plane_kwargs,
     )

@@ -151,21 +151,6 @@ def test_netsplit_draws_consume_no_rng():
     assert series_w == series_p
 
 
-def test_draw_placement_routes_and_ignores_unknown():
-    injector = StorageFaultInjector(
-        _chaos(), 4, num_shards=1, num_partitions=1
-    )
-    assert injector.draw_placement(None, 0.0, True).kind is None
-    assert injector.draw_placement(("node", 3), 0.0, True).kind is None
-    kinds = {
-        injector.draw_placement(
-            (COMPONENT_SHARD, 0), float(i), True
-        ).kind
-        for i in range(200)
-    }
-    assert kinds & {FAULT_ERROR, FAULT_TIMEOUT}
-
-
 def test_disabled_config_is_inert():
     injector = StorageFaultInjector(
         StorageChaosConfig(), 2, num_shards=2, num_partitions=2

@@ -112,8 +112,7 @@ def test_partition_crash_and_rebuild_matches_eager_reference():
     crash instant) and rebuilt from checkpoint + journal."""
     config = (
         SystemConfig(seed=23)
-        .with_storage_plane(backend="sharded", log_shards=2,
-                            kv_partitions=2)
+        .with_storage_plane(log_shards=2, kv_partitions=2)
         .with_storage_chaos(partition_error_rate=0.005,
                             shard_timeout_rate=0.005)
     )

@@ -15,7 +15,6 @@ from repro.workloads import MixedRatioWorkload
 
 def test_sweep_config_selects_sharded_backend_and_contention():
     config = shard_sweep_config(4)
-    assert config.storage.backend == "sharded"
     assert config.storage.log_shards == 4
     assert config.storage.kv_partitions == 4
     assert config.cluster.model_log_contention
@@ -33,10 +32,12 @@ def test_platform_sizes_stations_from_the_plane():
         MixedRatioWorkload(0.5, num_keys=100), "boki",
         SystemConfig(),
     )
-    # Unlabelled plane: the seed's round-robin storage-node stations.
+    # The default plane: one station per shard and per partition.
+    assert len(default._shard_next_free) == 1
     assert len(default._shard_next_free) == (
-        default.config.cluster.storage_nodes
+        default.runtime.backend.plane.num_log_shards
     )
+    assert len(default._store_next_free) == 1
 
 
 def test_p99_improves_with_shards_at_high_load():
@@ -81,8 +82,9 @@ def test_sharded_run_reports_placement_metrics():
         2, 80.0, duration_ms=1_200.0, warmup_ms=200.0, num_keys=200,
         config=SystemConfig(seed=3),
     )
-    assert any("shard=" in name for name in result.metrics)
-    storage_keys = [name for name in result.metrics
-                    if name.startswith("storage_bytes")]
-    assert any("shard=" in name for name in storage_keys)
-    assert any("partition=" in name for name in storage_keys)
+    # Per-shard / per-partition bytes ride the plane's probe.
+    plane = result.metrics["storage_plane"]
+    assert len(plane["shard_bytes"]) == 2
+    assert len(plane["partition_bytes"]) == 2
+    assert all(b > 0 for b in plane["shard_bytes"])
+    assert all(b > 0 for b in plane["partition_bytes"])

@@ -27,58 +27,18 @@ DES_COUNTERS = {'compute': 410,
  'log_append_overlapped': 2035,
  'log_read': 410}
 DES_OP_LATENCY = {'op_latency{kind=compute}': (410, 0.25, 0.25, 0.25),
- 'op_latency{kind=db_cond_write,partition=0}': (1052,
-                                                3.201411802745214,
-                                                3.0138944685123645,
-                                                7.274710058262796),
- 'op_latency{kind=db_cond_write,partition=1}': (983,
-                                                3.16315205123332,
-                                                2.9071467096888157,
-                                                7.400891323216564),
  'op_latency{kind=db_cond_write}': (2035,
                                     3.1829305566832033,
                                     2.966688687264741,
                                     7.289933216174176),
- 'op_latency{kind=db_read,partition=0}': (1022,
-                                          2.026888426930007,
-                                          1.8921090445502609,
-                                          4.576462795109108),
- 'op_latency{kind=db_read,partition=1}': (1043,
-                                          2.058091818763117,
-                                          1.9200542166186194,
-                                          4.888903830372724),
  'op_latency{kind=db_read}': (2065,
                               2.0426487841609675,
                               1.9076083666558723,
                               4.641023652307062),
- 'op_latency{kind=log_append,shard=0}': (2170,
-                                         1.2080930500688103,
-                                         1.1848086365149522,
-                                         1.9014502554727244),
- 'op_latency{kind=log_append,shard=1}': (1930,
-                                         1.1992966439465742,
-                                         1.1781657534401042,
-                                         1.8674469840602443),
- 'op_latency{kind=log_append_control,shard=0}': (217,
-                                                 0.2980379792413663,
-                                                 0.29006308229413774,
-                                                 0.46349868005747014),
- 'op_latency{kind=log_append_control,shard=1}': (193,
-                                                 0.30192394297698627,
-                                                 0.2923663260509968,
-                                                 0.5330347073388921),
  'op_latency{kind=log_append_control}': (410,
                                          0.29986722558520695,
                                          0.2905031128280773,
                                          0.5140129683929877),
- 'op_latency{kind=log_append_overlapped,shard=0}': (1045,
-                                                    0.6691765397385295,
-                                                    0.6558783121912584,
-                                                    1.0958190888561945),
- 'op_latency{kind=log_append_overlapped,shard=1}': (990,
-                                                    0.6716055044480107,
-                                                    0.658271661955458,
-                                                    1.0919978561084271),
  'op_latency{kind=log_append_overlapped}': (2035,
                                             0.6703581982458446,
                                             0.6566949554811643,
@@ -87,14 +47,6 @@ DES_OP_LATENCY = {'op_latency{kind=compute}': (410, 0.25, 0.25, 0.25),
                                  1.203952302796636,
                                  1.1803334829339265,
                                  1.8884282917566895),
- 'op_latency{kind=log_read,shard=0}': (217,
-                                       0.16649207306992,
-                                       0.11466398437019999,
-                                       0.8490334983298138),
- 'op_latency{kind=log_read,shard=1}': (193,
-                                       0.145523251287469,
-                                       0.1067126500838787,
-                                       0.5289457821412088),
  'op_latency{kind=log_read}': (410,
                                0.15662138379183943,
                                0.10999369371072715,
@@ -111,46 +63,14 @@ DIRECT_COUNTERS = {'compute': 40,
  'service_retries': 23,
  'service_timeout': 9}
 DIRECT_OP_LATENCY = {'op_latency{kind=compute}': (40, 0.25, 0.25, 0.25),
- 'op_latency{kind=db_cond_write,partition=0}': (56,
-                                                3.0076217339304856,
-                                                2.8888234968266913,
-                                                6.30951911550112),
- 'op_latency{kind=db_cond_write,partition=1}': (55,
-                                                3.194315246670326,
-                                                2.8517071787914245,
-                                                6.059189595169121),
  'op_latency{kind=db_cond_write}': (111,
                                     3.100127528531308,
                                     2.861607177358342,
                                     6.076548759041374),
- 'op_latency{kind=db_read,partition=0}': (79,
-                                          2.3079869251606455,
-                                          2.2248737795609026,
-                                          5.9061190426004995),
- 'op_latency{kind=db_read,partition=1}': (50,
-                                          2.109400620638772,
-                                          1.7753304665816518,
-                                          6.530514816110109),
  'op_latency{kind=db_read}': (129,
                               2.231015489299454,
                               2.0102953578139506,
                               7.637235470598256),
- 'op_latency{kind=log_append,shard=0}': (81,
-                                         1.23348983511559,
-                                         1.1663463219420316,
-                                         2.522646664250834),
- 'op_latency{kind=log_append,shard=1}': (48,
-                                         1.1538892858478225,
-                                         1.1390714946727567,
-                                         1.7510192281818264),
- 'op_latency{kind=log_append_control,shard=0}': (25,
-                                                 0.3864175415361143,
-                                                 0.3373772438002403,
-                                                 1.1085039386026718),
- 'op_latency{kind=log_append_control,shard=1}': (15,
-                                                 0.34343793432770053,
-                                                 0.2958898185388135,
-                                                 1.2173395287965265),
  'op_latency{kind=log_append_control}': (40,
                                          0.3703001888329592,
                                          0.30820270227679636,
@@ -159,14 +79,6 @@ DIRECT_OP_LATENCY = {'op_latency{kind=compute}': (40, 0.25, 0.25, 0.25),
                                  1.2038710260857228,
                                  1.162822724667695,
                                  1.8200935230163466),
- 'op_latency{kind=log_read,shard=0}': (25,
-                                       0.12886335868543253,
-                                       0.1285827880991014,
-                                       0.31108578294560085),
- 'op_latency{kind=log_read,shard=1}': (15,
-                                       0.21727856088937056,
-                                       0.08059433021942669,
-                                       1.2436171569191938),
  'op_latency{kind=log_read}': (40,
                                0.16201905951190929,
                                0.09996422194474253,
@@ -228,8 +140,7 @@ def test_direct_mode_fold_is_triggered_by_the_property_alone():
         f"op_latency{{kind={kind}}}": (recorder.count, *recorder.stats())
         for kind, recorder in backend.op_latency.items()
     }
-    assert by_kind == {key: value for key, value
-                       in DIRECT_OP_LATENCY.items() if "," not in key}
+    assert by_kind == DIRECT_OP_LATENCY
     assert "retry_backoff" in backend.op_latency
     assert backend.op_latency.get("no_such_kind") is None
     assert summaries(backend.metrics.snapshot()) == DIRECT_OP_LATENCY

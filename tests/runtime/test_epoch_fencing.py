@@ -16,8 +16,7 @@ from repro.runtime import Cost, InstanceServices, ServiceBackend
 def _chaos_backend(seed=5, **chaos):
     cfg = (
         SystemConfig(seed=seed)
-        .with_storage_plane(backend="sharded", log_shards=2,
-                            kv_partitions=2)
+        .with_storage_plane(log_shards=2, kv_partitions=2)
         .with_storage_chaos(**chaos)
     )
     return ServiceBackend(cfg.validate())

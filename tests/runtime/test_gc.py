@@ -164,8 +164,7 @@ def test_gc_checkpoints_durable_kv_partitions():
 
     cfg = (
         SystemConfig(seed=1234)
-        .with_storage_plane(backend="sharded", log_shards=2,
-                            kv_partitions=2)
+        .with_storage_plane(log_shards=2, kv_partitions=2)
         .with_storage_chaos()
         .validate()
     )
@@ -207,8 +206,7 @@ def test_gc_skips_down_shards_and_retries_later():
 
     cfg = (
         SystemConfig(seed=1234)
-        .with_storage_plane(backend="sharded", log_shards=2,
-                            kv_partitions=2)
+        .with_storage_plane(log_shards=2, kv_partitions=2)
         .with_storage_chaos()
         .validate()
     )

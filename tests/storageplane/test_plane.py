@@ -1,6 +1,6 @@
-"""The one storage plane: placement labels from the topology, the two
-backend values, and the architectural invariant that protocol code
-never binds to a concrete storage class."""
+"""The one storage plane: the topology sizes it and the router places
+onto it, the ``backend=`` no-op, and the architectural invariant that
+protocol code never binds to a concrete storage class."""
 
 import ast
 import pathlib
@@ -19,75 +19,65 @@ from repro.storageplane import (
 )
 
 
-def test_auto_selects_single_at_1x1():
-    """The default plane is the one substrate, unlabelled at 1×1."""
-    plane = build_storage_plane(SystemConfig())
-    assert type(plane) is StoragePlane
-    assert isinstance(plane.log, ShardedLog)
-    assert isinstance(plane.kv, PartitionedKV)
-    assert plane.labelled is False
-    assert plane.num_log_shards == 1
-    assert plane.num_kv_partitions == 1
-    assert plane.log_shard_of("anything") == 0
-    assert plane.kv_partition_of("anything") == 0
-
-
-def test_auto_selects_sharded_when_scaled():
-    config = SystemConfig().with_storage_plane(log_shards=4)
-    plane = build_storage_plane(config)
-    assert plane.labelled is True
-    assert plane.num_log_shards == 4
-    assert plane.num_kv_partitions == 1
-
-
 @pytest.mark.parametrize("storage, chaos", [
-    ({"replication": 3}, False),
+    ({}, False),
+    ({"log_shards": 4}, False),
+    ({"log_shards": 2, "kv_partitions": 3, "replication": 3}, False),
     ({"sequencer": "batched"}, False),
     ({}, True),
 ])
-def test_auto_labels_every_topology_but_the_plain_1x1(storage, chaos):
+def test_topology_sizes_the_one_plane(storage, chaos):
+    """Every topology builds the one substrate; it only sets the counts
+    the router places onto (at one shard every key routes to 0)."""
     config = SystemConfig().with_storage_plane(**storage)
     if chaos:
         config = config.with_storage_chaos(shard_error_rate=0.01)
-    assert build_storage_plane(config).labelled is True
-
-
-def test_explicit_backend_overrides_auto():
-    config = SystemConfig().with_storage_plane(backend="sharded")
     plane = build_storage_plane(config)
-    assert plane.labelled is True
-    assert plane.num_log_shards == 1  # labelled, 1×1 topology
+    assert type(plane) is StoragePlane
+    assert isinstance(plane.log, ShardedLog)
+    assert isinstance(plane.kv, PartitionedKV)
+    shards = storage.get("log_shards", 1)
+    partitions = storage.get("kv_partitions", 1)
+    assert plane.num_log_shards == plane.log.num_shards == shards
+    assert plane.num_kv_partitions == plane.kv.num_partitions == partitions
+    tags = [f"t{i}" for i in range(64)]
+    assert {plane.log_shard_of(t) for t in tags} == set(range(shards))
+    assert {plane.kv_partition_of(t) for t in tags} == set(
+        range(partitions)
+    )
 
 
 def test_unknown_backend_rejected():
-    config = SystemConfig().with_storage_plane(backend="bogus")
-    with pytest.raises(ConfigError, match="available: auto, sharded"):
-        build_storage_plane(config)
+    """``backend=`` survives only as a no-op for the frozen benchmark
+    cells: ``auto`` / ``sharded`` change nothing, anything else raises."""
+    for value in ("auto", "sharded"):
+        assert SystemConfig().with_storage_plane(backend=value) == (
+            SystemConfig()
+        )
+    with pytest.raises(ConfigError, match="unknown storage backend "
+                                          "'bogus'"):
+        SystemConfig().with_storage_plane(backend="bogus")
 
 
 def test_single_backend_is_gone():
-    config = SystemConfig().with_storage_plane(backend="single")
-    with pytest.raises(ConfigError, match="'single'; available: auto, "
-                                          "sharded"):
-        config.validate()
     with pytest.raises(ConfigError, match="'single'"):
-        build_storage_plane(config)
+        SystemConfig().with_storage_plane(backend="single")
 
 
 def test_describe_snapshots_topology():
-    single = build_storage_plane(SystemConfig())
-    assert single.describe() == {
-        "backend": "single", "log_shards": 1, "kv_partitions": 1,
-    }
-    sharded = build_storage_plane(
-        SystemConfig().with_storage_plane(log_shards=2, kv_partitions=3)
-    )
-    info = sharded.describe()
-    assert info["backend"] == "sharded"
-    assert info["log_shards"] == 2
-    assert info["kv_partitions"] == 3
-    assert info["shard_bytes"] == [0, 0]
-    assert info["partition_bytes"] == [0, 0, 0]
+    for storage in ({}, {"log_shards": 2, "kv_partitions": 3}):
+        plane = build_storage_plane(
+            SystemConfig().with_storage_plane(**storage)
+        )
+        shards = storage.get("log_shards", 1)
+        partitions = storage.get("kv_partitions", 1)
+        assert plane.describe() == {
+            "log_shards": shards,
+            "kv_partitions": partitions,
+            "shard_bytes": [0] * shards,
+            "partition_bytes": [0] * partitions,
+            "trim_frontiers": plane.log.shard_trim_frontiers(),
+        }
 
 
 def test_service_backend_binds_through_the_plane():
@@ -97,21 +87,23 @@ def test_service_backend_binds_through_the_plane():
     assert backend.log is backend.plane.log
     assert backend.kv is backend.plane.kv
     assert backend.mv is backend.plane.mv
-    assert backend.plane.labelled
-    # Placement helpers label ops on labelled planes only.
-    assert backend.log_placement("t")[0] == "shard"
-    assert backend.kv_placement("k")[0] == "partition"
+    # Placement is the plane's router, bound once: a plain index.
+    assert backend.log_shard_of == backend.plane.log_shard_of
+    assert backend.kv_partition_of == backend.plane.kv_partition_of
+    assert backend.log_shard_of("t") == backend.log.shard_of("t")
+    assert backend.kv_partition_of("k") == backend.kv.partition_of("k")
     default = ServiceBackend(SystemConfig())
-    assert default.log_placement("t") is None
-    assert default.kv_placement("k") is None
+    assert default.log_shard_of("t") == 0
+    assert default.kv_partition_of("k") == 0
 
 
 def test_storage_plane_probe_registered():
     backend = ServiceBackend(SystemConfig())
     snapshot = backend.metrics.snapshot()
     probe = snapshot["storage_plane"]
-    assert probe["backend"] == "single"
     assert probe["log_shards"] == 1
+    assert probe["shard_bytes"] == [0]
+    assert "backend" not in probe
 
 
 def test_no_protocol_module_imports_concrete_storage():

@@ -35,7 +35,6 @@ SHARED_FLAGS = {
     "--fault-rate": ("float", None, None, None),
     "--jobs": ("int", None, None, None),
     "--trace-out": ("str", None, None, None),
-    "--storage-backend": ("str", None, None, None),
     "--log-shards": ("int", None, None, None),
     "--kv-partitions": ("int", None, None, None),
     "--sequencer": ("str", None, None, None),
@@ -215,19 +214,23 @@ CONFIG_FLAGS = {
     "--seed": ("5", None),  # cells derive their seed: see below
     "--fault-rate": ("0.25",
                      lambda c: c.faults == FaultConfig.uniform(0.25)),
-    "--storage-backend": ("sharded",
-                          lambda c: c.storage.backend == "sharded"),
     "--log-shards": ("4", lambda c: c.storage.log_shards == 4),
     "--kv-partitions": ("4", lambda c: c.storage.kv_partitions == 4),
-    # Removed with the ``first_seen`` policy: rejected by name, like any
-    # flag no command declares — never accepted and ignored.
+    # Removed flags (``--placement`` with the ``first_seen`` policy,
+    # ``--storage-backend`` when every plane became the one sharded
+    # plane): rejected by name, like any flag no command declares —
+    # never accepted and ignored.
     "--placement": ("first_seen", None),
+    "--storage-backend": ("sharded", None),
     "--sequencer": ("batched", lambda c: c.storage.sequencer == "batched"),
     "--sequencer-batch": ("3", lambda c: c.storage.sequencer_batch == 3),
     "--sequencer-hold": ("0.5",
                          lambda c: c.storage.sequencer_hold_ms == 0.5),
     "--sequencer-block": ("7", lambda c: c.storage.sequencer_block == 7),
 }
+
+#: The shared flags that no longer exist.
+REMOVED_FLAGS = ("--placement", "--storage-backend")
 
 #: The seed the single cell of each command runs under for ``--seed 5``.
 CELL_SEEDS = {
@@ -241,8 +244,6 @@ CELL_SEEDS = {
 REJECTED = {
     ("chaos", "--fault-rate"): "use --fault-rates",
     ("storagechaos", "--sequencer"): "use --sequencers",
-    ("storagechaos", "--storage-backend"): "sets it itself",
-    ("live", "--storage-backend"): "sets it itself",
 }
 
 
@@ -275,11 +276,11 @@ def test_shared_flag_is_honoured_or_rejected(validated, capsys, command,
                                              flag):
     value, holds = CONFIG_FLAGS[flag]
     argv = _single_cell(command, flag, value)
-    if flag == "--placement":
+    if flag in REMOVED_FLAGS:
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert ("unrecognized arguments: --placement first_seen"
+        assert (f"unrecognized arguments: {flag} {value}"
                 in capsys.readouterr().err)
         return
     hint = REJECTED.get((command, flag))
@@ -308,8 +309,7 @@ def test_own_topology_defaults_are_unchanged(validated, command):
     with pytest.raises(_Stop):
         main(_single_cell(command))
     storage = validated[-1].storage
-    assert (storage.log_shards, storage.kv_partitions,
-            storage.backend) == (2, 2, "sharded")
+    assert (storage.log_shards, storage.kv_partitions) == (2, 2)
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -340,12 +340,12 @@ def test_the_rule_covers_every_command(capsys, argv, reason):
      "log_shards must be positive"),
     (["fig10", "--sequencer-batch", "0"],
      "sequencer_batch must be positive"),
-    (["fig10", "--requests", "5", "--storage-backend", "bogus"],
-     "unknown storage backend 'bogus'"),
+    (["fig10", "--requests", "5", "--kv-partitions", "0"],
+     "kv_partitions must be positive"),
     (["table1", "--samples", "5", "--sequencer", "bogus"],
      "unknown sequencer 'bogus'"),
-    (["fig10", "--requests", "5", "--storage-backend", "single"],
-     "unknown storage backend 'single'; available: auto, sharded"),
+    (["fig10", "--requests", "5", "--sequencer-block", "0"],
+     "sequencer_block must be positive"),
 ])
 def test_config_error_is_an_error_line_and_exit_two(capsys, argv,
                                                     message):

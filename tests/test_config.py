@@ -46,7 +46,7 @@ class TestClusterConfig:
         with pytest.raises(ConfigError):
             ClusterConfig(function_nodes=0).validate()
         with pytest.raises(ConfigError):
-            ClusterConfig(storage_nodes=0).validate()
+            ClusterConfig(workers_per_node=0).validate()
 
 
 class TestOtherSections:

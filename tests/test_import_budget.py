@@ -130,7 +130,7 @@ from repro.compute.worker import (BernoulliCrashes, LocalRuntime,
                                   ServiceBackend, WorkloadSpec)
 from repro.config import SystemConfig
 config = SystemConfig(seed=3).with_storage_plane(
-    backend="sharded", log_shards=2, kv_partitions=2)
+    log_shards=2, kv_partitions=2)
 backend = ServiceBackend(config)
 runtime = LocalRuntime(config, protocol="boki", backend=backend)
 runtime.compute_sleep_fn = lambda ms: time.sleep(0.0)
