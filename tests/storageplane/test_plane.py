@@ -47,6 +47,18 @@ def test_topology_sizes_the_one_plane(storage, chaos):
     )
 
 
+def test_explicit_backend_overrides_auto():
+    """``backend="sharded"`` names the one substrate: it builds the
+    sharded machinery at the default 1x1 topology."""
+    config = SystemConfig().with_storage_plane(backend="sharded")
+    plane = build_storage_plane(config)
+    assert type(plane) is StoragePlane
+    assert isinstance(plane.log, ShardedLog)
+    assert isinstance(plane.kv, PartitionedKV)
+    assert plane.num_log_shards == 1
+    assert plane.num_kv_partitions == 1
+
+
 def test_unknown_backend_rejected():
     """``backend=`` survives only as a no-op for the frozen benchmark
     cells: ``auto`` / ``sharded`` change nothing, anything else raises."""
