@@ -1,10 +1,10 @@
 """Pluggable compute planes: simulated and real-process execution.
 
-ROADMAP item 1: the protocols are decoupled from storage
-(:mod:`repro.storageplane`) and from the clock (``now_fn``); this
-package exploits both to make *execution* pluggable too.  A
-:class:`ComputePlane` is one deployment shape — the ``sim`` backend is
-the DES (:class:`~repro.harness.platform.SimPlatform` itself), the
+The protocols are decoupled from storage (:mod:`repro.storageplane`)
+and from the clock (``now_fn``); this package exploits both to make
+*execution* pluggable too.  A :class:`ComputePlane` is one deployment
+shape — the ``sim`` backend is the DES
+(:class:`~repro.harness.platform.SimPlatform` itself), the
 ``localhost`` backend is an asyncio gateway plus a pool of real worker
 processes with SIGKILL chaos and wall-clock lease-based recovery (:mod:`repro.compute.gateway`).  Backends are
 selected by name from a table like the storage plane's, each imported

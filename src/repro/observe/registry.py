@@ -24,12 +24,21 @@ A component that buffers samples on its hot path and folds them into
 its registered metrics later hands the fold to :meth:`collector`, which
 :meth:`snapshot` runs first.
 
+The registry never keeps a component alive: a probe or collector that
+is a bound method is held through :class:`weakref.WeakMethod`, and one
+whose owner is gone is skipped.  So a component that owns its registry
+and registers its own methods (``ServiceBackend``) forms no reference
+cycle, and a dropped runtime is freed by reference counting at once
+instead of waiting for the cyclic collector's next full pass.
+
 Like the primitives themselves, the registry is simulation-agnostic and
 deterministic: it never samples a clock and holds plain Python state.
 """
 
 from __future__ import annotations
 
+import inspect
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -49,6 +58,14 @@ def _key(name: str, labels: Dict[str, Any]) -> MetricKey:
     return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+def _held(fn: Callable) -> Callable[[], Optional[Callable]]:
+    """A zero-argument dereference of ``fn``: weak for a bound method
+    (``None`` once its owner is gone), strong for anything else."""
+    if inspect.ismethod(fn):
+        return weakref.WeakMethod(fn)
+    return lambda: fn
+
+
 def _render_key(key: MetricKey) -> str:
     name, labels = key
     if not labels:
@@ -62,8 +79,9 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: Dict[MetricKey, Any] = {}
-        self._probes: Dict[MetricKey, Callable[[], Dict[str, Any]]] = {}
-        self._collectors: List[Callable[[], None]] = []
+        #: Probes and collectors as :func:`_held` dereferences.
+        self._probes: Dict[MetricKey, Callable[[], Optional[Callable]]] = {}
+        self._collectors: List[Callable[[], Optional[Callable]]] = []
 
     # -- registration ---------------------------------------------------
 
@@ -98,12 +116,12 @@ class MetricsRegistry:
             raise SimulationError(
                 f"metric {_render_key(key)!r} already registered"
             )
-        self._probes[key] = fn
+        self._probes[key] = _held(fn)
 
     def collector(self, fn: Callable[[], None]) -> None:
         """Register a callable run at the top of every snapshot (it may
         register metrics of its own while it runs)."""
-        self._collectors.append(fn)
+        self._collectors.append(_held(fn))
 
     # -- typed get-or-create accessors ----------------------------------
 
@@ -193,13 +211,17 @@ class MetricsRegistry:
         (pass the simulation clock); omitted, gauges report up to their
         last update.
         """
-        for collect in self._collectors:
-            collect()
+        for held in self._collectors:
+            collect = held()
+            if collect is not None:
+                collect()
         out: Dict[str, Dict[str, Any]] = {}
         for key, metric in sorted(self._metrics.items()):
             out[_render_key(key)] = _summarise(metric, now_ms)
-        for key, fn in sorted(self._probes.items()):
-            out[_render_key(key)] = {"type": "probe", **fn()}
+        for key, held in sorted(self._probes.items()):
+            fn = held()
+            if fn is not None:
+                out[_render_key(key)] = {"type": "probe", **fn()}
         return out
 
 

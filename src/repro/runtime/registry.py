@@ -11,6 +11,7 @@ BEGIN record) consume this view.
 from __future__ import annotations
 
 import inspect
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import InvocationError, RuntimeStateError
@@ -69,7 +70,10 @@ class InvocationTracker:
         self._finished_pending_gc: Set[str] = set()
         self._finished_count = 0
         self._started_count = 0
-        self._finish_listeners: List[Callable[[str], None]] = []
+        #: Listener dereferences: a bound method is held weakly, so
+        #: the switch manager that listens here and holds this tracker
+        #: forms no reference cycle.
+        self._finish_listeners: List[Callable[[], Optional[Callable]]] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -116,12 +120,20 @@ class InvocationTracker:
             return
         self._finished_pending_gc.add(instance_id)
         self._finished_count += 1
-        for listener in list(self._finish_listeners):
-            listener(instance_id)
+        for held in list(self._finish_listeners):
+            listener = held()
+            if listener is not None:
+                listener(instance_id)
 
     def add_finish_listener(self,
                             listener: Callable[[str], None]) -> None:
-        self._finish_listeners.append(listener)
+        """Call ``listener(instance_id)`` on every finish.  A bound
+        method does not keep its owner alive (``WeakMethod``); once the
+        owner is gone the listener is skipped."""
+        self._finish_listeners.append(
+            weakref.WeakMethod(listener) if inspect.ismethod(listener)
+            else lambda: listener
+        )
 
     # -- queries -----------------------------------------------------------
 

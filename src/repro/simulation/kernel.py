@@ -176,12 +176,15 @@ class Process(Event):
         try:
             target = step(value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._finish(stop.value)
             return
-        except Interrupt:
+        except Interrupt as interrupt:
             # The generator did not handle the interrupt: the process is
-            # killed at this instant.
-            self.succeed(None)
+            # killed at this instant.  The traceback holds this frame and
+            # its callers', which hold the interrupt: drop it, so the
+            # dead process leaves no cycle behind.
+            interrupt.__traceback__ = None
+            self._finish(None)
             return
         cls = target.__class__
         if cls is float or cls is int:
@@ -217,6 +220,14 @@ class Process(Event):
         else:
             target.callbacks.append(self._resume_bound)
             self._waiting_on, self._waiting_cb = target, self._resume_bound
+
+    def _finish(self, value: Any) -> None:
+        # The cached bound methods point back at the process: dropping
+        # them leaves a finished process free of cycles, so it goes by
+        # reference counting (heap entries still holding one are no-ops
+        # now that the process has triggered).
+        self._resume_bound = self._token_bound = None
+        self.succeed(value)
 
     def _deferred_interrupt(self, cause: Any) -> None:
         self._throw(Interrupt(cause))

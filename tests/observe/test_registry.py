@@ -1,7 +1,10 @@
 """Unit tests for the central metrics registry."""
 
+import weakref
+
 import pytest
 
+from repro import LocalRuntime, SystemConfig
 from repro.errors import SimulationError
 from repro.observe import MetricsRegistry, lint_prom_text, prom_text
 from repro.simulation import Counter, LatencyRecorder
@@ -100,6 +103,47 @@ class TestRegisterAndProbe:
         assert reg.snapshot()["late"]["count"] == 2
         buffered.append(5.0)
         assert reg.snapshot()["late"]["count"] == 3
+
+    def test_bound_methods_do_not_keep_their_owner_alive(self):
+        # A component that owns its registry and registers its own
+        # methods forms no cycle: dropping it frees it by refcount, and
+        # the registry then skips the dead probe and collector.
+        class Owner:
+            def __init__(self):
+                self.metrics = MetricsRegistry()
+                self.buffered = [1.0, 3.0]
+                self.metrics.collector(self.fold)
+                self.metrics.probe("owner", self.stats)
+
+            def fold(self):
+                self.metrics.latency("late").extend(self.buffered)
+                self.buffered.clear()
+
+            def stats(self):
+                return {"alive": True}
+
+        owner = Owner()
+        reg, alive = owner.metrics, weakref.ref(owner)
+        snap = reg.snapshot()
+        assert snap["late"]["count"] == 2
+        assert snap["owner"] == {"type": "probe", "alive": True}
+        del owner
+        assert alive() is None  # no gc.collect(): refcounting freed it
+        snap = reg.snapshot()
+        assert snap["late"]["count"] == 2 and "owner" not in snap
+
+    def test_backend_snapshot_folds_op_latency_while_it_lives(self):
+        runtime = LocalRuntime(SystemConfig(seed=3))
+        runtime.populate("k", 0)
+        runtime.register("read", lambda ctx, key: ctx.read(key))
+        runtime.invoke("read", "k")
+        snap = runtime.backend.metrics.snapshot()
+        # The charges sit in the backend's buffer until this snapshot.
+        assert snap["op_latency{kind=compute}"]["count"] == 1
+        assert snap["record_cache"]["type"] == "probe"
+        backend = weakref.ref(runtime.backend)
+        del runtime, snap
+        assert backend() is None
 
     def test_duplicate_probe_rejected(self):
         reg = MetricsRegistry()

@@ -368,3 +368,38 @@ class TestInterrupt:
         sim.run()
         assert log == [("interrupted", 4.0)]
         assert slow_proc.value == "slow-done"
+
+
+def test_finished_processes_leave_no_cyclic_garbage():
+    """A finished process drops its cached bound methods, so a run is
+    freed by reference counting: the collector finds nothing, on both
+    finish paths (return and unhandled interrupt)."""
+    import gc
+
+    def run():
+        sim = Simulator()
+
+        def worker(i):
+            yield 1.0
+            yield sim.timeout(2.0)
+            return i
+
+        procs = [sim.process(worker(i)) for i in range(100)]
+
+        def killer():
+            yield 2.0
+            for proc in procs[::10]:
+                proc.interrupt()
+
+        sim.process(killer())
+        sim.run()
+        assert sum(p.value is None for p in procs) == 10
+
+    run()  # warm lazy imports and caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

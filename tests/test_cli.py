@@ -1,5 +1,9 @@
 """Unit tests for the command-line interface."""
 
+import os
+import runpy
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -86,3 +90,22 @@ def test_unknown_command_rejected():
 def test_missing_required_argument():
     with pytest.raises(SystemExit):
         main(["advise"])  # --read-ratio is required
+
+
+@pytest.mark.parametrize("caller", [None, "3"])
+def test_entry_point_pins_one_blas_thread_unless_the_caller_sets_it(
+        monkeypatch, caller, capsys):
+    # ``python -m repro`` sets the pair before anything imports numpy;
+    # an explicit value in the caller's environment wins.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = caller
+    monkeypatch.setattr(os, "environ", env)
+    monkeypatch.setattr(sys, "argv",
+                        ["repro", "advise", "--read-ratio", "0.5"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("repro", run_name="__main__")
+    assert exit_info.value.code == 0
+    expected = caller or "1"
+    assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == expected
