@@ -22,7 +22,6 @@ programs to a handful of operations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -68,15 +67,29 @@ class ExplorationResult:
 
 def all_interleavings(lengths: Sequence[int]):
     """Yield every schedule (tuple of session indices) interleaving
-    programs of the given lengths, preserving each program's order."""
-    slots = []
-    for index, length in enumerate(lengths):
-        slots.extend([index] * length)
-    seen = set()
-    for permutation in itertools.permutations(slots):
-        if permutation not in seen:
-            seen.add(permutation)
-            yield permutation
+    programs of the given lengths, preserving each program's order.
+
+    Schedules come in lexicographic order, each once: the distinct
+    permutations of the multiset of session indices, stepped by the
+    classic next-permutation rule (Narayana Pandita's)."""
+    schedule = [index for index, length in enumerate(lengths)
+                for _ in range(length)]
+    last = len(schedule) - 1
+    while True:
+        yield tuple(schedule)
+        # The rightmost ascent; none left means the last schedule.
+        i = last - 1
+        while i >= 0 and schedule[i] >= schedule[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        # Swap in the smallest larger index from the (descending)
+        # suffix, then put that suffix in ascending order.
+        j = last
+        while schedule[j] <= schedule[i]:
+            j -= 1
+        schedule[i], schedule[j] = schedule[j], schedule[i]
+        schedule[i + 1:] = schedule[:i:-1]
 
 
 class ProtocolExplorer:

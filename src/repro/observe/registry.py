@@ -20,13 +20,9 @@ Three ways to get a metric in:
   snapshot time, for components whose state *is* the metric (breaker
   state machines, cache occupancy, log bytes).
 
-A component that buffers samples on its hot path and folds them into
-its registered metrics later hands the fold to :meth:`collector`, which
-:meth:`snapshot` runs first.
-
-The registry never keeps a component alive: a probe or collector that
-is a bound method is held through :class:`weakref.WeakMethod`, and one
-whose owner is gone is skipped.  So a component that owns its registry
+The registry never keeps a component alive: a probe that is a bound
+method is held through :class:`weakref.WeakMethod`, and one whose owner
+is gone is skipped.  So a component that owns its registry
 and registers its own methods (``ServiceBackend``) forms no reference
 cycle, and a dropped runtime is freed by reference counting at once
 instead of waiting for the cyclic collector's next full pass.
@@ -39,7 +35,7 @@ from __future__ import annotations
 
 import inspect
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import SimulationError
 from ..simulation.metrics import (
@@ -79,9 +75,8 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: Dict[MetricKey, Any] = {}
-        #: Probes and collectors as :func:`_held` dereferences.
+        #: Probes as :func:`_held` dereferences.
         self._probes: Dict[MetricKey, Callable[[], Optional[Callable]]] = {}
-        self._collectors: List[Callable[[], Optional[Callable]]] = []
 
     # -- registration ---------------------------------------------------
 
@@ -117,11 +112,6 @@ class MetricsRegistry:
                 f"metric {_render_key(key)!r} already registered"
             )
         self._probes[key] = _held(fn)
-
-    def collector(self, fn: Callable[[], None]) -> None:
-        """Register a callable run at the top of every snapshot (it may
-        register metrics of its own while it runs)."""
-        self._collectors.append(_held(fn))
 
     # -- typed get-or-create accessors ----------------------------------
 
@@ -211,10 +201,6 @@ class MetricsRegistry:
         (pass the simulation clock); omitted, gauges report up to their
         last update.
         """
-        for held in self._collectors:
-            collect = held()
-            if collect is not None:
-                collect()
         out: Dict[str, Dict[str, Any]] = {}
         for key, metric in sorted(self._metrics.items()):
             out[_render_key(key)] = _summarise(metric, now_ms)

@@ -32,9 +32,9 @@ from typing import Dict, List
 
 from ..errors import PartitionUnavailableError, StorageUnavailableError
 from ..sharedlog import LogRecord
+from ..tags import checkpoint_tag, instance_tag, is_object_tag, tag_key
 from .registry import InvocationTracker
 from .services import ServiceBackend
-from .tags import checkpoint_tag, instance_tag, is_object_tag, tag_key
 
 
 @dataclass

@@ -36,6 +36,7 @@ from ..observe import CAT_ATTEMPT, CAT_INVOCATION, Span
 from ..protocols import Protocol
 from ..simulation.rng import IntegerDrawBatch
 from ..store import TableIndex
+from ..tags import object_tag
 from .env import Env
 from .gc import GarbageCollector
 from .failures import CrashPolicy, NoCrashes
@@ -43,7 +44,6 @@ from .ops import ComputeOp, InvokeOp, Op, ReadOp, SyncOp, TxnOp, WriteOp
 from .registry import FunctionRegistry, InvocationTracker
 from .services import InstanceServices, ServiceBackend
 from .switching import ProtocolRouter, SwitchManager
-from .tags import object_tag
 
 
 @dataclass

@@ -50,17 +50,11 @@ from ..simulation.latency import (
     LogNormalLatency,
     NormalDrawBatch,
 )
-from ..simulation.metrics import LatencyRecorder
 from ..simulation.rng import IntegerDrawBatch, RngRegistry
 from ..storageplane import StoragePlane, build_storage_plane
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-
-#: Charges buffered before :meth:`ServiceBackend._fold` drains them into
-#: the ``op_latency`` recorders; bounds the buffer on long runs.
-_FOLD_THRESHOLD = 1024
-
 
 class Cost:
     """Cost-kind labels charged by service calls."""
@@ -258,13 +252,6 @@ class ServiceBackend:
         #: ``RunResult.metrics`` is its snapshot.
         self.metrics = MetricsRegistry()
         self.counters = self.metrics.counters("ops")
-        #: Per-kind latency recorders behind :attr:`op_latency`, each
-        #: registered as ``op_latency{kind=...}``.
-        self._op_latency: Dict[str, LatencyRecorder] = {}
-        #: Charges not yet folded, in charge order: the cost traces'
-        #: own ``(kind, ms, placement)`` tuples.
-        self._charges: List[tuple] = []
-        self.metrics.collector(self._fold)
         #: Attach a :class:`repro.observe.Tracer` to record span trees;
         #: ``None`` (the default) disables tracing with zero overhead.
         self.tracer: Optional[Tracer] = None
@@ -335,17 +322,11 @@ class ServiceBackend:
                placement: Placement = None) -> float:
         ms = self._samplers[kind]() * factor
         # Inlined ``CostTrace.charge`` (same module): this is the single
-        # hottest accounting call in the DES, so skip the dispatch.  The
-        # same tuple is buffered for ``op_latency`` (see ``_fold``).
-        entry = (kind, ms, placement)
-        trace.entries.append(entry)
+        # hottest accounting call in the DES, so skip the dispatch.
+        trace.entries.append((kind, ms, placement))
         trace._total_ms += ms
         counts = self.counters._counts
         counts[kind] = counts.get(kind, 0) + 1
-        charges = self._charges
-        charges.append(entry)
-        if len(charges) >= _FOLD_THRESHOLD:
-            self._fold()
         return ms
 
     def charge_log_read(self, seqnum: Optional[int], trace: CostTrace,
@@ -357,52 +338,17 @@ class ServiceBackend:
             ms = self._lr_hit() * factor
         else:
             ms = self._lr_miss() * factor
-        entry = (Cost.LOG_READ, ms, placement)
-        trace.entries.append(entry)
+        trace.entries.append((Cost.LOG_READ, ms, placement))
         trace._total_ms += ms
         counts = self.counters._counts
         counts[Cost.LOG_READ] = counts.get(Cost.LOG_READ, 0) + 1
-        charges = self._charges
-        charges.append(entry)
-        if len(charges) >= _FOLD_THRESHOLD:
-            self._fold()
         return ms
 
     def charge_raw(self, kind: str, ms: float, trace: CostTrace) -> float:
         """Charge a policy-determined amount (backoff, timeout burn)."""
         trace.charge(kind, ms)
         self.counters.add(kind)
-        # Rare (faults only): the next ``charge`` checks the threshold.
-        self._charges.append((kind, ms, None))
         return ms
-
-    @property
-    def op_latency(self) -> Dict[str, LatencyRecorder]:
-        """Per-kind latency samples (successful, faulted, and degraded
-        charges alike), so experiments can report e.g. log-read p99
-        under brown-out without instrumenting every call site."""
-        self._fold()
-        return self._op_latency
-
-    def _fold(self) -> None:
-        """Drain the buffered charges, in charge order, into
-        ``op_latency{kind=}``, registering each recorder on its kind's
-        first charge.  Runs when the buffer fills and when the
-        recorders are read (``op_latency``, a registry snapshot)."""
-        recorders = self._op_latency
-        for kind, ms, _placement in self._charges:
-            recorder = recorders.get(kind)
-            if recorder is None:
-                recorder = recorders[kind] = self.metrics.latency(
-                    "op_latency", kind=kind
-                )
-            # Charges are non-negative floats by construction, so append
-            # to the recorder's sample list directly (``record()``
-            # re-checks and re-coerces on every call).
-            recorder._samples.append(
-                ms if ms.__class__ is float else float(ms)
-            )
-        self._charges.clear()
 
     def breaker_trips(self) -> int:
         return sum(b.trips for b in self.breakers.values())
@@ -479,10 +425,9 @@ class InstanceServices:
         self,
         backend: ServiceBackend,
         fault_hook: Optional[FaultHook] = None,
-        trace: Optional[CostTrace] = None,
     ):
         self.backend = backend
-        self.trace = trace if trace is not None else CostTrace()
+        self.trace = CostTrace()
         self._fault_hook = fault_hook
         #: Tracing context: the attempt span service-call spans nest
         #: under, and the virtual-time base the cost trace offsets.

@@ -39,10 +39,10 @@ from ..protocols import (
 )
 from ..sharedlog import LogRecord
 from ..store.kv import GENESIS_VERSION
+from ..tags import GLOBAL_SCOPE, object_tag, transition_tag
 from .env import Env
 from .registry import InvocationTracker
 from .services import InstanceServices, ServiceBackend
-from .tags import GLOBAL_SCOPE, object_tag, transition_tag
 
 BEGIN = "BEGIN"
 END = "END"

@@ -1,6 +1,8 @@
 """Bounded model checking of the protocols (the tech report's TLA+
 verification, run against the real implementation)."""
 
+import itertools
+
 import pytest
 
 from repro.consistency import ProtocolExplorer, all_interleavings
@@ -19,6 +21,16 @@ class TestInterleavingEnumeration:
         for schedule in all_interleavings([3, 2]):
             assert [s for s in schedule if s == 0] == [0, 0, 0]
             assert [s for s in schedule if s == 1] == [1, 1]
+
+    @pytest.mark.parametrize("lengths", [
+        (2, 1), (3, 3), (2, 3, 1), (0, 2, 1), (3, 3, 3), (4, 4, 2),
+    ])
+    def test_matches_deduplicated_permutations(self, lengths):
+        # Reference: every permutation of the slot multiset, first
+        # occurrences kept — same schedules, same order.
+        slots = [i for i, n in enumerate(lengths) for _ in range(n)]
+        reference = list(dict.fromkeys(itertools.permutations(slots)))
+        assert list(all_interleavings(lengths)) == reference
 
 
 CONTENDED = dict(

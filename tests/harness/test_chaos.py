@@ -1,5 +1,6 @@
 """Tests for the chaos experiment harness."""
 
+from repro import SystemConfig
 from repro.harness import (
     run_brownout_comparison,
     run_chaos_point,
@@ -66,3 +67,11 @@ class TestBrownout:
         assert on[2] < off[2], (
             "cache fallback should lower log-read p99 under brown-out"
         )
+
+    def test_no_fallback_log_read_tail_includes_timeouts(self):
+        """The log-read columns are a read's cost to its caller: under a
+        brown-out the no-fallback tail rides out at least one attempt
+        timeout, not just the final round trip."""
+        table = run_brownout_comparison(seed=42)
+        off_p99 = table.lookup({"fallback": "off"}, "log-read p99 (ms)")
+        assert off_p99 >= SystemConfig().resilience.attempt_timeout_ms

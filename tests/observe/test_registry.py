@@ -89,35 +89,15 @@ class TestRegisterAndProbe:
         assert 'storage_bytes{shard="0",store="log"} 9' in text
         assert lint_prom_text(text) == []
 
-    def test_collector_runs_before_each_snapshot(self):
-        # A component that buffers on its hot path folds when asked;
-        # the fold may register metrics of its own.
-        reg = MetricsRegistry()
-        buffered = [1.0, 3.0]
-
-        def fold():
-            reg.latency("late").extend(buffered)
-            buffered.clear()
-
-        reg.collector(fold)
-        assert reg.snapshot()["late"]["count"] == 2
-        buffered.append(5.0)
-        assert reg.snapshot()["late"]["count"] == 3
-
     def test_bound_methods_do_not_keep_their_owner_alive(self):
         # A component that owns its registry and registers its own
         # methods forms no cycle: dropping it frees it by refcount, and
-        # the registry then skips the dead probe and collector.
+        # the registry then skips the dead probe.
         class Owner:
             def __init__(self):
                 self.metrics = MetricsRegistry()
-                self.buffered = [1.0, 3.0]
-                self.metrics.collector(self.fold)
+                self.metrics.latency("kept").record(1.0)
                 self.metrics.probe("owner", self.stats)
-
-            def fold(self):
-                self.metrics.latency("late").extend(self.buffered)
-                self.buffered.clear()
 
             def stats(self):
                 return {"alive": True}
@@ -125,21 +105,19 @@ class TestRegisterAndProbe:
         owner = Owner()
         reg, alive = owner.metrics, weakref.ref(owner)
         snap = reg.snapshot()
-        assert snap["late"]["count"] == 2
         assert snap["owner"] == {"type": "probe", "alive": True}
         del owner
         assert alive() is None  # no gc.collect(): refcounting freed it
         snap = reg.snapshot()
-        assert snap["late"]["count"] == 2 and "owner" not in snap
+        assert snap["kept"]["count"] == 1 and "owner" not in snap
 
-    def test_backend_snapshot_folds_op_latency_while_it_lives(self):
+    def test_backend_is_freed_when_its_runtime_is_dropped(self):
         runtime = LocalRuntime(SystemConfig(seed=3))
         runtime.populate("k", 0)
         runtime.register("read", lambda ctx, key: ctx.read(key))
         runtime.invoke("read", "k")
         snap = runtime.backend.metrics.snapshot()
-        # The charges sit in the backend's buffer until this snapshot.
-        assert snap["op_latency{kind=compute}"]["count"] == 1
+        assert snap["ops"]["counts"]["compute"] == 1
         assert snap["record_cache"]["type"] == "probe"
         backend = weakref.ref(runtime.backend)
         del runtime, snap

@@ -1,9 +1,9 @@
-"""The charge path buffers; ``ServiceBackend._fold`` drains the buffer
-into the ``op_latency`` recorders when they are read (or the buffer
-fills).  Same samples, same order, same recorders: every summary below
-is a literal captured on the commit before the fold existed and must
-not move by an ulp.  A tooling guard keeps the push-style notification
-layer from growing back.
+"""The charge path appends one record per charge — the cost trace's
+``(kind, ms, placement)`` tuple — and bumps the ``ops`` counter;
+nothing else keeps charges.  The counters and run results below are
+literals that must not move by an ulp.  A tooling guard keeps the
+push-style notification layer (and any second charge buffer) from
+growing back.
 """
 
 import ast
@@ -15,7 +15,6 @@ import numpy as np
 import repro
 from repro import LocalRuntime, SystemConfig
 from repro.harness import run_shard_point, shard_sweep_config
-from repro.runtime.services import _FOLD_THRESHOLD
 from repro.workloads import MixedRatioWorkload
 
 # fmt: off
@@ -26,31 +25,6 @@ DES_COUNTERS = {'compute': 410,
  'log_append_control': 410,
  'log_append_overlapped': 2035,
  'log_read': 410}
-DES_OP_LATENCY = {'op_latency{kind=compute}': (410, 0.25, 0.25, 0.25),
- 'op_latency{kind=db_cond_write}': (2035,
-                                    3.1829305566832033,
-                                    2.966688687264741,
-                                    7.289933216174176),
- 'op_latency{kind=db_read}': (2065,
-                              2.0426487841609675,
-                              1.9076083666558723,
-                              4.641023652307062),
- 'op_latency{kind=log_append_control}': (410,
-                                         0.29986722558520695,
-                                         0.2905031128280773,
-                                         0.5140129683929877),
- 'op_latency{kind=log_append_overlapped}': (2035,
-                                            0.6703581982458446,
-                                            0.6566949554811643,
-                                            1.0937233213745212),
- 'op_latency{kind=log_append}': (4100,
-                                 1.203952302796636,
-                                 1.1803334829339265,
-                                 1.8884282917566895),
- 'op_latency{kind=log_read}': (410,
-                               0.15662138379183943,
-                               0.10999369371072715,
-                               0.8307853102001177)}
 DES_RESULT = (369, 42.51840478705026, 55.082156531488266, 42.85645620374801, 731486.5358627402, 102400.0)
 DIRECT_COUNTERS = {'compute': 40,
  'db_cond_write': 111,
@@ -62,64 +36,27 @@ DIRECT_COUNTERS = {'compute': 40,
  'service_error': 14,
  'service_retries': 23,
  'service_timeout': 9}
-DIRECT_OP_LATENCY = {'op_latency{kind=compute}': (40, 0.25, 0.25, 0.25),
- 'op_latency{kind=db_cond_write}': (111,
-                                    3.100127528531308,
-                                    2.861607177358342,
-                                    6.076548759041374),
- 'op_latency{kind=db_read}': (129,
-                              2.231015489299454,
-                              2.0102953578139506,
-                              7.637235470598256),
- 'op_latency{kind=log_append_control}': (40,
-                                         0.3703001888329592,
-                                         0.30820270227679636,
-                                         1.335989090063204),
- 'op_latency{kind=log_append}': (129,
-                                 1.2038710260857228,
-                                 1.162822724667695,
-                                 1.8200935230163466),
- 'op_latency{kind=log_read}': (40,
-                               0.16201905951190929,
-                               0.09996422194474253,
-                               1.025075780686713),
- 'op_latency{kind=retry_backoff}': (23,
-                                    0.5765014391526366,
-                                    0.556917677524739,
-                                    1.032707770579942),
- 'op_latency{kind=service_error}': (14, 1.0, 1.0, 1.0),
- 'op_latency{kind=service_timeout}': (9, 10.0, 10.0, 10.0)}
 
 # fmt: on
 
 
-def summaries(snapshot):
-    return {
-        key: (entry["count"], entry["mean_ms"], entry["median_ms"],
-              entry["p99_ms"])
-        for key, entry in snapshot.items() if key.startswith("op_latency")
-    }
-
-
-def test_des_cell_op_latency_pinned_across_fold_thresholds():
-    """A 2x2 sharded DES cell long enough to fill the buffer twice
-    mid-run; the snapshot folds the tail."""
+def test_des_cell_counters_and_result_pinned():
+    """A 2x2 sharded DES cell: op counts and run results are literals,
+    and the metrics snapshot carries no per-charge latency series."""
     result = run_shard_point(
         2, 200.0, duration_ms=2_000.0, warmup_ms=200.0, num_keys=200,
         config=SystemConfig(seed=29),
     )
-    assert sum(result.counters.values()) > 2 * _FOLD_THRESHOLD
     assert result.counters == DES_COUNTERS
-    assert summaries(result.metrics) == DES_OP_LATENCY
     assert (result.completed, result.median_ms, result.p99_ms,
             result.mean_ms, result.avg_log_bytes,
             result.avg_db_bytes) == DES_RESULT
+    assert not any(key.startswith("op_latency") for key in result.metrics)
 
 
-def test_direct_mode_fold_is_triggered_by_the_property_alone():
-    """Direct mode under infrastructure faults (``charge_raw`` kinds
-    included), too short to fill the buffer: reading ``op_latency`` is
-    the only thing that folds."""
+def test_direct_mode_counters_pinned_under_faults():
+    """Direct mode under infrastructure faults: ``charge_raw`` kinds
+    (backoff, error and timeout burns) are counted like any charge."""
     config = shard_sweep_config(2, SystemConfig(seed=31)).with_fault_rate(
         0.05
     )
@@ -131,23 +68,7 @@ def test_direct_mode_fold_is_triggered_by_the_property_alone():
     for _ in range(40):
         request = workload.next_request(rng)
         runtime.invoke(request.func_name, request.input)
-    backend = runtime.backend
-    assert backend.counters.as_dict() == DIRECT_COUNTERS
-    charged = sum(DIRECT_COUNTERS[kind] for kind in DIRECT_COUNTERS
-                  if kind != "service_retries")
-    assert charged < _FOLD_THRESHOLD
-    by_kind = {
-        f"op_latency{{kind={kind}}}": (recorder.count, *recorder.stats())
-        for kind, recorder in backend.op_latency.items()
-    }
-    assert by_kind == DIRECT_OP_LATENCY
-    assert "retry_backoff" in backend.op_latency
-    assert backend.op_latency.get("no_such_kind") is None
-    assert summaries(backend.metrics.snapshot()) == DIRECT_OP_LATENCY
-    # Charges after a read land in the same recorders on the next one.
-    runtime.invoke(request.func_name, request.input)
-    assert (sum(r.count for r in backend.op_latency.values())
-            > sum(value[0] for value in by_kind.values()))
+    assert runtime.backend.counters.as_dict() == DIRECT_COUNTERS
 
 
 # ----------------------------------------------------------------------
@@ -196,22 +117,25 @@ def test_no_notification_layer_under_src():
 
 def test_charge_bodies_make_no_accounting_call():
     """``charge`` / ``charge_log_read`` call the sampler (or the cache
-    lookup that picks it), ``list.append``, ``dict.get``, ``len`` and
-    the threshold-guarded ``_fold`` — nothing else."""
+    lookup that picks it), ``dict.get`` and one ``append``, onto the
+    cost trace — nothing else."""
     allowed = {
-        "charge": {"<sampler>", "append", "get", "len", "_fold"},
+        "charge": {"<sampler>", "append", "get"},
         "charge_log_read": {"_lr_hit", "_lr_miss", "lookup", "append",
-                            "get", "len", "_fold"},
+                            "get"},
     }
     for name, expected in allowed.items():
         body = _function("runtime/services.py", "ServiceBackend", name)
         called = set()
+        appends = []
         for node in ast.walk(body):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             if isinstance(func, ast.Attribute):
                 called.add(func.attr)
+                if func.attr == "append":
+                    appends.append(ast.unparse(func.value))
             elif isinstance(func, ast.Name):
                 called.add(func.id)
             else:
@@ -220,20 +144,7 @@ def test_charge_bodies_make_no_accounting_call():
                 assert func.value.attr == "_samplers"
                 called.add("<sampler>")
         assert called == expected, name
-        # ``_fold`` only runs under the buffer-size test.
-        guards = [
-            node for node in ast.walk(body)
-            if isinstance(node, ast.If) and any(
-                isinstance(call, ast.Call)
-                and getattr(call.func, "attr", None) == "_fold"
-                for call in ast.walk(node)
-            )
-        ]
-        assert len(guards) == 1
-        test = guards[0].test
-        assert isinstance(test, ast.Compare)
-        assert test.left.func.id == "len"
-        assert test.comparators[0].id == "_FOLD_THRESHOLD"
+        assert appends == ["trace.entries"], name
 
 
 def test_substrate_mutators_loop_over_no_callables():

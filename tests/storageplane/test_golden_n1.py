@@ -156,8 +156,8 @@ def test_overhead_experiment_bit_identical_at_1x1():
 
 def test_default_metric_key_shapes_unchanged():
     """No topology emits a ``shard=`` / ``partition=`` metric key:
-    ``op_latency`` is per kind, and per-shard / per-partition bytes
-    ride the ``storage_plane`` probe's lists."""
+    per-shard / per-partition bytes ride the ``storage_plane`` probe's
+    lists."""
     for shards in (1, 2):
         _, result = _run(SystemConfig(seed=3).with_storage_plane(
             log_shards=shards, kv_partitions=shards

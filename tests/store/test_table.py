@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.tags import object_tag
+from repro.tags import object_tag
 from repro.sharedlog import SharedLog
 from repro.store import (
     KVStore,
