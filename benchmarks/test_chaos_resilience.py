@@ -101,6 +101,12 @@ def test_goodput_degrades_gracefully(chaos_table):
 
 
 def test_degraded_fallback_improves_brownout_p99(brownout_table):
+    """The request-p99 win of the cache fallback holds at this seed, not
+    at every seed.  ``python -m repro chaos --fault-rates 0.0 --requests
+    20 --brownout [--seed N]`` reads request p99 on vs off: seed 42
+    26.09 vs 35.78 ms, the default config seed (0x5EED) 30.10 vs 29.76,
+    seed 1 37.38 vs 37.35.  At 250 brown-out requests the arms are
+    apart only at some seeds (ROADMAP item 5)."""
     on_p99 = brownout_table.lookup(
         {"fallback": "on"}, "request p99 (ms)"
     )

@@ -14,7 +14,7 @@ Run:  python examples/travel_booking.py
 import numpy as np
 
 from repro import BernoulliCrashes, LocalRuntime, SystemConfig
-from repro.analysis import ProtocolAdvisor, WorkloadObserver
+from repro.analysis import ProtocolAdvisor, WorkloadProfile
 from repro.simulation.metrics import LatencyRecorder
 from repro.workloads import TravelReservationWorkload
 from repro.workloads.travel import availability_key
@@ -80,16 +80,8 @@ def main() -> None:
     # Ask the advisor which protocol fits this workload.
     workload = TravelReservationWorkload()
     reads, writes = workload.read_write_profile()
-    observer = WorkloadObserver()
-    observer.note_invocation()
-    for _ in range(round(reads * 10)):
-        observer.note_read("hotel")
-    for _ in range(round(writes * 10)):
-        observer.note_write("hotel")
     print(f"\nworkload read ratio: {workload.read_ratio():.2f} "
           f"(advisor boundary: 2/3)")
-    from repro.analysis import WorkloadProfile
-
     recommendation = ProtocolAdvisor().recommend(
         WorkloadProfile(
             p_read=min(1.0, reads / (reads + writes)),

@@ -375,9 +375,7 @@ class FrameServer:
                     f"{target}.{method} is not a storage op",
                     service=target, op=method,
                 )
-            ok, payload = True, rpc.encode_value(
-                op(*rpc.decode_value(args), **rpc.decode_value(kwargs))
-            )
+            ok, payload = True, op(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - forwarded to worker
             ok, payload = False, rpc.encode_error(exc)
         wall_ms = (time.monotonic() - started) * 1000.0

@@ -96,8 +96,7 @@ class GatewayConnection:
             )
             ctx = (self.scope_trace_id, span.span_id)
         try:
-            op = (rpc.OP, seq, target, method,
-                  rpc.encode_value(args), rpc.encode_value(kwargs))
+            op = (rpc.OP, seq, target, method, args, kwargs)
             self.send(op if ctx is None else op + (ctx,))
             frame = self.recv()
         except (OSError, rpc.RpcFrameError) as exc:
@@ -143,7 +142,7 @@ class GatewayConnection:
                 span.finish(now)
         if not ok:
             raise rpc.decode_error(payload)
-        return rpc.decode_value(payload)
+        return payload
 
 
 class _ProxySubstrate:
@@ -172,15 +171,15 @@ class ProxyLog(_ProxySubstrate):
         #: ``(tag, records)``: the step log that rode the last INVOKE.
         self.prefetch: Optional[Tuple[str, list]] = None
 
-    def read_stream(self, tag: str, min_seqnum: int = 0) -> list:
+    def read_stream(self, tag: str) -> list:
         """Serve (and drop) the prefetched stream on a tag match — the
         first attempt's ``getStepLogs``; anything else goes over the
         wire: a replay attempt, a child instance, a checkpoint stream."""
         held = self.prefetch
         if held is not None and held[0] == tag:
             self.prefetch = None
-            return [r for r in held[1] if r.seqnum >= min_seqnum]
-        return self._conn.call("log", "read_stream", (tag, min_seqnum), {})
+            return held[1]
+        return self._conn.call("log", "read_stream", (tag,), {})
 
     # Property on the real log; a method proxy would return a callable.
     @property

@@ -5,7 +5,7 @@ ends.  Both are read-only views over the gateway's parts."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime.services import ServiceBackend
 from .base import RunResult
@@ -15,13 +15,20 @@ from .frames import FrameServer
 from .takeover import Recovery
 
 
+def _stats(dispatcher: Dispatcher) -> Tuple[float, float, float]:
+    """``(mean, median, p99)`` of the request latencies, zeros before
+    the first completion."""
+    latencies = dispatcher.latencies
+    return latencies.stats() if latencies.count else (0.0, 0.0, 0.0)
+
+
 def status_payload(
     now_ms: float, protocol: str, dispatcher: Dispatcher, recovery: Recovery,
     frames: FrameServer, chaos: Optional[LiveChaosController],
     aborted: Optional[str],
 ) -> Dict[str, Any]:
     """Point-in-time run state served on STATUS frames."""
-    have = dispatcher.latencies.count > 0
+    _, median_ms, p99_ms = _stats(dispatcher)
     return {
         "now_ms": now_ms,
         "protocol": protocol,
@@ -35,8 +42,8 @@ def status_payload(
         "recovered": recovery.coordinator.recovered,
         "duplicates": dispatcher.duplicate_completions,
         "rate_per_s": dispatcher.throughput.rate_per_sec(),
-        "median_ms": dispatcher.latencies.median() if have else 0.0,
-        "p99_ms": dispatcher.latencies.p99() if have else 0.0,
+        "median_ms": median_ms,
+        "p99_ms": p99_ms,
         "telemetry_batches": frames.telemetry.batches,
         "rpc_frame_errors": frames.frame_errors,
         "rpc_ops_per_req": dispatcher.rpc_ops_per_req,
@@ -63,8 +70,7 @@ def run_result(
     chaos: Optional[LiveChaosController], *, workers: int,
     workers_spawned: int, aborted: Optional[str],
 ) -> RunResult:
-    latencies = dispatcher.latencies
-    have = latencies.count > 0
+    mean_ms, median_ms, p99_ms = _stats(dispatcher)
     wall_s = now_ms / 1000.0
     completed = len(dispatcher.completed)
     sink = frames.telemetry
@@ -101,9 +107,9 @@ def run_result(
         completed=completed,
         crashed_attempts=dispatcher.crashed_attempts,
         faulted_attempts=dispatcher.faulted_attempts,
-        median_ms=latencies.median() if have else 0.0,
-        p99_ms=latencies.p99() if have else 0.0,
-        mean_ms=latencies.mean() if have else 0.0,
+        median_ms=median_ms,
+        p99_ms=p99_ms,
+        mean_ms=mean_ms,
         throughput_per_s=completed / wall_s if wall_s > 0 else 0.0,
         avg_log_bytes=log_bytes,
         avg_db_bytes=db_bytes,

@@ -13,12 +13,9 @@ an explicit codec because naive pickling lies:
   :class:`~repro.runtime.services.InstanceServices` dispatches on those
   types and must keep working across the process boundary.
 
-:class:`~repro.sharedlog.record.LogRecord` used to need the same
-treatment (``MappingProxyType`` in a slots dataclass, which pickle
-rejects); since the record grew ``__reduce__`` it pickles natively and
-the tagged-tuple codec was retired.  :func:`encode_value` /
-:func:`decode_value` remain as the documented seam every payload still
-passes through, should a future value type need help again.
+Every other payload, :class:`~repro.sharedlog.record.LogRecord`
+included (via its ``__reduce__``), pickles natively and travels as it
+is.
 
 Only data crosses the wire; no frame carries code.
 
@@ -101,18 +98,13 @@ _ERROR_TAG = "__error__"
 # -- value codec ---------------------------------------------------------
 
 def encode_value(value: Any) -> Any:
-    """Make ``value`` picklable.
+    """The identity: every payload pickles natively.
 
-    Currently the identity: every value type this harness ships —
-    including :class:`LogRecord`, via its ``__reduce__`` — pickles
-    natively.  Kept (and still called on every payload) as the seam
-    where a future unpicklable type would get its tagged encoding.
+    Kept only because ``benchmarks/e2e/cells.py`` imports it, and that
+    tree changes only together with the benchmark contract (ROADMAP
+    item 6), which drops the call and this function together.  Nothing
+    under ``src/`` calls it.
     """
-    return value
-
-
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
     return value
 
 
@@ -123,8 +115,7 @@ def encode_error(exc: BaseException) -> Tuple[str, str, tuple, dict]:
         if isinstance(v, (int, float, str, bool, bytes, type(None)))
     }
     return (
-        type(exc).__module__, type(exc).__qualname__,
-        tuple(encode_value(a) for a in exc.args), state,
+        type(exc).__module__, type(exc).__qualname__, exc.args, state,
     )
 
 
@@ -139,7 +130,7 @@ def decode_error(payload: Tuple[str, str, tuple, dict]) -> BaseException:
         cls = RuntimeError
     try:
         exc = cls.__new__(cls)
-        BaseException.__init__(exc, *(decode_value(a) for a in args))
+        BaseException.__init__(exc, *args)
         exc.__dict__.update(state)
     except Exception:
         exc = RuntimeError(f"{qualname}{args!r}")

@@ -209,7 +209,7 @@ def worker_main(
                 )
                 wall_ms = (time.monotonic() - started) * 1000.0
                 payload: Tuple[Any, ...] = (
-                    rpc.encode_value(result.output),
+                    result.output,
                     result.attempts,
                     result.cost_by_kind,
                     wall_ms,

@@ -83,7 +83,12 @@ FUNCTION_COMPUTE_MS = 0.25
 
 @dataclass(frozen=True)
 class LatencyConfig:
-    """Latency distribution parameters for every simulated service call."""
+    """Latency distribution parameters for every simulated service call.
+
+    The cost factors and ``FUNCTION_COMPUTE_MS`` above are constants,
+    not fields: they were fitted once to the paper's numbers
+    (docs/CALIBRATION.md) and no experiment varies them.
+    """
 
     log_append_median_ms: float = LOG_APPEND_MEDIAN_MS
     log_append_p99_ms: float = LOG_APPEND_P99_MS
@@ -95,14 +100,8 @@ class LatencyConfig:
     log_read_cached_p99_ms: float = LOG_READ_CACHED_P99_MS
     log_read_miss_median_ms: float = LOG_READ_MISS_MEDIAN_MS
     log_read_miss_p99_ms: float = LOG_READ_MISS_P99_MS
-    conditional_write_factor: float = CONDITIONAL_WRITE_FACTOR
-    multiversion_read_factor: float = MULTIVERSION_READ_FACTOR
-    multiversion_write_factor: float = MULTIVERSION_WRITE_FACTOR
-    overlapped_log_factor: float = OVERLAPPED_LOG_FACTOR
-    control_log_factor: float = CONTROL_LOG_FACTOR
     invoke_overhead_median_ms: float = INVOKE_OVERHEAD_MEDIAN_MS
     invoke_overhead_p99_ms: float = INVOKE_OVERHEAD_P99_MS
-    function_compute_ms: float = FUNCTION_COMPUTE_MS
 
     def validate(self) -> None:
         for name, median, p99 in [
@@ -120,18 +119,6 @@ class LatencyConfig:
                 raise ConfigError(f"{name} median must be positive")
             if p99 < median:
                 raise ConfigError(f"{name} p99 must be >= median")
-        if self.conditional_write_factor < 1.0:
-            raise ConfigError("conditional_write_factor must be >= 1")
-        if self.multiversion_read_factor < 1.0:
-            raise ConfigError("multiversion_read_factor must be >= 1")
-        if self.multiversion_write_factor < 1.0:
-            raise ConfigError("multiversion_write_factor must be >= 1")
-        if not 0.0 <= self.overlapped_log_factor <= 1.0:
-            raise ConfigError("overlapped_log_factor must be in [0, 1]")
-        if not 0.0 <= self.control_log_factor <= 1.0:
-            raise ConfigError("control_log_factor must be in [0, 1]")
-        if self.function_compute_ms < 0:
-            raise ConfigError("function_compute_ms must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -459,6 +446,8 @@ class ResilienceConfig:
     cache-resident ``logReadPrev``/``logReadNext`` results are served
     from the node-local record cache (``degraded_log_reads``) and
     opportunistic background appends become droppable best-effort work.
+    A fenced epoch skips this schedule: see
+    :data:`repro.faults.retry.REDISCOVERY_MS`.
     """
 
     max_attempts: int = 4
@@ -472,14 +461,6 @@ class ResilienceConfig:
     breaker_failure_threshold: int = 5
     breaker_cooldown_ops: int = 50
     degraded_log_reads: bool = True
-    #: Fenced-epoch handling (``FencedEpochError``): the caller refreshes
-    #: its cached metalog leader epoch at a fixed ``rediscovery_ms`` cost
-    #: and retries immediately — *not* the blind exponential-backoff
-    #: schedule, because the fence already proves the request never
-    #: applied and names the fix.  ``max_rediscoveries`` bounds the loop
-    #: against a flapping leader.
-    rediscovery_ms: float = 2.0
-    max_rediscoveries: int = 4
 
     def validate(self) -> None:
         if self.max_attempts < 1:
@@ -498,10 +479,6 @@ class ResilienceConfig:
             raise ConfigError("breaker_failure_threshold must be >= 1")
         if self.breaker_cooldown_ops < 1:
             raise ConfigError("breaker_cooldown_ops must be >= 1")
-        if self.rediscovery_ms < 0:
-            raise ConfigError("rediscovery_ms must be >= 0")
-        if self.max_rediscoveries < 1:
-            raise ConfigError("max_rediscoveries must be >= 1")
 
 
 @dataclass(frozen=True)

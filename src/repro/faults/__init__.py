@@ -10,9 +10,9 @@ while they do:
 * :class:`FaultInjector` — seeded, per-operation fault plans drawn from
   the platform's :class:`~repro.simulation.rng.RngRegistry`, so chaos
   runs are exactly reproducible;
-* :class:`RetryPolicy` — bounded retries with exponential backoff,
+* :mod:`.retry` — bounded retries with exponential backoff,
   deterministic jitter, per-attempt timeouts, and a per-operation
-  deadline;
+  deadline, read from the platform's ``ResilienceConfig``;
 * :class:`CircuitBreaker` — trips after consecutive substrate failures
   and enables graceful degradation (cache-served log reads, droppable
   background appends) until the service recovers.
@@ -29,7 +29,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "FAULT_ERROR", "FAULT_GRAY", "FAULT_TIMEOUT", "FaultDecision",
         "FaultInjector",
     ),
-    ".retry": ("RetryPolicy",),
     ".storage": (
         "LinkPartitionSchedule", "LinkWindow", "StorageFaultInjector",
     ),
@@ -45,6 +44,5 @@ __all__ = [
     "FaultInjector",
     "LinkPartitionSchedule",
     "LinkWindow",
-    "RetryPolicy",
     "StorageFaultInjector",
 ]

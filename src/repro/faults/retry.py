@@ -8,71 +8,46 @@ attempt ``n`` (1-based; the first retry follows attempt 1) is
 
 Backoff is *simulated* waiting — it is charged to the invocation's cost
 trace (``retry_backoff``), which is how fault amplification becomes
-visible in DES-mode latency plots.
+visible in DES-mode latency plots.  The knobs are the platform's
+validated :class:`~repro.config.ResilienceConfig`, read as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..config import ResilienceConfig
+from .injector import FAULT_TIMEOUT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
+    from ..config import ResilienceConfig
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Immutable view of the retry/deadline knobs of one platform."""
+#: Fenced-epoch handling (``FencedEpochError``): a fence proves the
+#: request never applied and names its own fix, so the caller refreshes
+#: its cached metalog leader epoch at this flat cost and retries at once
+#: instead of walking the backoff schedule.
+REDISCOVERY_MS = 2.0
+#: Bounds the rediscovery loop against a flapping leader.
+MAX_REDISCOVERIES = 4
 
-    max_attempts: int = 4
-    base_backoff_ms: float = 0.5
-    backoff_multiplier: float = 2.0
-    max_backoff_ms: float = 8.0
-    jitter_fraction: float = 0.2
-    attempt_timeout_ms: float = 10.0
-    error_latency_ms: float = 1.0
-    op_deadline_ms: float = 100.0
-    #: Fenced-epoch handling: a fence names its own fix (refresh the
-    #: cached leader epoch), so the retry pays one flat rediscovery
-    #: round-trip instead of walking the backoff schedule; bounded by
-    #: ``max_rediscoveries`` against a flapping leader.
-    rediscovery_ms: float = 2.0
-    max_rediscoveries: int = 4
 
-    @classmethod
-    def from_config(cls, config: ResilienceConfig) -> "RetryPolicy":
-        config.validate()
-        return cls(
-            max_attempts=config.max_attempts,
-            base_backoff_ms=config.base_backoff_ms,
-            backoff_multiplier=config.backoff_multiplier,
-            max_backoff_ms=config.max_backoff_ms,
-            jitter_fraction=config.jitter_fraction,
-            attempt_timeout_ms=config.attempt_timeout_ms,
-            error_latency_ms=config.error_latency_ms,
-            op_deadline_ms=config.op_deadline_ms,
-            rediscovery_ms=config.rediscovery_ms,
-            max_rediscoveries=config.max_rediscoveries,
-        )
+def backoff_ms(config: ResilienceConfig, attempt: int,
+               rng: np.random.Generator) -> float:
+    """Backoff to charge after failed attempt ``attempt`` (1-based)."""
+    if attempt < 1:
+        raise ValueError("attempt is 1-based")
+    base = min(
+        config.max_backoff_ms,
+        config.base_backoff_ms * config.backoff_multiplier ** (attempt - 1),
+    )
+    if config.jitter_fraction == 0.0:
+        return base
+    return base * (1.0 + config.jitter_fraction * float(rng.random()))
 
-    def backoff_ms(self, attempt: int, rng: np.random.Generator) -> float:
-        """Backoff to charge after failed attempt ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        base = min(
-            self.max_backoff_ms,
-            self.base_backoff_ms * self.backoff_multiplier ** (attempt - 1),
-        )
-        if self.jitter_fraction == 0.0:
-            return base
-        return base * (1.0 + self.jitter_fraction * float(rng.random()))
 
-    def fault_cost_ms(self, fault_kind: str) -> float:
-        """Simulated time burned by one failed attempt of ``fault_kind``."""
-        from .injector import FAULT_TIMEOUT
-
-        if fault_kind == FAULT_TIMEOUT:
-            return self.attempt_timeout_ms
-        return self.error_latency_ms
+def fault_cost_ms(config: ResilienceConfig, fault_kind: str) -> float:
+    """Simulated time burned by one failed attempt of ``fault_kind``."""
+    if fault_kind == FAULT_TIMEOUT:
+        return config.attempt_timeout_ms
+    return config.error_latency_ms

@@ -25,7 +25,7 @@ attributed components sum to the end-to-end median by construction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping
 
 import numpy as np
 
@@ -116,21 +116,6 @@ class LatencyBreakdown:
             self._per_stage[stage].append(agg[stage])
         self._totals.append(total)
 
-    def record_entries(
-        self,
-        entries: Iterable[Tuple[str, float]],
-        extra: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        """Add one request from raw cost-trace ``(kind, ms)`` entries
-        plus optional synthetic segments (queue wait, detection)."""
-        agg: Dict[str, float] = {}
-        for kind, ms in entries:
-            agg[kind] = agg.get(kind, 0.0) + ms
-        if extra:
-            for kind, ms in extra.items():
-                agg[kind] = agg.get(kind, 0.0) + ms
-        self.record(agg)
-
     # -- statistics -----------------------------------------------------
 
     @property
@@ -179,18 +164,6 @@ class LatencyBreakdown:
         proportionally to mean stage shares; slices sum exactly to the
         end-to-end median."""
         return self.stage_share(stage) * self.total_median()
-
-    # -- aggregation ----------------------------------------------------
-
-    def merged(self, other: "LatencyBreakdown") -> "LatencyBreakdown":
-        """Combine two breakdowns (e.g. per-node into fleet-level)."""
-        out = LatencyBreakdown(self.name)
-        for stage in STAGES:
-            out._per_stage[stage] = (
-                self._per_stage[stage] + other._per_stage[stage]
-            )
-        out._totals = self._totals + other._totals
-        return out
 
     # -- reporting ------------------------------------------------------
 

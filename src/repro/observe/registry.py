@@ -11,8 +11,8 @@ that :class:`~repro.harness.platform.RunResult` carries.
 Three ways to get a metric in:
 
 * the factory accessors (:meth:`latency`, :meth:`counters`,
-  :meth:`gauge`, :meth:`throughput`, :meth:`series`) get-or-create a
-  primitive owned by the registry;
+  :meth:`gauge`, :meth:`throughput`) get-or-create a primitive owned
+  by the registry;
 * :meth:`register` adopts an already-constructed metric object, so
   components keep their direct references while reports read the
   registry;
@@ -138,13 +138,11 @@ class MetricsRegistry:
         return self._get_or_create(name, labels, Counter, Counter)
 
     def gauge(self, name: str, start_time_ms: float = 0.0,
-              initial_value: float = 0.0, **labels: Any
-              ) -> TimeWeightedGauge:
+              **labels: Any) -> TimeWeightedGauge:
         return self._get_or_create(
             name, labels, TimeWeightedGauge,
             lambda: TimeWeightedGauge(
-                _render_key(_key(name, labels)), start_time_ms,
-                initial_value,
+                _render_key(_key(name, labels)), start_time_ms
             ),
         )
 
@@ -152,12 +150,6 @@ class MetricsRegistry:
         return self._get_or_create(
             name, labels, ThroughputMeter,
             lambda: ThroughputMeter(_render_key(_key(name, labels))),
-        )
-
-    def series(self, name: str, **labels: Any) -> TimeSeries:
-        return self._get_or_create(
-            name, labels, TimeSeries,
-            lambda: TimeSeries(_render_key(_key(name, labels))),
         )
 
     # -- lookup ---------------------------------------------------------

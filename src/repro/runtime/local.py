@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
-from ..config import SystemConfig
+from ..config import FUNCTION_COMPUTE_MS, SystemConfig
 from ..errors import (
     CrashError,
     InvocationError,
@@ -216,11 +216,8 @@ class Context:
         if isinstance(op, InvokeOp):
             return self.invoke(op.func_name, op.input)
         if isinstance(op, ComputeOp):
-            for _ in range(max(1, round(
-                op.duration_ms
-                / max(self._runtime.config.latency.function_compute_ms,
-                      1e-9)
-            ))):
+            charges = max(1, round(op.duration_ms / FUNCTION_COMPUTE_MS))
+            for _ in range(charges):
                 self.svc.charge_compute()
             sleep = self._runtime.compute_sleep_fn
             if sleep is not None and op.duration_ms > 0:

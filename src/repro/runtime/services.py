@@ -25,7 +25,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..config import SystemConfig
+from ..config import (
+    CONDITIONAL_WRITE_FACTOR,
+    CONTROL_LOG_FACTOR,
+    FUNCTION_COMPUTE_MS,
+    MULTIVERSION_READ_FACTOR,
+    MULTIVERSION_WRITE_FACTOR,
+    OVERLAPPED_LOG_FACTOR,
+    SystemConfig,
+)
 from ..errors import (
     FencedEpochError,
     ReproError,
@@ -39,9 +47,9 @@ from ..faults import (
     FAULT_GRAY,
     FAULT_TIMEOUT,
     FaultInjector,
-    RetryPolicy,
     StorageFaultInjector,
 )
+from ..faults import retry
 from ..observe import CAT_SERVICE, MetricsRegistry, Span, Tracer
 from ..sharedlog import LogRecord, RecordCache
 from ..simulation.latency import (
@@ -133,23 +141,21 @@ class LatencyProvider:
         self._models: Dict[str, LatencyModel] = {
             Cost.LOG_APPEND: log_append,
             Cost.LOG_APPEND_OVERLAPPED: log_append.scaled(
-                lat.overlapped_log_factor
+                OVERLAPPED_LOG_FACTOR
             ),
-            Cost.LOG_APPEND_CONTROL: log_append.scaled(
-                lat.control_log_factor
-            ),
+            Cost.LOG_APPEND_CONTROL: log_append.scaled(CONTROL_LOG_FACTOR),
             Cost.LOG_APPEND_BACKGROUND: ConstantLatency(0.0),
             Cost.DB_READ: db_read,
-            Cost.DB_READ_VERSION: db_read.scaled(lat.multiversion_read_factor),
+            Cost.DB_READ_VERSION: db_read.scaled(MULTIVERSION_READ_FACTOR),
             Cost.DB_WRITE: db_write,
             Cost.DB_WRITE_VERSION: db_write.scaled(
-                lat.multiversion_write_factor
+                MULTIVERSION_WRITE_FACTOR
             ),
-            Cost.DB_COND_WRITE: db_write.scaled(lat.conditional_write_factor),
+            Cost.DB_COND_WRITE: db_write.scaled(CONDITIONAL_WRITE_FACTOR),
             Cost.INVOKE_OVERHEAD: LogNormalLatency(
                 lat.invoke_overhead_median_ms, lat.invoke_overhead_p99_ms
             ),
-            Cost.COMPUTE: ConstantLatency(lat.function_compute_ms),
+            Cost.COMPUTE: ConstantLatency(FUNCTION_COMPUTE_MS),
         }
         self._log_read_hit = LogNormalLatency(
             lat.log_read_cached_median_ms, lat.log_read_cached_p99_ms
@@ -263,7 +269,6 @@ class ServiceBackend:
         #: The injector's rates are frozen config: decided once here,
         #: read per attempt by ``InstanceServices``.
         self.faults_enabled = self.faults.enabled
-        self.retry_policy = RetryPolicy.from_config(config.resilience)
         self.breakers: Dict[str, CircuitBreaker] = {
             service: CircuitBreaker(
                 service,
@@ -274,10 +279,9 @@ class ServiceBackend:
             for service in ("log", "store")
         }
         self._latency_rng = self.rng.stream("service-latency")
-        self._uuid_rng = self.rng.stream("uuid")
         #: The 64-bit ids ``random_hex`` hands out are two 32-bit draws,
         #: served from one batch over the stream.
-        self._uuid_halves = IntegerDrawBatch(self._uuid_rng, 1 << 32)
+        self._uuid_halves = IntegerDrawBatch(self.rng.stream("uuid"), 1 << 32)
         self._jitter_rng = self.rng.stream("retry-jitter")
         #: Per-kind samplers: the charge path draws through zero-arg
         #: closures instead of walking model objects per op.  They
@@ -387,17 +391,9 @@ class ServiceBackend:
             )
         return self.epoch_view.refresh()
 
-    def random_hex(self, bits: int = 64) -> str:
-        if bits == 64:
-            half = self._uuid_halves.next_int
-            return f"{(half() << 32) | half():016x}"
-        if bits > 63:
-            high = int(self._uuid_rng.integers(0, 1 << (bits - 32)))
-            low = int(self._uuid_rng.integers(0, 1 << 32))
-            value = (high << 32) | low
-        else:
-            value = int(self._uuid_rng.integers(0, 1 << bits))
-        return f"{value:0{bits // 4}x}"
+    def random_hex(self) -> str:
+        half = self._uuid_halves.next_int
+        return f"{(half() << 32) | half():016x}"
 
     @property
     def value_bytes(self) -> int:
@@ -597,7 +593,6 @@ class InstanceServices:
                     backend.counters.add("degraded_log_reads")
                     return record, 1.0, "degraded-read"
 
-        policy = backend.retry_policy
         storage_faults = backend.storage_faults
         # Appends carry the worker's cached metalog epoch; it is read
         # per attempt, so a retry after leader rediscovery carries the
@@ -639,14 +634,14 @@ class InstanceServices:
                     self._breaker_outcome(breaker, False, op_span)
                     rediscoveries += 1
                     backend.charge_raw(
-                        Cost.LEADER_REDISCOVERY, policy.rediscovery_ms,
+                        Cost.LEADER_REDISCOVERY, retry.REDISCOVERY_MS,
                         self.trace,
                     )
                     backend.counters.add("epoch_rediscoveries")
-                    spent_ms += policy.rediscovery_ms
+                    spent_ms += retry.REDISCOVERY_MS
                     self._mark(op_span, "fenced-epoch",
                                rediscoveries=rediscoveries)
-                    if rediscoveries > policy.max_rediscoveries:
+                    if rediscoveries > retry.MAX_REDISCOVERIES:
                         self._mark(op_span, "leader-flapping", close=True)
                         raise ServiceUnavailableError(
                             f"{service} {kind} fenced "
@@ -692,29 +687,31 @@ class InstanceServices:
             if droppable:
                 backend.counters.add("background_appends_dropped")
                 return None, None, "dropped-under-fault"
-            fault_ms = policy.fault_cost_ms(fault_kind)
+            fault_ms = retry.fault_cost_ms(resilience, fault_kind)
             fault_label = (
                 Cost.SERVICE_TIMEOUT if fault_kind == FAULT_TIMEOUT
                 else Cost.SERVICE_ERROR
             )
             backend.charge_raw(fault_label, fault_ms, self.trace)
             spent_ms += fault_ms
-            if spent_ms > policy.op_deadline_ms:
+            if spent_ms > resilience.op_deadline_ms:
                 self._mark(op_span, "deadline-exceeded", close=True,
                            attempts=attempt)
                 raise ServiceTimeoutError(
-                    f"{service} {kind} blew its {policy.op_deadline_ms}ms "
+                    f"{service} {kind} blew its {resilience.op_deadline_ms}ms "
                     f"deadline after {attempt} attempts",
                     service=service, op=kind,
                 )
-            if attempt >= policy.max_attempts:
+            if attempt >= resilience.max_attempts:
                 self._mark(op_span, "retries-exhausted", close=True,
                            attempts=attempt)
                 raise ServiceUnavailableError(
                     f"{service} {kind} failed all {attempt} attempts",
                     service=service, op=kind,
                 )
-            backoff_ms = policy.backoff_ms(attempt, backend._jitter_rng)
+            backoff_ms = retry.backoff_ms(
+                resilience, attempt, backend._jitter_rng
+            )
             backend.charge_raw(Cost.RETRY_BACKOFF, backoff_ms, self.trace)
             backend.counters.add("service_retries")
             spent_ms += backoff_ms

@@ -13,8 +13,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "UniformLatency",
     ),
     ".metrics": (
-        "Counter", "LatencyRecorder", "LatencySummary", "ThroughputMeter",
-        "TimeSeries", "TimeWeightedGauge",
+        "Counter", "LatencyRecorder", "ThroughputMeter", "TimeSeries",
+        "TimeWeightedGauge",
     ),
     ".resources": ("NodeWorkerPool", "Resource", "WorkerGrant"),
     ".rng": ("RngRegistry", "derive_seed"),
@@ -41,7 +41,6 @@ __all__ = [
     "Interrupt",
     "LatencyModel",
     "LatencyRecorder",
-    "LatencySummary",
     "LogNormalLatency",
     "NodeWorkerPool",
     "NormalDrawBatch",

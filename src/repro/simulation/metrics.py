@@ -67,35 +67,10 @@ class LatencyRecorder:
         p50, p99 = np.percentile(arr, (50.0, 99.0))
         return float(np.mean(arr)), float(p50), float(p99)
 
-    def summary(self) -> "LatencySummary":
-        mean, median, p99 = self.stats()
-        return LatencySummary(
-            name=self.name,
-            count=self.count,
-            mean_ms=mean,
-            median_ms=median,
-            p99_ms=p99,
-        )
-
     def merged(self, other: "LatencyRecorder") -> "LatencyRecorder":
         out = LatencyRecorder(self.name)
         out._samples = self._samples + other._samples
         return out
-
-
-@dataclass(frozen=True)
-class LatencySummary:
-    name: str
-    count: int
-    mean_ms: float
-    median_ms: float
-    p99_ms: float
-
-    def __str__(self) -> str:
-        return (
-            f"{self.name}: n={self.count} mean={self.mean_ms:.2f}ms "
-            f"median={self.median_ms:.2f}ms p99={self.p99_ms:.2f}ms"
-        )
 
 
 class Counter:
@@ -116,15 +91,6 @@ class Counter:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self._counts)
-
-    def merged(self, other: "Counter") -> "Counter":
-        """Sum two counter sets (parity with ``LatencyRecorder.merged``)
-        so per-node counts combine into fleet-level summaries."""
-        out = Counter()
-        out._counts = dict(self._counts)
-        for name, amount in other._counts.items():
-            out._counts[name] = out._counts.get(name, 0) + amount
-        return out
 
 
 class TimeWeightedGauge:
@@ -287,13 +253,3 @@ class TimeSeries:
 
     def values(self) -> List[float]:
         return [v for _, v in self.points]
-
-    def merged(self, other: "TimeSeries") -> "TimeSeries":
-        """Interleave two series by timestamp (stable on ties: self's
-        points first), so per-node series combine into one fleet
-        timeline."""
-        out = TimeSeries(self.name)
-        out.points = sorted(
-            self.points + other.points, key=lambda point: point[0]
-        )
-        return out

@@ -56,16 +56,15 @@ from ..errors import FencedEpochError, LogError, StorageUnavailableError
 class Metalog:
     """Sequencer + record reference directory for a sharded log."""
 
-    def __init__(self, first_seqnum: int = 1, replication: int = 1):
-        self._first_seqnum = int(first_seqnum)
-        self._next_seqnum = int(first_seqnum)
+    def __init__(self, replication: int = 1):
+        self._next_seqnum = 1
         self._tag_refs: Dict[int, int] = {}
         self._trim_frontier: Dict[int, int] = {}
         # Committed (replicated) state: the highest seqnum whose install
         # reached the shards, and the per-tag trim directory (tag -> the
         # highest trimmed seqnum of that tag's sub-stream).  Both model
         # records in the internal metalog log, so failover preserves them.
-        self._committed_tail = int(first_seqnum) - 1
+        self._committed_tail = 0
         self._stream_trims: Dict[str, Tuple[int, int]] = {}
         self._replication = int(replication)
         self._epoch = 1
@@ -191,7 +190,7 @@ class Metalog:
         self._failovers += 1
         self._leader_alive = True
         if self._replication <= 1:
-            resume = max(self._committed_tail + 1, self._first_seqnum)
+            resume = self._committed_tail + 1
             if self._next_seqnum > resume:
                 self._invalidated_allocations += self._next_seqnum - resume
             self._next_seqnum = resume

@@ -107,14 +107,13 @@ class ShardedLog:
     def __init__(
         self,
         meta_bytes: int = 48,
-        first_seqnum: int = 1,
         shards: int = 1,
         replication: int = 1,
         sequencer: str = "monolith",
         sequencer_options: Optional[Any] = None,
     ):
         self._meta_bytes = int(meta_bytes)
-        self.metalog = Metalog(first_seqnum, replication=replication)
+        self.metalog = Metalog(replication=replication)
         #: Sequencing strategy over the metalog (see
         #: :mod:`~repro.storageplane.sequencer`); ``monolith`` is a
         #: passthrough and bit-identical to calling the metalog directly.
@@ -383,12 +382,11 @@ class ShardedLog:
             return self._records[stream.seqnums[index]]
         return None
 
-    def read_stream(self, tag: str, min_seqnum: int = 0) -> List[LogRecord]:
+    def read_stream(self, tag: str) -> List[LogRecord]:
         stream = self._stream_of(tag)
         if stream is None:
             return []
-        index = bisect.bisect_left(stream.seqnums, min_seqnum)
-        return [self._records[s] for s in stream.seqnums[index:]]
+        return [self._records[s] for s in stream.seqnums]
 
     def stream_length(self, tag: str) -> int:
         stream = self._stream_of(tag)

@@ -166,8 +166,7 @@ def _frame_server(backend, **overrides):
 
 
 def _op(seq, target, method, *args):
-    return (rpc.OP, seq, target, method, rpc.encode_value(args),
-            rpc.encode_value({}))
+    return (rpc.OP, seq, target, method, args, {})
 
 
 # -- FrameServer: a socket, stub handlers, nothing else -------------------------
@@ -250,8 +249,7 @@ def test_frame_server_serves_a_connection_through_its_handlers(tmp_path):
     assert not os.path.exists(path) and not list(tmp_path.iterdir())
     appended, refused, status, killed, unknown, nobody, closed = replies
     assert appended[:3] == (rpc.RESULT, 1, True)
-    assert backend.log.read_stream("t")[0].seqnum == rpc.decode_value(
-        appended[3])
+    assert backend.log.read_stream("t")[0].seqnum == appended[3]
     assert refused[:3] == (rpc.RESULT, 2, False)
     assert isinstance(rpc.decode_error(refused[3]), UnknownOpError)
     assert status == (rpc.STATUS, {"protocol": "stub"})
@@ -307,7 +305,7 @@ def test_coalescer_parks_appends_until_the_batch_fills():
         assert frames.handle_op(slots[4], _op(9, "log", "read_stream", "t"))
         (read,) = slots[4].writer.frames
         assert read[:3] == (rpc.RESULT, 9, True)
-        assert rpc.decode_value(read[3]) == [] and not _results(slots[:4])
+        assert read[3] == [] and not _results(slots[:4])
         # The fourth append fills the batch: all four execute and every
         # RESULT is there with no commit left in the buffer.
         assert frames.handle_op(

@@ -56,18 +56,6 @@ class TestExactSums:
             bd.total_median(), rel=1e-12
         )
 
-    def test_record_entries_aggregates_duplicates(self):
-        bd = LatencyBreakdown()
-        bd.record_entries(
-            [("log_append", 1.0), ("log_append", 2.0),
-             ("db_write", 4.0)],
-            extra={"queue_wait": 0.5},
-        )
-        assert bd.stage_mean("log_append") == 3.0
-        assert bd.stage_mean("store") == 4.0
-        assert bd.stage_mean("queueing") == 0.5
-        assert bd.total_mean() == 7.5
-
     def test_negative_contribution_rejected(self):
         bd = LatencyBreakdown()
         with pytest.raises(SimulationError):
@@ -80,14 +68,6 @@ class TestExactSums:
             bd.total_mean()
         with pytest.raises(SimulationError):
             bd.stage_mean("compute")
-
-    def test_merged_preserves_exactness(self):
-        a, b = self._sample(), self._sample()
-        merged = a.merged(b)
-        assert merged.count == 6
-        assert a.count == 3  # originals untouched
-        total = sum(merged.stage_mean(stage) for stage in STAGES)
-        assert total == pytest.approx(merged.total_mean(), rel=1e-12)
 
 
 class TestReporting:

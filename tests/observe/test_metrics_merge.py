@@ -8,12 +8,7 @@ answer is demonstrably wrong on the same inputs.
 
 import pytest
 
-from repro.simulation.metrics import (
-    Counter,
-    LatencyRecorder,
-    ThroughputMeter,
-    TimeSeries,
-)
+from repro.simulation.metrics import LatencyRecorder, ThroughputMeter
 
 
 # -- ThroughputMeter ------------------------------------------------------
@@ -73,16 +68,3 @@ def test_latency_counter_series_merges():
     lb = LatencyRecorder("l")
     lb.record(3.0)
     assert sorted(la.merged(lb).samples) == [1.0, 2.0, 3.0]
-
-    ca = Counter()
-    ca.add("x", 2)
-    cb = Counter()
-    cb.add("x")
-    cb.add("y", 5)
-    assert ca.merged(cb).as_dict() == {"x": 3, "y": 5}
-
-    sa = TimeSeries("s")
-    sa.record(10.0, 1.0)
-    sb = TimeSeries("s")
-    sb.record(5.0, 2.0)
-    assert sa.merged(sb).points == [(5.0, 2.0), (10.0, 1.0)]

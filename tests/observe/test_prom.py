@@ -7,6 +7,7 @@ from repro.observe import (
     write_prom_text,
 )
 from repro.observe.prom import sanitize_label, sanitize_name
+from repro.simulation import TimeSeries
 
 
 def full_registry():
@@ -24,7 +25,8 @@ def full_registry():
     meter = reg.throughput("completions")
     meter.record(5.0)
     meter.record(905.0)
-    series = reg.series("latency_over_time")
+    series = reg.register("latency_over_time",
+                          TimeSeries("latency_over_time"))
     series.record(1.0, 3.5)
     reg.probe("run", lambda: {"completed": 12, "aborted": False,
                               "note": "strings are skipped"})

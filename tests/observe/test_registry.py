@@ -7,7 +7,7 @@ import pytest
 from repro import LocalRuntime, SystemConfig
 from repro.errors import SimulationError
 from repro.observe import MetricsRegistry, lint_prom_text, prom_text
-from repro.simulation import Counter, LatencyRecorder
+from repro.simulation import Counter, LatencyRecorder, TimeSeries
 
 
 class TestFactoryAccessors:
@@ -43,7 +43,7 @@ class TestFactoryAccessors:
         reg.counters("b")
         reg.gauge("c")
         reg.throughput("d")
-        reg.series("e")
+        reg.register("e", TimeSeries("e"))
         assert len(reg) == 5
 
 
@@ -148,7 +148,7 @@ class TestSnapshot:
         reg.counters("ctr").add("x", 4)
         reg.gauge("g").set(7.0, now_ms=10.0)
         reg.throughput("thr").record(100.0)
-        reg.series("ts").record(1.0, 2.0)
+        reg.register("ts", TimeSeries("ts")).record(1.0, 2.0)
         snap = reg.snapshot(now_ms=20.0)
         assert snap["lat"]["median_ms"] == 2.0
         assert snap["ctr"]["counts"] == {"x": 4}

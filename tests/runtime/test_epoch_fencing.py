@@ -10,6 +10,7 @@ from repro.errors import (
     ServiceUnavailableError,
     StorageUnavailableError,
 )
+from repro.faults.retry import MAX_REDISCOVERIES
 from repro.runtime import Cost, InstanceServices, ServiceBackend
 
 
@@ -92,9 +93,8 @@ def test_leader_down_rides_the_retry_loop(svc, backend):
         svc.log_append(["t:a"], {"op": "x"})
     # Every attempt was rejected before effect and billed like a
     # timeout against the op's retry budget.
-    policy = backend.retry_policy
     assert (backend.counters.get("storage_unavailable_ops")
-            == policy.max_attempts)
+            == backend.config.resilience.max_attempts)
     assert backend.log.stream_length("t:a") == 0
     # Recovery: failover, rediscovery on the next op, back in business.
     backend.log.failover_sequencer()
@@ -103,7 +103,7 @@ def test_leader_down_rides_the_retry_loop(svc, backend):
 
 
 def test_flapping_leader_is_bounded(svc, backend):
-    """Rediscovery retries are bounded by max_rediscoveries, not the
+    """Rediscovery retries are bounded by MAX_REDISCOVERIES, not the
     ordinary retry budget — a flapping leader cannot loop forever."""
     real_append = backend.log.append
     fences = {"n": 0}
@@ -121,10 +121,9 @@ def test_flapping_leader_is_bounded(svc, backend):
     finally:
         backend.log.append = real_append
     assert "flapping" in str(exc_info.value)
-    policy = backend.retry_policy
-    assert fences["n"] == policy.max_rediscoveries + 1
+    assert fences["n"] == MAX_REDISCOVERIES + 1
     assert (backend.counters.get("epoch_rediscoveries")
-            == policy.max_rediscoveries + 1)
+            == MAX_REDISCOVERIES + 1)
 
 
 def test_refresh_without_chaos_raises():

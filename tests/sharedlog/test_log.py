@@ -57,12 +57,6 @@ def test_substreams_share_total_order(log):
     assert b == [2, 3]
 
 
-def test_read_stream_with_min_seqnum(log):
-    seqs = [log.append(["s"], {"i": i}) for i in range(4)]
-    records = log.read_stream("s", min_seqnum=seqs[2])
-    assert [r["i"] for r in records] == [2, 3]
-
-
 def test_multi_tag_record_counted_once_in_storage(log):
     log.append(["a", "b", "c"], {"v": 1}, payload_bytes=100)
     assert log.storage_bytes() == 48 + 100

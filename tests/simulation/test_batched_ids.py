@@ -53,12 +53,6 @@ def test_random_hex_matches_two_scalar_draws_per_id():
         assert backend.random_hex() == f"{(high << 32) | low:016x}"
 
 
-def test_random_hex_other_widths_keep_the_scalar_path():
-    backend = ServiceBackend(SystemConfig(seed=12))
-    rng = scalar_stream(12, "uuid")
-    assert backend.random_hex(32) == f"{int(rng.integers(0, 1 << 32)):08x}"
-
-
 def test_instance_ids_match_scalar_draws():
     runtime = LocalRuntime(SystemConfig(seed=12))
     rng = scalar_stream(12, "instance-ids")

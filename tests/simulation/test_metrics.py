@@ -32,14 +32,6 @@ class TestLatencyRecorder:
         with pytest.raises(SimulationError):
             rec.record(-0.1)
 
-    def test_summary(self):
-        rec = LatencyRecorder("ops")
-        rec.extend([1.0, 2.0, 3.0])
-        summary = rec.summary()
-        assert summary.count == 3
-        assert summary.median_ms == 2.0
-        assert "ops" in str(summary)
-
     @pytest.mark.parametrize("length", [1, 2, 3, 100, 10_001])
     def test_stats_equals_the_three_separate_reads(self, length):
         # One array conversion, one two-quantile percentile call: bit
@@ -49,9 +41,6 @@ class TestLatencyRecorder:
             0.5, 1.2, size=length
         ))
         assert rec.stats() == (rec.mean(), rec.median(), rec.p99())
-        summary = rec.summary()
-        assert (summary.mean_ms, summary.median_ms,
-                summary.p99_ms) == rec.stats()
 
     def test_stats_of_empty_recorder_raises(self):
         with pytest.raises(SimulationError):
@@ -194,28 +183,3 @@ class TestTimeSeries:
         window = ts.window(3.0, 6.0)
         assert [v for _, v in window] == [6.0, 8.0, 10.0]
         assert len(ts.values()) == 10
-
-    def test_merged_interleaves_by_timestamp(self):
-        a = TimeSeries("lat")
-        a.record(1.0, 10.0)
-        a.record(5.0, 50.0)
-        b = TimeSeries("lat")
-        b.record(3.0, 30.0)
-        merged = a.merged(b)
-        assert merged.points == [(1.0, 10.0), (3.0, 30.0), (5.0, 50.0)]
-        # Inputs are untouched.
-        assert len(a.points) == 2 and len(b.points) == 1
-
-
-class TestCounterMerged:
-    def test_merged_sums_counts(self):
-        a = Counter()
-        a.add("x", 2)
-        a.add("y")
-        b = Counter()
-        b.add("x", 3)
-        b.add("z", 5)
-        merged = a.merged(b)
-        assert merged.as_dict() == {"x": 5, "y": 1, "z": 5}
-        # Inputs are untouched.
-        assert a.get("x") == 2 and b.get("x") == 3

@@ -26,16 +26,6 @@ class TestLatencyConfig:
         with pytest.raises(ConfigError):
             LatencyConfig(log_append_median_ms=0.0).validate()
 
-    def test_factor_bounds(self):
-        with pytest.raises(ConfigError):
-            LatencyConfig(conditional_write_factor=0.9).validate()
-        with pytest.raises(ConfigError):
-            LatencyConfig(multiversion_read_factor=0.5).validate()
-        with pytest.raises(ConfigError):
-            LatencyConfig(overlapped_log_factor=1.5).validate()
-        with pytest.raises(ConfigError):
-            LatencyConfig(control_log_factor=-0.1).validate()
-
 
 class TestClusterConfig:
     def test_total_workers(self):

@@ -18,7 +18,7 @@ DOCS = pathlib.Path(__file__).resolve().parents[1] / "docs"
 
 #: The ``MetricsRegistry`` methods that take a series name.
 SERIES_METHODS = {"register", "probe", "latency", "counters", "gauge",
-                  "throughput", "series"}
+                  "throughput"}
 
 
 def _config_dataclasses():
